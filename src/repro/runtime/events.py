@@ -90,6 +90,11 @@ class EventPool:
 
     Creation events have no instance yet; they wait in a dedicated FIFO
     that schedulers treat as one more dispatch source.
+
+    ``_queues`` holds exactly the non-empty queues: one is created on the
+    first push to a handle and removed when its last event is popped or
+    its instance is dropped.  Choosing a source therefore costs O(ready
+    instances), not O(every instance that ever received an event).
     """
 
     def __init__(self, self_priority: bool = True):
@@ -146,13 +151,17 @@ class EventPool:
 
     def ready_handles(self) -> tuple[int, ...]:
         """Handles with at least one ready event, in handle order."""
-        return tuple(sorted(h for h, q in self._queues.items() if q))
+        return tuple(sorted(self._queues))
 
     def has_ready_creation(self) -> bool:
         return bool(self._creations)
 
     def pop_for(self, handle: int) -> SignalInstance:
-        return self._queues[handle].pop()
+        queue = self._queues[handle]
+        signal = queue.pop()
+        if not queue:
+            del self._queues[handle]
+        return signal
 
     def peek_for(self, handle: int) -> SignalInstance:
         return self._queues[handle].peek()

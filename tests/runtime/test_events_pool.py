@@ -81,6 +81,16 @@ class TestEventPool:
         assert pool.ready_handles() == (5,)
         assert pool.is_idle() is False
 
+    def test_emptied_queue_leaves_ready_handles(self):
+        pool = EventPool()
+        pool.push_ready(signal(1, target=4))
+        pool.push_ready(signal(2, target=6))
+        assert pool.pop_for(4).sequence == 1
+        assert pool.ready_handles() == (6,)
+        assert pool.ready_count == 1
+        pool.push_ready(signal(3, target=4))
+        assert pool.ready_handles() == (4, 6)
+
     def test_idle(self):
         pool = EventPool()
         assert pool.is_idle()
