@@ -18,6 +18,13 @@ timed discrete-event simulation of the SoC platform —
 Changing the partition means flipping marks and recompiling — nothing in
 the stimulus or the measurement code changes, which is precisely the
 workflow the paper advertises.
+
+Signals wait where every other executor keeps them: local signals sit in
+the shared :class:`~repro.runtime.events.EventPool` until their ready
+time, and the CPU picks its next dispatch with the generated kernel's
+:class:`~repro.runtime.scheduler.KernelScheduler`.  Timer cancellation
+and instance deletion therefore act on the queues this engine drains.
+The engine's own heap holds only bus and retransmission events.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ from repro.mda.archrt import ArchError, TargetMachine
 from repro.mda.compiler import Build
 from repro.mda.interfacegen import InterfaceCodec, InterfaceError
 from repro.obs.metrics import active_registry
-from repro.runtime.events import InstanceQueue, SignalInstance
+from repro.runtime.events import CREATION, SignalInstance
+from repro.runtime.scheduler import KernelScheduler
 
 from .bus import Bus, BusRequest
 from .config import CoSimConfig
@@ -103,11 +111,10 @@ class CoSimMachine(TargetMachine):
         self._delivered_frames: set[int] = set()
         self._lost_frames: set[int] = set()
         self._corrupted_sequences: set[int] = set()
-        # timed event structures (self.pool is unused here)
+        # bus and retry events; signals wait in self.pool
         self._heap: list[tuple[int, int, int, object]] = []
         self._heap_seq = 0
-        self._queues: dict[int, InstanceQueue] = {}
-        self._creation_queue: list[SignalInstance] = []
+        self._cpu_scheduler = KernelScheduler()
         self._cpu_free_at = 0
         self._hw_free_at: dict[int, int] = {}
         self._emit_buffer: list[tuple[SignalInstance, int]] | None = None
@@ -154,7 +161,7 @@ class CoSimMachine(TargetMachine):
             return self._cpu_free_at
         return self._hw_free_at.get(handle, 0)
 
-    # -- signal plumbing (overrides the untimed pool) ------------------------------
+    # -- signal plumbing: timed routing into the pool -------------------------------
 
     def _enqueue(self, signal: SignalInstance, delay: int) -> None:
         if self._emit_buffer is not None:
@@ -176,7 +183,8 @@ class CoSimMachine(TargetMachine):
         receiver_side = self.side_of_class(signal.class_key)
         crosses = sender_side is not None and sender_side != receiver_side
         if not crosses:
-            self._push_heap(ready_ns, "arrival", signal)
+            if self._receivable(signal):
+                self.pool.push_delayed(signal, ready_ns)
             return
         message = self.build.interface.message_for(
             signal.class_key, signal.label)
@@ -296,7 +304,7 @@ class CoSimMachine(TargetMachine):
         elif transfer.attempts > 1:
             stats.recovered += 1
         if payload == transfer.payload:
-            self._push_heap_now("arrival", transfer.signal)
+            self._deliver(transfer.signal)
             return
         # CRC passed on altered bytes (or an undetected flip): decode it
         decoded = self._decode_signal(transfer, payload)
@@ -306,13 +314,13 @@ class CoSimMachine(TargetMachine):
         else:
             stats.delivered_corrupted += 1
             self._corrupted_sequences.add(decoded.sequence)
-            self._push_heap_now("arrival", decoded)
+            self._deliver(decoded)
 
     def _deliver_unprotected(self, transfer: _Transfer, wire: bytes,
                              corrupted: bool) -> None:
         """Best-effort delivery: garbage degrades gracefully, never raises."""
         if not corrupted:
-            self._push_heap_now("arrival", transfer.signal)
+            self._deliver(transfer.signal)
             return
         decoded = self._decode_signal(transfer, wire)
         if decoded is None:
@@ -322,7 +330,7 @@ class CoSimMachine(TargetMachine):
             return
         self.fault_stats.delivered_corrupted += 1
         self._corrupted_sequences.add(decoded.sequence)
-        self._push_heap_now("arrival", decoded)
+        self._deliver(decoded)
 
     def _decode_signal(self, transfer: _Transfer,
                        payload: bytes) -> SignalInstance | None:
@@ -403,24 +411,23 @@ class CoSimMachine(TargetMachine):
         bus_next = self.bus.next_ready_time()
         if bus_next is not None:
             times.append(bus_next)
-        for handle, queue in self._queues.items():
-            if queue:
-                class_key = self._class_of.get(handle)
-                if class_key is None:
-                    continue
-                times.append(self._resource_free_at(handle, class_key))
-        if self._creation_queue:
+        due = self.pool.next_due_time()
+        if due is not None:
+            times.append(due)
+        for handle in self.pool.ready_handles():
+            times.append(
+                self._resource_free_at(handle, self._class_of[handle]))
+        if self.pool.has_ready_creation():
             times.append(self._cpu_free_at)
         return min(times) if times else None
 
     def _drain_heap(self, horizon_ns) -> bool:
-        advanced = False
+        # local signals due by now reach their queues before anything the
+        # bus delivers at this instant, as they were routed earlier
+        advanced = self.pool.release_due(self.now) > 0
         while self._heap and self._heap[0][0] <= self.now:
             _t, _s, kind, payload = heapq.heappop(self._heap)
-            if kind == "arrival":
-                self._deliver(payload)
-                advanced = True
-            elif kind == "bus_poll":
+            if kind == "bus_poll":
                 granted = self.bus.grant(self.now)
                 while granted is not None:
                     delivery, request = granted
@@ -445,75 +452,49 @@ class CoSimMachine(TargetMachine):
                 advanced = True
         return advanced
 
+    def _receivable(self, signal: SignalInstance) -> bool:
+        """False once the receiver died: the signal is then dropped."""
+        return signal.is_creation or signal.target_handle in self._class_of
+
     def _deliver(self, signal: SignalInstance) -> None:
-        if signal.is_creation:
-            self._creation_queue.append(signal)
-            return
-        if signal.target_handle not in self._class_of:
-            return  # receiver died in flight
-        queue = self._queues.get(signal.target_handle)
-        if queue is None:
-            queue = InstanceQueue()
-            self._queues[signal.target_handle] = queue
-        queue.push(signal)
+        """A bus transfer arrived: queue the signal for its receiver."""
+        if self._receivable(signal):
+            self.pool.push_ready(signal)
 
     def _start_services(self, horizon_ns) -> int:
         started = 0
         # hardware instances are independent resources: start any that can
-        for handle in sorted(self._queues):
-            queue = self._queues[handle]
-            if not queue:
-                continue
-            class_key = self._class_of.get(handle)
+        for handle in self.pool.ready_handles():
+            class_key = self._class_of.get(handle)   # None: deleted just now
             if class_key is None or self.side_of_class(class_key) != "hw":
                 continue
             if self._hw_free_at.get(handle, 0) <= self.now:
-                self._service(handle, class_key, queue.pop())
+                self._service(handle, class_key, self.pool.pop_for(handle))
                 started += 1
         # the single CPU: at most one software dispatch per pass
         if self._cpu_free_at <= self.now:
-            chosen = self._choose_software()
-            if chosen is not None:
-                handle, signal = chosen
-                class_key = signal.class_key
-                self._service(handle, class_key, signal)
+            source = self._choose_software()
+            if source is not None:
+                signal = self.pool.pop(source)
+                handle = None if source == CREATION else source
+                self._service(handle, signal.class_key, signal)
                 started += 1
         return started
 
-    def _choose_software(self):
-        """kernel order: global self-first, then send order (plus creations)."""
-        candidates = []
-        for handle in sorted(self._queues):
-            queue = self._queues[handle]
-            if not queue:
-                continue
-            class_key = self._class_of.get(handle)
-            if class_key is None or self.side_of_class(class_key) != "sw":
-                continue
-            head = queue.peek()
-            candidates.append(((not head.is_self_directed, head.sequence),
-                               handle, queue))
-        creation = None
-        for signal in self._creation_queue:
-            if self.side_of_class(signal.class_key) == "sw":
-                creation = signal
-                break
-        if creation is not None:
-            candidates.append((((True, creation.sequence)), None, None))
-        if not candidates:
-            # hardware creation events are dispatched by the CPU-side
-            # configuration master too (instance banks are provisioned
-            # by software), so fall back to any creation
-            if self._creation_queue:
-                signal = self._creation_queue.pop(0)
-                return (None, signal)
-            return None
-        candidates.sort(key=lambda c: c[0])
-        _key, handle, queue = candidates[0]
-        if handle is None:
-            self._creation_queue.remove(creation)
-            return (None, creation)
-        return (handle, queue.pop())
+    def _choose_software(self) -> int | None:
+        """The CPU's next source: kernel order over software signals.
+
+        Hardware creation events are dispatched by the CPU-side
+        configuration master too (instance banks are provisioned by
+        software), but only when no software signal is pending.
+        """
+        source = self._cpu_scheduler.choose(self.pool, self._on_software)
+        if source is None and self.pool.has_ready_creation():
+            return CREATION
+        return source
+
+    def _on_software(self, signal: SignalInstance) -> bool:
+        return self.side_of_class(signal.class_key) == "sw"
 
     def _service(self, handle, class_key: str, signal: SignalInstance) -> None:
         side = self.side_of_class(class_key)
@@ -563,9 +544,6 @@ class CoSimMachine(TargetMachine):
         end = start + duration
         for emitted_signal, delay in emitted:
             self._route(emitted_signal, end + delay * US_TO_NS)
-
-    def _dispatch_creation(self, signal: SignalInstance) -> None:
-        super()._dispatch_creation(signal)
 
     # -- measurement helpers ------------------------------------------------------
 

@@ -9,7 +9,7 @@
 * :func:`lint_c` / :func:`lint_vhdl` — structural checks on emitted text
 """
 
-from .actionir import ir_op_counts, lower_block, walk_ir_statements
+from repro.exec.ir import ir_op_counts, lower_block, walk_ir_statements
 from .archrt import ArchError, TargetMachine
 from .cgen import CGenerator
 from .clint import LintFinding, lint_c

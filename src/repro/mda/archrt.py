@@ -2,12 +2,16 @@
 
 The abstract runtime (:mod:`repro.runtime`) executes the *model*.  This
 module executes the *build manifest*: the lowered IR, state tables and
-attribute layouts the generators printed as C and VHDL.  The C and VHDL
-architecture simulators (:mod:`repro.mda.csim`, :mod:`repro.mda.vsim`)
-subclass :class:`TargetMachine` and supply only their dispatch
-discipline; everything they run comes from the manifest, so an emitter
-that lowers wrongly fails conformance (experiment E3) instead of slipping
-through.
+attribute layouts the generators printed as C and VHDL.  Everything it
+runs comes from the manifest, so an emitter that lowers wrongly fails
+conformance (experiment E3) instead of slipping through.
+
+:class:`TargetMachine` is manifest-backed storage (attribute dicts,
+links, the architecture bridges) on the shared
+:class:`~repro.runtime.dispatcher.Dispatcher`, which stamps, traces,
+queues and dispatches exactly as the abstract runtime does.  The
+architectures (:mod:`repro.mda.csim`, :mod:`repro.mda.vsim`,
+:mod:`repro.cosim.engine`) add only their source policy and clock.
 
 Value semantics (C integer division, handle numbering, attribute
 defaults) are kept identical to the abstract runtime on purpose: the
@@ -20,8 +24,10 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.exec import IRExecutor
-from repro.runtime.events import EventPool, SignalInstance
-from repro.runtime.tracing import Trace, TraceKind
+from repro.runtime.dispatcher import Dispatcher
+from repro.runtime.events import SignalInstance
+from repro.runtime.tracing import TraceKind
+from repro.xuml.statemachine import EventResponse
 
 from .manifest import ClassManifest, ComponentManifest
 
@@ -30,31 +36,25 @@ class ArchError(Exception):
     """Target-architecture execution failure."""
 
 
-class TargetMachine:
-    """Manifest executor with pluggable dispatch (see csim/vsim).
+class TargetMachine(Dispatcher):
+    """Manifest executor; subclasses choose the dispatch source.
 
-    The machine mirrors the :class:`repro.runtime.Simulation` surface
-    closely enough that verification test cases can drive either through
-    one adapter.  Action semantics live entirely in the shared execution
-    core (:mod:`repro.exec`); this class supplies only storage, links,
-    signal queues and dispatch discipline.
+    The machine shares the :class:`repro.runtime.Simulation` surface, so
+    verification test cases drive either through one adapter.  Action
+    semantics live in the shared execution core (:mod:`repro.exec`) and
+    the signal life cycle in :class:`Dispatcher`; this class supplies
+    only storage, links and bridges.
     """
 
+    error = cant_happen_error = ArchError
+
     def __init__(self, manifest: ComponentManifest):
+        super().__init__()
         self.manifest = manifest
-        self.trace = Trace()
-        self.pool = EventPool()
-        self.now = 0                       # architecture-specific unit
-        self.loop_bound = 100_000
-        self.cant_happen_count = 0
         self.executor = IRExecutor(self, error=ArchError,
                                    selection_error=ArchError)
         self.log_lines: list[tuple[int, str]] = []
         self.metrics: dict[str, list[tuple[int, float]]] = {}
-        self._next_handle = 1
-        self._next_sequence = 1
-        self._next_activity = 1
-        self._activity_stack: list[int] = []
         #: class key -> handle -> {attr: value}
         self._data: dict[str, dict[int, dict[str, object]]] = {
             key: {} for key in manifest.classes
@@ -69,38 +69,20 @@ class TargetMachine:
                 other[1]: defaultdict(set),
             }
 
-    @property
-    def execution_core(self) -> str:
-        """Which execution core serves this machine's actions."""
-        from repro.exec import CORE_NAME
-
-        return f"{CORE_NAME} (lowered action IR)"
-
-    @property
-    def ops_executed(self) -> int:
-        """Dynamically executed IR statements (shared-core counter)."""
-        return self.executor.ops_executed
-
     # -- population ---------------------------------------------------------
 
-    def create_instance(self, class_key: str, **attribute_values) -> int:
+    def _store_instance(self, class_key: str, handle: int,
+                        attribute_values: dict) -> str | None:
         klass = self._klass(class_key)
-        handle = self._next_handle
-        self._next_handle += 1
         data = {name: default for name, _tag, default in klass.attributes}
         data.update(attribute_values)
         self._data[class_key][handle] = data
         self._class_of[handle] = class_key
         if klass.is_active:
             self._state[handle] = klass.initial_state
-        self.trace.record(
-            self.now, TraceKind.INSTANCE_CREATED,
-            handle=handle, class_key=class_key,
-            state=self._state.get(handle),
-        )
-        return handle
+        return self._state.get(handle)
 
-    def delete_instance(self, handle: int) -> None:
+    def _forget_instance(self, handle: int) -> str:
         class_key = self.class_of(handle)
         del self._data[class_key][handle]
         del self._class_of[handle]
@@ -110,11 +92,7 @@ class TargetMachine:
                 table.pop(handle, None)
                 for peers in table.values():
                     peers.discard(handle)
-        dropped = self.pool.drop_instance(handle)
-        self.trace.record(
-            self.now, TraceKind.INSTANCE_DELETED,
-            handle=handle, class_key=class_key, pending_dropped=dropped,
-        )
+        return class_key
 
     def class_of(self, handle: int) -> str:
         try:
@@ -153,10 +131,6 @@ class TargetMachine:
             raise ArchError(f"manifest has no class {class_key!r}") from None
 
     # -- links ---------------------------------------------------------------
-
-    def _ends(self, number: str):
-        one, other, _link = self.manifest.associations[number]
-        return one, other   # (class, phrase, mult)
 
     def relate(self, left: int, right: int, number: str, phrase=None) -> None:
         left_end, right_end = self._resolve_ends(left, right, number, phrase)
@@ -219,149 +193,42 @@ class TargetMachine:
         table = self._links[number][to_end[1]]
         return tuple(sorted(table.get(handle, ())))
 
-    # -- signals ----------------------------------------------------------------
+    # -- dispatch hooks -------------------------------------------------------------
 
-    def _stamp(self) -> int:
-        sequence = self._next_sequence
-        self._next_sequence += 1
-        return sequence
-
-    @property
-    def _current_activity(self) -> int:
-        return self._activity_stack[-1] if self._activity_stack else 0
-
-    def send_signal(self, target: int, class_key: str, label: str,
-                    params=None, sender=None, delay: int = 0) -> SignalInstance:
-        signal = SignalInstance(
-            sequence=self._stamp(), label=label, class_key=class_key,
-            params=dict(params or {}), target_handle=target,
-            sender_handle=sender, activity_id=self._current_activity,
-            sent_at=self.now,
-        )
-        self.trace.record(
-            self.now, TraceKind.SIGNAL_SENT,
-            sequence=signal.sequence, label=label, target=target,
-            sender=sender, activity=signal.activity_id, delay=delay,
-        )
-        self._enqueue(signal, delay)
-        return signal
-
-    def send_creation(self, class_key: str, label: str, params=None,
-                      sender=None, delay: int = 0) -> SignalInstance:
-        klass = self._klass(class_key)
-        if not klass.events[label].creation:
+    def _check_event(self, class_key: str, label: str, creation: bool) -> None:
+        if creation and not self._klass(class_key).events[label].creation:
             raise ArchError(f"{class_key}.{label} is not a creation event")
-        signal = SignalInstance(
-            sequence=self._stamp(), label=label, class_key=class_key,
-            params=dict(params or {}), target_handle=None,
-            sender_handle=sender, activity_id=self._current_activity,
-            sent_at=self.now, is_creation=True,
+
+    def _target(self, class_key: str, handle: int) -> int | None:
+        return handle if handle in self._class_of else None
+
+    def _state_of(self, handle: int) -> str:
+        return self._state[handle]
+
+    def _set_state(self, handle: int, state: str) -> None:
+        self._state[handle] = state
+
+    def _transition(self, signal: SignalInstance, state: str):
+        klass = self._klass(signal.class_key)
+        to_state = klass.transitions.get((state, signal.label))
+        if to_state is None:
+            return EventResponse(klass.response(state, signal.label))
+        return to_state
+
+    def _creation_state(self, signal: SignalInstance) -> str:
+        return self._klass(signal.class_key).creations[signal.label]
+
+    def _run_state_activity(self, handle: int, state: str,
+                            signal: SignalInstance) -> None:
+        self._run_to_completion(
+            handle, signal.class_key, state, signal,
+            self._klass(signal.class_key).activities[state], signal.params,
         )
-        self.trace.record(
-            self.now, TraceKind.SIGNAL_SENT,
-            sequence=signal.sequence, label=label, target=None,
-            sender=sender, activity=signal.activity_id, delay=delay,
-        )
-        self._enqueue(signal, delay)
-        return signal
-
-    def inject(self, target: int, label: str, params=None, delay: int = 0):
-        return self.send_signal(
-            target, self.class_of(target), label, params, sender=None,
-            delay=delay,
-        )
-
-    def _enqueue(self, signal: SignalInstance, delay: int) -> None:
-        """Architecture hook: csim queues immediately, vsim clocks delays."""
-        if delay > 0:
-            self.pool.push_delayed(signal, self.now + self.scale_delay(delay))
-        else:
-            self.pool.push_ready(signal)
-
-    def scale_delay(self, delay: int) -> int:
-        """Convert a model-time delay into this architecture's time unit."""
-        return delay
-
-    # -- dispatch core -------------------------------------------------------------
 
     def dispatch(self, signal: SignalInstance) -> None:
-        if signal.is_creation:
-            self._dispatch_creation(signal)
-            return
-        handle = signal.target_handle
-        if handle not in self._class_of:
-            self.trace.record(
-                self.now, TraceKind.SIGNAL_IGNORED,
-                sequence=signal.sequence, label=signal.label, target=handle,
-                reason="target deleted",
-            )
-            return
-        klass = self._klass(signal.class_key)
-        state = self._state[handle]
-        response = klass.response(state, signal.label)
-        if response == "ignore":
-            self.trace.record(
-                self.now, TraceKind.SIGNAL_IGNORED,
-                sequence=signal.sequence, label=signal.label, target=handle,
-                reason="ignored",
-            )
-            return
-        if response == "cant_happen":
-            self.cant_happen_count += 1
-            raise ArchError(
-                f"event {signal.label} can't happen in state {state} of "
-                f"{signal.class_key}#{handle}"
-            )
-        to_state = klass.transitions[(state, signal.label)]
-        self.trace.record(
-            self.now, TraceKind.SIGNAL_CONSUMED,
-            sequence=signal.sequence, label=signal.label, target=handle,
-            sender=signal.sender_handle, sent_activity=signal.activity_id,
-        )
-        self._state[handle] = to_state
-        self.trace.record(
-            self.now, TraceKind.TRANSITION,
-            handle=handle, class_key=signal.class_key,
-            from_state=state, to_state=to_state, label=signal.label,
-        )
-        self._run_activity(klass, handle, to_state, signal)
-
-    def _dispatch_creation(self, signal: SignalInstance) -> None:
-        klass = self._klass(signal.class_key)
-        to_state = klass.creations[signal.label]
-        handle = self.create_instance(signal.class_key)
-        self.trace.record(
-            self.now, TraceKind.SIGNAL_CONSUMED,
-            sequence=signal.sequence, label=signal.label, target=handle,
-            sender=signal.sender_handle, sent_activity=signal.activity_id,
-        )
-        self._state[handle] = to_state
-        self.trace.record(
-            self.now, TraceKind.TRANSITION,
-            handle=handle, class_key=signal.class_key,
-            from_state=None, to_state=to_state, label=signal.label,
-        )
-        self._run_activity(klass, handle, to_state, signal)
-
-    def _run_activity(self, klass: ClassManifest, handle: int,
-                      state: str, signal: SignalInstance) -> None:
-        activity_id = self._next_activity
-        self._next_activity += 1
-        self.trace.record(
-            self.now, TraceKind.ACTIVITY_START,
-            activity=activity_id, handle=handle, class_key=klass.key,
-            state=state, consumed_sequence=signal.sequence,
-        )
-        self._activity_stack.append(activity_id)
-        try:
-            self.executor.run(klass.activities[state], handle, signal.params)
-        finally:
-            self._activity_stack.pop()
-            self.trace.record(
-                self.now, TraceKind.ACTIVITY_END,
-                activity=activity_id, handle=handle, class_key=klass.key,
-                state=state,
-            )
+        # defined here, not only inherited, so the mda.archrt_dispatch
+        # span resolves on every architecture runtime
+        super().dispatch(signal)
 
     # -- bridges and operations ------------------------------------------------------
 
@@ -387,10 +254,7 @@ class TargetMachine:
             )
             return 0
         if entity == "TIM" and operation == "timer_cancel":
-            label = str(kwargs.get("event", ""))
-            return self.pool.cancel_delayed(
-                lambda s: s.target_handle == self_handle and s.label == label
-            )
+            return self.cancel_timer(self_handle, str(kwargs.get("event", "")))
         raise ArchError(f"no architecture bridge for {entity}::{operation}")
 
     def call_operation(self, class_key: str, name: str, self_handle, kwargs):

@@ -22,6 +22,8 @@ views of one artifact.
 
 from __future__ import annotations
 
+from repro.exec.ir import walk_ir_statements
+
 from .manifest import ClassManifest, ComponentManifest
 from .naming import banner, c_ident, c_macro, c_type_of
 from .manifest import tag_to_dtype
@@ -368,8 +370,6 @@ class _CPrinter:
 
     def scan_var_classes(self, block: list) -> None:
         """Record which class each instance-valued local refers to."""
-        from .actionir import walk_ir_statements
-
         for stmt in walk_ir_statements(block):
             tag = stmt[0]
             if tag == "create" or tag == "select_extent":
@@ -386,8 +386,6 @@ class _CPrinter:
 
     # locals are declared up-front, C89-style, typed from the IR shape
     def collect_locals(self, block: list, declared: set, lines, indent) -> None:
-        from .actionir import walk_ir_statements
-
         for stmt in walk_ir_statements(block):
             tag = stmt[0]
             if tag == "assign_var" and stmt[1] not in declared:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.exec.ir import lower_block
 from repro.oal.analyzer import analyze_activity
 from repro.oal.parser import parse_activity
 from repro.xuml.component import Component
@@ -23,8 +24,6 @@ from repro.xuml.datatypes import (
 )
 from repro.xuml.model import Model
 from repro.xuml.statemachine import EventResponse
-
-from .actionir import lower_block
 
 
 def dtype_tag(dtype: DataType) -> str:

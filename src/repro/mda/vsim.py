@@ -11,6 +11,10 @@ Within one cycle all instances fire "simultaneously": the dispatch set is
 snapshotted before any action runs, so an instance cannot react within
 the same cycle to a signal raised in it — exactly what the registered
 FSM does in hardware.
+
+Stamping, tracing and dispatch are the shared
+:class:`~repro.runtime.dispatcher.Dispatcher`'s; this module adds only the
+per-edge snapshot policy, the registered-output queueing and the clock.
 """
 
 from __future__ import annotations

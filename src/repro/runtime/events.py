@@ -18,6 +18,9 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
+#: Dispatch source meaning "the oldest pending creation event".
+CREATION = -1
+
 
 @dataclass(frozen=True)
 class SignalInstance:
@@ -168,6 +171,18 @@ class EventPool:
 
     def pop_creation(self) -> SignalInstance:
         return self._creations.popleft()
+
+    def peek(self, source: int) -> SignalInstance:
+        """Head event of *source*: an instance handle or CREATION."""
+        if source == CREATION:
+            return self._creations[0]
+        return self.peek_for(source)
+
+    def pop(self, source: int) -> SignalInstance:
+        """Remove and return the head event of *source*."""
+        if source == CREATION:
+            return self._creations.popleft()
+        return self.pop_for(source)
 
     def next_due_time(self) -> int | None:
         """Earliest due time among delayed events, or None."""

@@ -17,6 +17,9 @@ Each scheduler here is one legal refinement of that freedom:
   behaviour is interleaving-independent.
 * :class:`PriorityScheduler` — higher-priority classes first; a
   preemptive-kernel architecture.
+* :class:`KernelScheduler` — the generated C kernel's order: the global
+  self-directed queue first, then global send order.  csim dispatches by
+  it, and the co-simulation's CPU by it over software instances only.
 
 A scheduler only picks *which* ready source dispatches next; it can never
 reorder one instance's own queue.
@@ -26,10 +29,7 @@ from __future__ import annotations
 
 import random
 
-from .events import EventPool
-
-#: Sentinel source meaning "dispatch the oldest pending creation event".
-CREATION = -1
+from .events import CREATION, EventPool
 
 
 class Scheduler:
@@ -48,9 +48,7 @@ class Scheduler:
         return sources
 
     def _head_sequence(self, pool: EventPool, source: int) -> int:
-        if source == CREATION:
-            return pool._creations[0].sequence
-        return pool.peek_for(source).sequence
+        return pool.peek(source).sequence
 
 
 class SynchronousScheduler(Scheduler):
@@ -117,7 +115,7 @@ class PriorityScheduler(Scheduler):
 
     def _priority_of(self, pool: EventPool, source: int) -> int:
         if source == CREATION:
-            class_key = pool._creations[0].class_key
+            class_key = pool.peek(CREATION).class_key
         else:
             class_key = self._class_of_handle(source)
         return self._priorities.get(class_key, 0)
@@ -130,3 +128,25 @@ class PriorityScheduler(Scheduler):
             sources,
             key=lambda s: (-self._priority_of(pool, s), self._head_sequence(pool, s)),
         )
+
+
+class KernelScheduler(Scheduler):
+    """``kernel_next()`` of the generated C: every self-directed head in
+    send order, then every other head (creations included) in send order.
+
+    *serves*, when given, restricts the choice to heads it accepts: the
+    co-simulation's CPU serves software instances only.
+    """
+
+    name = "kernel"
+
+    def choose(self, pool: EventPool, serves=None) -> int | None:
+        best = None
+        for source in self._sources(pool):
+            head = pool.peek(source)
+            if serves is not None and not serves(head):
+                continue
+            key = (not head.is_self_directed, head.sequence)
+            if best is None or key < best[0]:
+                best = (key, source)
+        return None if best is None else best[1]

@@ -9,7 +9,10 @@ One :meth:`step` dispatches one signal: the scheduler picks a ready
 source, the target's state table answers TRANSITION / IGNORE /
 CANT_HAPPEN, and on a transition the destination state's activity runs to
 completion (possibly generating further signals, creating and deleting
-instances, starting timers) before any other signal is consumed.
+instances, starting timers) before any other signal is consumed.  That
+life cycle is :class:`~repro.runtime.dispatcher.Dispatcher`, shared with
+the architecture runtimes; this class adds model-backed storage, links,
+bridges, timers and the pluggable :class:`Scheduler`.
 
 For the E6 ablation the simulator also supports ``eager_dispatch=True``,
 which *breaks* run-to-completion on purpose by delivering generated
@@ -28,15 +31,16 @@ from repro.xuml.model import Model
 from repro.xuml.statemachine import EventResponse
 
 from .bridges import BridgeContext, BridgeRegistry
-from .errors import CantHappenError, SelectionError, SimulationError
-from .events import EventPool, SignalInstance
+from .dispatcher import Dispatcher
+from .errors import SelectionError, SimulationError
+from .events import SignalInstance
 from .instances import Instance, Population
 from .links import LinkStore
-from .scheduler import CREATION, Scheduler, SynchronousScheduler
-from .tracing import Trace, TraceKind
+from .scheduler import Scheduler, SynchronousScheduler
+from .tracing import TraceKind
 
 
-class Simulation:
+class Simulation(Dispatcher):
     """Executable instance of one model component.
 
     Parameters
@@ -76,22 +80,13 @@ class Simulation:
             self.component: Component = components[0]
         else:
             self.component = model.component(component)
+        super().__init__(self_priority)
         self.scheduler = scheduler or SynchronousScheduler()
-        self.trace = Trace()
         self.bridges = BridgeRegistry()
-        self.pool = EventPool(self_priority)
         self.links = LinkStore(self.component)
-        self.loop_bound = 100_000
         self.cant_happen_policy = cant_happen
-        self.cant_happen_count = 0
         self.eager_dispatch = eager_dispatch
-
-        self.now = 0
-        self._next_handle = 1
-        self._next_sequence = 1
-        self._next_activity = 1
         self._next_timer = 1
-        self._activity_stack: list[int] = []
         self._populations: dict[str, Population] = {
             klass.key_letters: Population(klass) for klass in self.component.classes
         }
@@ -99,7 +94,7 @@ class Simulation:
         # evaluator: the abstract runtime executes literally the same IR
         # through literally the same code as csim and vsim.
         self._lowered: LoweredComponent = lower_component(model, self.component)
-        self._exec = IRExecutor(
+        self.executor = IRExecutor(
             self, error=OALRuntimeError, selection_error=SelectionError
         )
 
@@ -119,20 +114,6 @@ class Simulation:
                 "runtime.dispatch_wait_us",
                 buckets=(0, 1, 10, 100, 1_000, 10_000, 100_000, 1_000_000))
 
-    # -- execution core ----------------------------------------------------------
-
-    @property
-    def execution_core(self) -> str:
-        """Which execution core serves this simulation's actions."""
-        from repro.exec import CORE_NAME
-
-        return f"{CORE_NAME} (lowered action IR)"
-
-    @property
-    def ops_executed(self) -> int:
-        """Dynamically executed IR statements (shared-core counter)."""
-        return self._exec.ops_executed
-
     # -- population --------------------------------------------------------------
 
     def population(self, class_key: str) -> Population:
@@ -141,28 +122,18 @@ class Simulation:
         except KeyError:
             raise SimulationError(f"no class {class_key!r} in component") from None
 
-    def create_instance(self, class_key: str, **attribute_values) -> int:
-        population = self.population(class_key)
-        handle = self._next_handle
-        self._next_handle += 1
-        instance = population.create(handle)
+    def _store_instance(self, class_key: str, handle: int,
+                        attribute_values: dict) -> str | None:
+        instance = self.population(class_key).create(handle)
         for name, value in attribute_values.items():
             instance.set(name, value)
-        self.trace.record(
-            self.now, TraceKind.INSTANCE_CREATED,
-            handle=handle, class_key=class_key, state=instance.current_state,
-        )
-        return handle
+        return instance.current_state
 
-    def delete_instance(self, handle: int) -> None:
-        instance = self.instance(handle)
-        self.population(instance.class_key).delete(handle)
+    def _forget_instance(self, handle: int) -> str:
+        class_key = self.instance(handle).class_key
+        self.population(class_key).delete(handle)
         self.links.drop_instance(handle)
-        dropped = self.pool.drop_instance(handle)
-        self.trace.record(
-            self.now, TraceKind.INSTANCE_DELETED,
-            handle=handle, class_key=instance.class_key, pending_dropped=dropped,
-        )
+        return class_key
 
     def instance(self, handle: int) -> Instance:
         for population in self._populations.values():
@@ -187,7 +158,7 @@ class Simulation:
         attribute = klass.attribute(name)
         if attribute.derived is not None:
             ir = self._lowered.derived[(instance.class_key, name)]
-            return self._exec.run(ir, handle, {})
+            return self.executor.run(ir, handle, {})
         return instance.get(name)
 
     def write_attribute(self, handle: int, name: str, value) -> None:
@@ -230,91 +201,18 @@ class Simulation:
 
     # -- signals ---------------------------------------------------------------------
 
-    def _stamp(self) -> int:
-        sequence = self._next_sequence
-        self._next_sequence += 1
-        return sequence
-
-    @property
-    def _current_activity(self) -> int:
-        return self._activity_stack[-1] if self._activity_stack else 0
-
-    def send_signal(
-        self,
-        target: int,
-        class_key: str,
-        label: str,
-        params: dict | None = None,
-        sender: int | None = None,
-        delay: int = 0,
-    ) -> SignalInstance:
-        """Queue (or, with delay, schedule) a signal to a live instance."""
-        klass = self.component.klass(class_key)
-        klass.event(label)  # validates the label
-        signal = SignalInstance(
-            sequence=self._stamp(),
-            label=label,
-            class_key=class_key,
-            params=dict(params or {}),
-            target_handle=target,
-            sender_handle=sender,
-            activity_id=self._current_activity,
-            sent_at=self.now,
-        )
-        self.trace.record(
-            self.now, TraceKind.SIGNAL_SENT,
-            sequence=signal.sequence, label=label, target=target,
-            sender=sender, activity=signal.activity_id, delay=delay,
-        )
-        if delay > 0:
-            self.pool.push_delayed(signal, self.now + delay)
-        elif self.eager_dispatch and self._activity_stack:
-            # ablation: break run-to-completion by delivering immediately
-            self._dispatch(signal)
-        else:
-            self.pool.push_ready(signal)
-        return signal
-
-    def send_creation(
-        self,
-        class_key: str,
-        label: str,
-        params: dict | None = None,
-        sender: int | None = None,
-        delay: int = 0,
-    ) -> SignalInstance:
-        """Queue a creation event: the instance is born when it dispatches."""
-        klass = self.component.klass(class_key)
-        event = klass.event(label)
-        if not event.creation:
+    def _check_event(self, class_key: str, label: str, creation: bool) -> None:
+        event = self.component.klass(class_key).event(label)  # validates
+        if creation and not event.creation:
             raise SimulationError(f"{class_key}.{label} is not a creation event")
-        signal = SignalInstance(
-            sequence=self._stamp(),
-            label=label,
-            class_key=class_key,
-            params=dict(params or {}),
-            target_handle=None,
-            sender_handle=sender,
-            activity_id=self._current_activity,
-            sent_at=self.now,
-            is_creation=True,
-        )
-        self.trace.record(
-            self.now, TraceKind.SIGNAL_SENT,
-            sequence=signal.sequence, label=label, target=None,
-            sender=sender, activity=signal.activity_id, delay=delay,
-        )
-        if delay > 0:
-            self.pool.push_delayed(signal, self.now + delay)
-        else:
-            self.pool.push_ready(signal)
-        return signal
 
-    def inject(self, target: int, label: str, params: dict | None = None, delay: int = 0):
-        """Send a signal from the environment (test benches, stimuli)."""
-        return self.send_signal(
-            target, self.class_of(target), label, params, sender=None, delay=delay
-        )
+    def _enqueue(self, signal: SignalInstance, delay: int) -> None:
+        if (self.eager_dispatch and self._activity_stack and delay <= 0
+                and not signal.is_creation):
+            # ablation: break run-to-completion by delivering immediately
+            self.dispatch(signal)
+        else:
+            super()._enqueue(signal, delay)
 
     # -- timers -----------------------------------------------------------------------
 
@@ -342,11 +240,6 @@ class Simulation:
         )
         return timer_id
 
-    def cancel_timer(self, handle: int, label: str) -> int:
-        return self.pool.cancel_delayed(
-            lambda s: s.target_handle == handle and s.label == label
-        )
-
     # -- bridges and operations ----------------------------------------------------------
 
     def call_bridge(self, self_handle, entity: str, operation: str, kwargs: dict):
@@ -362,167 +255,66 @@ class Simulation:
     def call_instance_operation(self, handle: int, name: str, kwargs: dict):
         class_key = self.class_of(handle)
         ir = self._lowered.operations[(class_key, name)]
-        return self._exec.run(ir, handle, kwargs)
+        return self.executor.run(ir, handle, kwargs)
 
     def call_class_operation(self, class_key: str, name: str, kwargs: dict):
         ir = self._lowered.operations[(class_key, name)]
-        return self._exec.run(ir, None, kwargs)
+        return self.executor.run(ir, None, kwargs)
 
     # -- dispatch -----------------------------------------------------------------------
 
     def step(self) -> bool:
         """Dispatch one ready signal.  Returns False when nothing is ready."""
-        self.pool.release_due(self.now)
+        # defined here, not only inherited, so the runtime.step span resolves
+        return super().step()
+
+    def _choose_source(self) -> int | None:
         source = self.scheduler.choose(self.pool)
-        if source is None:
-            return False
-        if self._metric_dispatches is not None:
+        if source is not None and self._metric_dispatches is not None:
             self._metric_dispatches.inc()
             self._metric_queue_depth.observe(self.pool.ready_count)
-        if source == CREATION:
-            signal = self.pool.pop_creation()
-        else:
-            signal = self.pool.pop_for(source)
-        if self._metric_wait is not None:
-            self._metric_wait.observe(self.now - signal.sent_at)
-        self._dispatch(signal)
-        return True
+            self._metric_wait.observe(self.now - self.pool.peek(source).sent_at)
+        return source
 
-    def _dispatch(self, signal: SignalInstance) -> None:
-        if signal.is_creation:
-            self._dispatch_creation(signal)
-            return
-        handle = signal.target_handle
-        population = self._populations.get(signal.class_key)
+    def _target(self, class_key: str, handle: int) -> Instance | None:
+        population = self._populations.get(class_key)
         if population is None or not population.has(handle):
-            # target died while the signal was in flight: drop it
-            self.trace.record(
-                self.now, TraceKind.SIGNAL_IGNORED,
-                sequence=signal.sequence, label=signal.label, target=handle,
-                reason="target deleted",
-            )
-            return
-        instance = population.get(handle)
-        klass = self.component.klass(signal.class_key)
-        response = klass.statemachine.response_to(instance.current_state, signal.label)
-        if response is EventResponse.IGNORE:
-            self.trace.record(
-                self.now, TraceKind.SIGNAL_IGNORED,
-                sequence=signal.sequence, label=signal.label, target=handle,
-                reason="ignored",
-            )
-            return
-        if response is EventResponse.CANT_HAPPEN:
-            self.cant_happen_count += 1
-            message = (
-                f"event {signal.label} can't happen in state "
-                f"{instance.current_state} of {signal.class_key}#{handle}"
-            )
-            if self.cant_happen_policy == "error":
-                raise CantHappenError(message)
-            self.trace.record(
-                self.now, TraceKind.SIGNAL_IGNORED,
-                sequence=signal.sequence, label=signal.label, target=handle,
-                reason="cant_happen",
-            )
-            return
-        transition = klass.statemachine.transition_for(
-            instance.current_state, signal.label
-        )
-        self.trace.record(
-            self.now, TraceKind.SIGNAL_CONSUMED,
-            sequence=signal.sequence, label=signal.label, target=handle,
-            sender=signal.sender_handle, sent_activity=signal.activity_id,
-        )
-        old_state = instance.current_state
-        instance.current_state = transition.to_state
-        self.trace.record(
-            self.now, TraceKind.TRANSITION,
-            handle=handle, class_key=signal.class_key,
-            from_state=old_state, to_state=transition.to_state,
-            label=signal.label,
-        )
-        self._run_state_activity(instance, transition.to_state, signal)
+            return None
+        return population.get(handle)
 
-    def _dispatch_creation(self, signal: SignalInstance) -> None:
+    @staticmethod
+    def _state_of(instance: Instance) -> str | None:
+        return instance.current_state
+
+    @staticmethod
+    def _set_state(instance: Instance, state: str) -> None:
+        instance.current_state = state
+
+    def _transition(self, signal: SignalInstance, state: str):
+        machine = self.component.klass(signal.class_key).statemachine
+        response = machine.response_to(state, signal.label)
+        if response is EventResponse.TRANSITION:
+            return machine.transition_for(state, signal.label).to_state
+        return response
+
+    def _creation_state(self, signal: SignalInstance) -> str:
         klass = self.component.klass(signal.class_key)
         creation = klass.statemachine.creation_transition_for(signal.label)
         if creation is None:
             raise SimulationError(
                 f"no creation transition for {signal.class_key}.{signal.label}"
             )
-        handle = self.create_instance(signal.class_key)
-        instance = self.instance(handle)
-        self.trace.record(
-            self.now, TraceKind.SIGNAL_CONSUMED,
-            sequence=signal.sequence, label=signal.label, target=handle,
-            sender=signal.sender_handle, sent_activity=signal.activity_id,
-        )
-        instance.current_state = creation.to_state
-        self.trace.record(
-            self.now, TraceKind.TRANSITION,
-            handle=handle, class_key=signal.class_key,
-            from_state=None, to_state=creation.to_state, label=signal.label,
-        )
-        self._run_state_activity(instance, creation.to_state, signal)
+        return creation.to_state
 
     def _run_state_activity(
         self, instance: Instance, state_name: str, signal: SignalInstance
     ) -> None:
         key = (instance.class_key, state_name)
-        activity_id = self._next_activity
-        self._next_activity += 1
-        self.trace.record(
-            self.now, TraceKind.ACTIVITY_START,
-            activity=activity_id, handle=instance.handle,
-            class_key=instance.class_key, state=state_name,
-            consumed_sequence=signal.sequence,
+        params = {
+            name: signal.params.get(name)
+            for name in self._lowered.event_parameters[key]
+        }
+        self._run_to_completion(
+            instance.handle, instance.class_key, state_name, signal,
+            self._lowered.activities[key], params,
         )
-        self._activity_stack.append(activity_id)
-        try:
-            params = {
-                name: signal.params.get(name)
-                for name in self._lowered.event_parameters[key]
-            }
-            self._exec.run(self._lowered.activities[key], instance.handle, params)
-        finally:
-            self._activity_stack.pop()
-            self.trace.record(
-                self.now, TraceKind.ACTIVITY_END,
-                activity=activity_id, handle=instance.handle,
-                class_key=instance.class_key, state=state_name,
-            )
-
-    # -- time -----------------------------------------------------------------------------
-
-    def run_to_quiescence(self, max_steps: int = 1_000_000) -> int:
-        """Dispatch until no event is ready or scheduled.  Returns steps."""
-        steps = 0
-        while steps < max_steps:
-            if self.step():
-                steps += 1
-                continue
-            due = self.pool.next_due_time()
-            if due is None:
-                break
-            self.now = max(self.now, due)
-        else:
-            raise SimulationError(f"no quiescence within {max_steps} steps")
-        return steps
-
-    def run_until(self, time: int, max_steps: int = 1_000_000) -> int:
-        """Advance simulated time to *time*, dispatching everything due."""
-        if time < self.now:
-            raise SimulationError("cannot run backwards")
-        steps = 0
-        while True:
-            while self.step():
-                steps += 1
-                if steps > max_steps:
-                    raise SimulationError(f"exceeded {max_steps} steps")
-            due = self.pool.next_due_time()
-            if due is None or due > time:
-                break
-            self.now = max(self.now, due)
-        self.now = time
-        return steps

@@ -14,7 +14,13 @@ from repro.cosim import (
 )
 from repro.marks import marks_for_partition
 from repro.mda import ModelCompiler
-from repro.models import build_packetproc_model, packetproc
+from repro.models import (
+    build_packetproc_model,
+    build_trafficlight_model,
+    packetproc,
+)
+from repro.runtime import TraceKind
+from repro.verify import CoSimTarget, run_case, suite_for
 
 
 def compiled(hardware=()):
@@ -179,3 +185,38 @@ class TestSweep:
         second = sweep_partitions(model, [(), ("CE",)], packets)
         assert [m.mean_latency_ns for m in first] == [
             m.mean_latency_ns for m in second]
+
+
+def _traffic_build(all_hardware: bool):
+    model = build_trafficlight_model()
+    component = model.components[0]
+    hardware = tuple(component.class_keys) if all_hardware else ()
+    return ModelCompiler(model).compile(
+        marks_for_partition(component, hardware))
+
+
+class TestSignalsWaitInTheSharedPool:
+    """The co-sim queues signals in the EventPool it drains, so timer
+    cancellation and instance deletion act on what it would dispatch."""
+
+    @pytest.mark.parametrize("all_hardware", [False, True],
+                             ids=["all-software", "all-hardware"])
+    def test_trafficlight_suite_passes(self, all_hardware):
+        build = _traffic_build(all_hardware)
+        results = [run_case(case, CoSimTarget(build))
+                   for case in suite_for("trafficlight")]
+        assert len(results) == 4
+        assert all(result.passed for result in results), \
+            [str(result) for result in results if not result.passed]
+
+    def test_deleting_an_instance_drops_its_pending_delayed_signal(self):
+        machine = CoSimMachine(_traffic_build(False))
+        handle = machine.create_instance("TC")
+        pending = machine.inject(handle, "T1", delay=1_000)
+        machine.delete_instance(handle)
+        machine.run()
+        (deleted,) = machine.trace.of_kind(TraceKind.INSTANCE_DELETED)
+        assert deleted.data["pending_dropped"] >= 1
+        consumed = {event.data["sequence"] for event
+                    in machine.trace.of_kind(TraceKind.SIGNAL_CONSUMED)}
+        assert pending.sequence not in consumed

@@ -133,3 +133,12 @@ class TestOldVsNewTraceSweep:
     def test_pinned_oracle_actually_uses_the_old_walker(self):
         sim = PinnedAstSimulation(build_model("checksum"))
         assert "pinned AST tree-walker" in sim.execution_core
+        # dispatch must reach the oracle's _run_state_activity hook: the
+        # case runs, yet the shared IR evaluator executes nothing
+        case = suite_for("checksum")[0]
+        run_case(case, Target(sim))
+        live = Simulation(build_model("checksum"))
+        run_case(case, Target(live))
+        assert len(sim.trace) > 0
+        assert sim.ops_executed == 0
+        assert live.ops_executed > 0

@@ -65,6 +65,10 @@ class TestSingleDefinitions:
         with pytest.raises(ModuleNotFoundError):
             import repro.runtime.interpreter  # noqa: F401
 
+    def test_actionir_shim_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.mda.actionir  # noqa: F401
+
     def test_archrt_no_longer_imports_from_runtime_interpreter(self):
         import repro.mda.archrt as archrt
 
@@ -76,13 +80,6 @@ class TestSingleDefinitions:
         assert issubclass(BreakSignal, Exception)
         assert issubclass(ContinueSignal, Exception)
         assert ReturnSignal(5).value == 5
-
-    def test_actionir_shim_serves_the_core_lowering(self):
-        from repro.exec import ir as core_ir
-        from repro.mda import actionir
-
-        assert actionir.lower_block is core_ir.lower_block
-        assert actionir.walk_ir_statements is core_ir.walk_ir_statements
 
 
 class TestExecutorErrorsArePluggable:
@@ -163,7 +160,7 @@ class TestExecutionCoreIdentity:
         marks = marks_for_partition(model.components[0], ())
         build = ModelCompiler(model).compile(marks)
         machine = CSoftwareMachine(build.manifest)
-        assert type(sim._exec) is type(machine.executor) is IRExecutor
+        assert type(sim.executor) is type(machine.executor) is IRExecutor
 
     def test_ops_executed_counts_on_both_layers(self):
         model = build_counter_model()

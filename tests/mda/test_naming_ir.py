@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mda import c_ident, c_macro, ir_op_counts, lower_block, snake_case, vhdl_ident
-from repro.mda.actionir import walk_ir_statements
+from repro.exec.ir import walk_ir_statements
 from repro.oal import analyze_activity, parse_activity
 from repro.xuml import CoreType, ModelBuilder
 
