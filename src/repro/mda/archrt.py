@@ -225,10 +225,9 @@ class TargetMachine(Dispatcher):
             self._klass(signal.class_key).activities[state], signal.params,
         )
 
-    def dispatch(self, signal: SignalInstance) -> None:
-        # defined here, not only inherited, so the mda.archrt_dispatch
-        # span resolves on every architecture runtime
-        super().dispatch(signal)
+    # bound in this class's own namespace so the mda.archrt_dispatch span
+    # resolves on every architecture runtime
+    dispatch = Dispatcher.dispatch
 
     # -- bridges and operations ------------------------------------------------------
 

@@ -28,11 +28,6 @@ class CSoftwareMachine(TargetMachine):
         super().__init__(manifest)
         self.scheduler = KernelScheduler()
 
-    # both run loops are defined here, not only inherited, so the mda.csim
-    # span resolves on this class
-
-    def run_to_quiescence(self, max_steps: int = 1_000_000) -> int:
-        return super().run_to_quiescence(max_steps)
-
-    def run_until(self, time: int, max_steps: int = 1_000_000) -> int:
-        return super().run_until(time, max_steps)
+    # bound in this class's own namespace so the mda.csim span resolves
+    run_to_quiescence = TargetMachine.run_to_quiescence
+    run_until = TargetMachine.run_until

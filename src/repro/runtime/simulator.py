@@ -263,10 +263,8 @@ class Simulation(Dispatcher):
 
     # -- dispatch -----------------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Dispatch one ready signal.  Returns False when nothing is ready."""
-        # defined here, not only inherited, so the runtime.step span resolves
-        return super().step()
+    # bound in this class's own namespace so the runtime.step span resolves
+    step = Dispatcher.step
 
     def _choose_source(self) -> int | None:
         source = self.scheduler.choose(self.pool)
