@@ -12,9 +12,7 @@ emits the same trace records in the same order by construction.
 Executors differ only in
 
 * **storage** -- model-backed populations or manifest-backed dicts,
-  supplied through the hooks ``_check_event``, ``_target``,
-  ``_transition``, ``_creation_state``, ``_run_state_activity`` and the
-  population methods;
+  reached through the hooks :class:`Dispatcher` lists;
 * **source policy** -- which ready source dispatches next: a
   :class:`~repro.runtime.scheduler.Scheduler` for the step-driven
   executors, the per-edge snapshot for vsim, the timed resources for the
@@ -40,13 +38,17 @@ class Dispatcher:
     :class:`EventResponse` that drops the signal), ``_creation_state``
     and ``_run_state_activity``, which runs the activity through
     :meth:`_run_to_completion`.  A step-driven subclass also sets
-    ``scheduler``.
+    ``scheduler``, the :class:`~repro.runtime.scheduler.Scheduler` that
+    picks each step's source.
     """
 
     #: raised by the run loops (and, by default, on a can't-happen event)
     error: type[Exception] = SimulationError
     cant_happen_error: type[Exception] = CantHappenError
     cant_happen_policy = "error"
+    #: metrics hook, called with each chosen source before it is popped;
+    #: bound once, so with metrics off a step pays one ``is None`` test
+    _on_dispatch = None
 
     def __init__(self, self_priority: bool = True):
         self.trace = Trace()
@@ -229,15 +231,14 @@ class Dispatcher:
 
     # -- step-driven execution ------------------------------------------------------
 
-    def _choose_source(self) -> int | None:
-        return self.scheduler.choose(self.pool)
-
     def step(self) -> bool:
         """Dispatch one ready signal.  Returns False when nothing is ready."""
         self.pool.release_due(self.now)
-        source = self._choose_source()
+        source = self.scheduler.choose(self.pool)
         if source is None:
             return False
+        if self._on_dispatch is not None:
+            self._on_dispatch(source)
         self.dispatch(self.pool.pop(source))
         return True
 

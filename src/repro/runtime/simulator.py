@@ -106,6 +106,7 @@ class Simulation(Dispatcher):
             self._metric_queue_depth = None
             self._metric_wait = None
         else:
+            self._on_dispatch = self._observe_dispatch
             self._metric_dispatches = registry.counter("runtime.dispatches")
             self._metric_queue_depth = registry.histogram(
                 "runtime.queue_depth",
@@ -266,13 +267,10 @@ class Simulation(Dispatcher):
     # bound in this class's own namespace so the runtime.step span resolves
     step = Dispatcher.step
 
-    def _choose_source(self) -> int | None:
-        source = self.scheduler.choose(self.pool)
-        if source is not None and self._metric_dispatches is not None:
-            self._metric_dispatches.inc()
-            self._metric_queue_depth.observe(self.pool.ready_count)
-            self._metric_wait.observe(self.now - self.pool.peek(source).sent_at)
-        return source
+    def _observe_dispatch(self, source: int) -> None:
+        self._metric_dispatches.inc()
+        self._metric_queue_depth.observe(self.pool.ready_count)
+        self._metric_wait.observe(self.now - self.pool.peek(source).sent_at)
 
     def _target(self, class_key: str, handle: int) -> Instance | None:
         population = self._populations.get(class_key)
