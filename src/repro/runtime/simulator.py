@@ -86,6 +86,8 @@ class Simulation(Dispatcher):
         self.links = LinkStore(self.component)
         self.cant_happen_policy = cant_happen
         self.eager_dispatch = eager_dispatch
+        if eager_dispatch:
+            self._enqueue = self._enqueue_eagerly
         self._next_timer = 1
         self._populations: dict[str, Population] = {
             klass.key_letters: Population(klass) for klass in self.component.classes
@@ -207,13 +209,13 @@ class Simulation(Dispatcher):
         if creation and not event.creation:
             raise SimulationError(f"{class_key}.{label} is not a creation event")
 
-    def _enqueue(self, signal: SignalInstance, delay: int) -> None:
-        if (self.eager_dispatch and self._activity_stack and delay <= 0
-                and not signal.is_creation):
-            # ablation: break run-to-completion by delivering immediately
+    def _enqueue_eagerly(self, signal: SignalInstance, delay: int) -> None:
+        """The ``eager_dispatch`` ablation: break run-to-completion by
+        delivering a send from inside an activity immediately."""
+        if self._activity_stack and delay <= 0 and not signal.is_creation:
             self.dispatch(signal)
         else:
-            super()._enqueue(signal, delay)
+            Dispatcher._enqueue(self, signal, delay)
 
     # -- timers -----------------------------------------------------------------------
 
