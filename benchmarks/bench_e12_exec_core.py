@@ -33,7 +33,7 @@ from repro.models import build_model
 from repro.models.catalog import CATALOG
 from repro.obs import dump_jsonl
 from repro.runtime import Simulation
-from repro.verify import Target, run_case, suite_for
+from repro.verify import run_case, suite_for
 
 from conftest import print_table
 
@@ -55,7 +55,7 @@ def _sweep(sim_factory) -> None:
     """One catalog-wide pass: fresh engine per case, full suite each."""
     for entry in CATALOG:
         for case in suite_for(entry.name):
-            run_case(case, Target(sim_factory(build_model(entry.name))))
+            run_case(case, sim_factory(build_model(entry.name)))
 
 
 def _median_time(fn, rounds: int = ROUNDS) -> float:
@@ -75,8 +75,8 @@ def run_experiment():
     cases_swept = 0
     for entry in CATALOG:
         for case in suite_for(entry.name):
-            pinned = Target(pinned_cls(build_model(entry.name)))
-            live = Target(Simulation(build_model(entry.name)))
+            pinned = pinned_cls(build_model(entry.name))
+            live = Simulation(build_model(entry.name))
             run_case(case, pinned)
             run_case(case, live)
             if dump_jsonl(live.trace) != dump_jsonl(pinned.trace):

@@ -385,7 +385,8 @@ def cmd_trace(args) -> int:
                   f"round-trips byte-identically")
     else:
         from repro.models import build_model
-        from repro.verify import AbstractTarget, run_case, suite_for
+        from repro.runtime import Simulation
+        from repro.verify import run_case, suite_for
 
         if args.name is None:
             print("trace: a catalog model name (or --load FILE) is "
@@ -407,13 +408,13 @@ def cmd_trace(args) -> int:
                       file=sys.stderr)
                 return 1
             case = matches[0]
-        target = AbstractTarget(build_model(args.name))
-        result = run_case(case, target)
+        sim = Simulation(build_model(args.name))
+        result = run_case(case, sim)
         if result.error:
             print(f"trace: case {case.name} errored: {result.error}",
                   file=sys.stderr)
             return 1
-        trace = target.trace
+        trace = sim.trace
 
     if args.output:
         pathlib.Path(args.output).write_text(dump_jsonl(trace))
@@ -434,15 +435,11 @@ def cmd_metrics(args) -> int:
     import tempfile
 
     from repro.build import BatchJob, run_batch
+    from repro.cosim import CoSimMachine
     from repro.models import build_model
     from repro.obs import observe
-    from repro.verify import (
-        AbstractTarget,
-        CoSimTarget,
-        chaos_build,
-        run_case,
-        suite_for,
-    )
+    from repro.runtime import Simulation
+    from repro.verify import chaos_build, run_case, suite_for
 
     try:
         suite = suite_for(args.name)
@@ -452,11 +449,11 @@ def cmd_metrics(args) -> int:
     with observe() as registry:
         # runtime: the formal suite on the abstract model
         for case in suite:
-            run_case(case, AbstractTarget(build_model(args.name)))
+            run_case(case, Simulation(build_model(args.name)))
         # co-sim + bus: one case across the default boundary partition
-        cosim = CoSimTarget(chaos_build(args.name))
+        cosim = CoSimMachine(chaos_build(args.name))
         run_case(suite[0], cosim)
-        cosim.engine.utilization_report()
+        cosim.utilization_report()
         # build cache: the same job twice — a cold miss, then a warm hit
         with tempfile.TemporaryDirectory() as tmp:
             job = BatchJob(args.name, "sw-only", ())

@@ -46,6 +46,12 @@ from .faults import NO_FAULT, FaultPlan, FaultStats
 #: model time (microseconds) to platform time (nanoseconds)
 US_TO_NS = 1_000
 
+#: sim-time budget of one ``run_to_quiescence`` (microseconds).  A
+#: corrupted parameter can legally ask for an absurdly long behaviour (a
+#: four-billion second cook) and chaos runs must terminate anyway; one
+#: hour is generous enough that every fault-free suite finishes unchanged.
+QUIESCENCE_BUDGET_US = 3_600 * 1_000_000
+
 
 class CoSimError(Exception):
     """Co-simulation setup or execution failure."""
@@ -95,9 +101,13 @@ class _Transfer:
 class CoSimMachine(TargetMachine):
     """Timed execution of one build on the modelled SoC platform."""
 
+    name = "cosim"
+
     def __init__(self, build: Build, config: CoSimConfig | None = None,
                  fault_plan: FaultPlan | None = None):
         super().__init__(build.manifest)
+        if fault_plan is not None:
+            self.name = "cosim/faulted"
         self.build = build
         self.config = (config or CoSimConfig()).validated()
         self.partition = build.partition
@@ -168,6 +178,18 @@ class CoSimMachine(TargetMachine):
             self._emit_buffer.append((signal, delay))
             return
         self._route(signal, self.now + delay * US_TO_NS)
+
+    def cancel_timer(self, handle: int, label: str) -> int:
+        """Also drop timers the running activity started but not yet routed."""
+        cancelled = super().cancel_timer(handle, label)
+        buffer = self._emit_buffer
+        if buffer:
+            kept = [(signal, delay) for signal, delay in buffer
+                    if not (delay > 0 and signal.target_handle == handle
+                            and signal.label == label)]
+            cancelled += len(buffer) - len(kept)
+            buffer[:] = kept
+        return cancelled
 
     def _route(self, signal: SignalInstance, ready_ns: int) -> None:
         """Send *signal* towards its receiver, via the bus if it crosses."""
@@ -403,6 +425,15 @@ class CoSimMachine(TargetMachine):
         if horizon_ns is not None:
             self.now = max(self.now, horizon_ns)
         return dispatches
+
+    def run_to_quiescence(self, max_steps: int = 1_000_000) -> int:
+        """Run to quiescence within :data:`QUIESCENCE_BUDGET_US` of sim time."""
+        horizon_us = self.now // US_TO_NS + QUIESCENCE_BUDGET_US
+        return self.run(horizon_us=horizon_us, max_dispatches=max_steps)
+
+    def run_until(self, time_us: int) -> int:
+        """Advance platform time to model time *time_us*."""
+        return self.run(horizon_us=time_us)
 
     def _next_event_time(self) -> int | None:
         times = []

@@ -40,7 +40,7 @@ class TargetMachine(Dispatcher):
     """Manifest executor; subclasses choose the dispatch source.
 
     The machine shares the :class:`repro.runtime.Simulation` surface, so
-    verification test cases drive either through one adapter.  Action
+    verification test cases drive either one directly.  Action
     semantics live in the shared execution core (:mod:`repro.exec`) and
     the signal life cycle in :class:`Dispatcher`; this class supplies
     only storage, links and bridges.

@@ -22,7 +22,7 @@ from .manifest import ComponentManifest
 class CSoftwareMachine(TargetMachine):
     """Executes the software half the way the generated kernel does."""
 
-    architecture = "c-single-task"
+    name = "generated-c"
 
     def __init__(self, manifest: ComponentManifest):
         super().__init__(manifest)

@@ -12,7 +12,7 @@ snapshotted before any action runs, so an instance cannot react within
 the same cycle to a signal raised in it — exactly what the registered
 FSM does in hardware.
 
-Stamping, tracing and dispatch are the shared
+Stamping, tracing, dispatch and the quiescence loop are the shared
 :class:`~repro.runtime.dispatcher.Dispatcher`'s; this module adds only the
 per-edge snapshot policy, the registered-output queueing and the clock.
 """
@@ -28,14 +28,18 @@ from .manifest import ComponentManifest
 class VHardwareMachine(TargetMachine):
     """Executes the hardware half the way the generated entities do."""
 
-    architecture = "vhdl-clocked"
+    name = "generated-vhdl"
 
     def __init__(self, manifest: ComponentManifest, clock_mhz: int = 100):
         super().__init__(manifest)
         if clock_mhz < 1:
             raise ArchError("clock must be at least 1 MHz")
         self.clock_mhz = clock_mhz
-        self.cycle = 0
+
+    @property
+    def cycle(self) -> int:
+        """Rising edges since reset: the clock is the machine's time."""
+        return self.now
 
     def scale_delay(self, delay: int) -> int:
         """Model microseconds -> clock cycles (ceil: never early)."""
@@ -65,9 +69,20 @@ class VHardwareMachine(TargetMachine):
             signals.append(self.pool.pop_creation())
         for signal in signals:
             self.dispatch(signal)
-        self.cycle += 1
         self.now += 1
         return len(signals)
+
+    def step(self) -> bool:
+        """One active edge; False (no edge) when nothing is ready now.
+
+        The shared run loop fast-forwards the clock over idle edges, so
+        its step count is the number of active edges.
+        """
+        self.pool.release_due(self.now)
+        if self.pool.ready_count == 0:
+            return False
+        self.tick()
+        return True
 
     def run_cycles(self, cycles: int) -> int:
         consumed = 0
@@ -75,25 +90,8 @@ class VHardwareMachine(TargetMachine):
             consumed += self.tick()
         return consumed
 
-    def run_to_quiescence(self, max_cycles: int = 10_000_000) -> int:
-        """Clock until no event is pending or scheduled.  Returns cycles."""
-        cycles = 0
-        while cycles < max_cycles:
-            if self.pool.is_idle():
-                break
-            if self.pool.ready_count == 0:
-                due = self.pool.next_due_time()
-                if due is None:
-                    break
-                # fast-forward the clock to the next scheduled edge
-                # (idle edges are free; only active ticks count below)
-                self.cycle += due - self.now
-                self.now = due
-            self.tick()
-            cycles += 1
-        else:
-            raise ArchError(f"no quiescence within {max_cycles} cycles")
-        return cycles
+    # bound in this class's own namespace so the mda.vsim span resolves
+    run_to_quiescence = TargetMachine.run_to_quiescence
 
     def run_until(self, time_us: int, max_cycles: int = 10_000_000) -> int:
         """Clock until model time *time_us* (µs × clock = target cycle)."""
@@ -101,16 +99,13 @@ class VHardwareMachine(TargetMachine):
         cycles = 0
         while self.now < target_cycle:
             if self.pool.is_idle():
-                self.cycle = target_cycle
                 self.now = target_cycle
                 break
             if self.pool.ready_count == 0:
                 due = self.pool.next_due_time()
                 if due is None or due > target_cycle:
-                    self.cycle = target_cycle
                     self.now = target_cycle
                     break
-                self.cycle += due - self.now
                 self.now = due
             self.tick()
             cycles += 1

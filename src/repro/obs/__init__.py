@@ -16,7 +16,6 @@ from .export import (
     SCHEMA,
     SCHEMA_VERSION,
     TraceSchemaError,
-    attach_machine_trace,
     batch_report_trace,
     dump_jsonl,
     load_jsonl,
@@ -49,7 +48,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "TraceSchemaError",
     "active_registry",
-    "attach_machine_trace",
     "batch_report_trace",
     "critical_path",
     "dump_jsonl",

@@ -13,11 +13,11 @@ any stream whose schema name or version they do not understand — the
 version is the contract that lets the format evolve without silently
 misreading old archives.
 
-Beyond the runtime's own :class:`~repro.runtime.tracing.Trace`, two
-helpers lift the other subsystems' events into the same schema:
-:func:`attach_machine_trace` records a co-simulation's bus-level signal
-traffic, and :func:`batch_report_trace` serializes a batch build's
-per-job outcomes — so one loader and one toolchain serve all three.
+Every executor -- the abstract runtime, csim, vsim and the
+co-simulation -- records its own :class:`~repro.runtime.tracing.Trace`
+and exports it as is; :func:`batch_report_trace` lifts a batch build's
+per-job outcomes into the same schema, so one loader and one toolchain
+serve both.
 """
 
 from __future__ import annotations
@@ -132,37 +132,6 @@ def read_jsonl(path) -> Trace:
 
 
 # -- lifting other subsystems' events into the schema ------------------------
-
-
-def attach_machine_trace(machine) -> Trace:
-    """Record a co-simulation's signal traffic into a fresh trace.
-
-    Installs ``on_sent`` / ``on_consumed`` observers on *machine* (a
-    :class:`~repro.cosim.engine.CoSimMachine`); times are platform
-    nanoseconds.  The returned trace exports through the same schema as
-    a runtime trace.
-    """
-    trace = Trace()
-
-    def on_sent(time_ns: int, signal) -> None:
-        trace.record(
-            time_ns, TraceKind.SIGNAL_SENT,
-            sequence=signal.sequence, label=signal.label,
-            target=signal.target_handle, sender=signal.sender_handle,
-            activity=signal.activity_id, delay=0,
-        )
-
-    def on_consumed(time_ns: int, signal) -> None:
-        trace.record(
-            time_ns, TraceKind.SIGNAL_CONSUMED,
-            sequence=signal.sequence, label=signal.label,
-            target=signal.target_handle, sender=signal.sender_handle,
-            sent_activity=signal.activity_id,
-        )
-
-    machine.on_sent.append(on_sent)
-    machine.on_consumed.append(on_consumed)
-    return trace
 
 
 def batch_report_trace(report) -> Trace:

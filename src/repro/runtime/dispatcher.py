@@ -39,7 +39,10 @@ class Dispatcher:
     and ``_run_state_activity``, which runs the activity through
     :meth:`_run_to_completion`.  A step-driven subclass also sets
     ``scheduler``, the :class:`~repro.runtime.scheduler.Scheduler` that
-    picks each step's source.
+    picks each step's source.  Each concrete executor sets ``name``; that,
+    the population and stimulus calls, the run loops and the state,
+    attribute and trace reads are the surface :func:`repro.verify.run_case`
+    drives.
     """
 
     #: raised by the run loops (and, by default, on a can't-happen event)

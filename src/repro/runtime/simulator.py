@@ -61,6 +61,9 @@ class Simulation(Dispatcher):
         first queue rule (plain FIFO per instance; see E6).
     """
 
+    #: the platform verification results are reported under
+    name = "abstract-model"
+
     def __init__(
         self,
         model: Model,

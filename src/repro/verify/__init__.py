@@ -1,9 +1,11 @@
 """Model-level verification (paper section 2).
 
 * :class:`TestCase` — formal, platform-independent test cases
-* :func:`run_case` — execute one case on one :class:`Target`
-* :func:`check_conformance` — the E3 matrix: every case on the abstract
-  model, the generated C and the generated VHDL, traces compared
+* :func:`run_case` — execute one case on one executor: the abstract
+  :class:`~repro.runtime.Simulation`, csim, vsim or the co-simulation
+* :func:`check_conformance` — the E3 matrix: every case on the
+  :func:`standard_targets` (abstract model, generated C, generated VHDL),
+  traces compared
 * :data:`SUITES` — the formal suites of the catalog models
 """
 
@@ -20,8 +22,9 @@ from .conformance import (
     CaseConformance,
     ConformanceReport,
     check_conformance,
+    standard_targets,
 )
-from .runner import run_case, run_suite
+from .runner import run_case
 from .suitefile import (
     SuiteFileError,
     suite_from_dict,
@@ -30,39 +33,25 @@ from .suitefile import (
     suite_to_json,
 )
 from .suites import SUITES, suite_for
-from .targets import (
-    AbstractTarget,
-    CoSimTarget,
-    CSimTarget,
-    Target,
-    VSimTarget,
-    standard_targets,
-)
 from .testcase import Failure, TestCase, TestResult
 
 __all__ = [
-    "AbstractTarget",
-    "CSimTarget",
     "CaseConformance",
     "ChaosCaseResult",
     "ChaosPoint",
     "ChaosReport",
-    "CoSimTarget",
     "ConformanceReport",
     "Failure",
     "SUITES",
     "SuiteFileError",
-    "Target",
     "TestCase",
     "TestResult",
-    "VSimTarget",
     "chaos_build",
     "chaos_sweep",
     "check_conformance",
     "default_hardware_for",
     "reliability_marks",
     "run_case",
-    "run_suite",
     "standard_targets",
     "suite_for",
     "suite_from_dict",

@@ -21,6 +21,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.cosim.config import CoSimConfig
+from repro.cosim.engine import CoSimMachine
 from repro.cosim.faults import FaultPlan, FaultStats
 from repro.marks.model import MarkSet
 from repro.marks.partition import marks_for_partition, signal_flows
@@ -32,7 +33,6 @@ from repro.xuml.model import Model
 
 from .runner import run_case
 from .suites import suite_for
-from .targets import CoSimTarget
 
 #: the default fault-rate sweep of experiment E8
 DEFAULT_RATES: tuple[float, ...] = (0.0, 0.01, 0.02, 0.05)
@@ -210,9 +210,8 @@ def chaos_sweep(model_name: str, hardware: tuple[str, ...] | None = None,
             if rate > 0:
                 plan = FaultPlan.uniform(
                     case_seed(seed, rate, case.name), rate)
-            target = CoSimTarget(build, config, plan)
-            result = run_case(case, target)
-            machine = target.engine
+            machine = CoSimMachine(build, config, plan)
+            result = run_case(case, machine)
             events = machine.trace.events
             # machine.now sits at the quiescence-budget horizon; the last
             # trace timestamp is when work actually stopped

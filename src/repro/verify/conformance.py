@@ -13,11 +13,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.marks.partition import marks_for_partition
+from repro.mda.compiler import ModelCompiler
+from repro.mda.csim import CSoftwareMachine
+from repro.mda.vsim import VHardwareMachine
+from repro.runtime.simulator import Simulation
 from repro.xuml.model import Model
 
 from .runner import run_case
-from .targets import standard_targets
 from .testcase import TestCase, TestResult
+
+
+def standard_targets(model: Model, store=None) -> list:
+    """The three executors every model is verified on (E3).
+
+    The C executor runs the model compiled all-software, the VHDL one
+    all-hardware -- each architecture then executes *every* class, which
+    is the strongest conformance statement a single executor can make.
+
+    With *store* (an :class:`repro.build.ArtifactStore`) the builds come
+    from the incremental compiler, so suites that rebuild executors per
+    case reuse cached artifacts instead of recompiling from scratch.
+    """
+    component = model.components[0]
+    sw_marks = marks_for_partition(component, ())
+    hw_marks = marks_for_partition(component, tuple(component.class_keys))
+    if store is None:
+        compiler = ModelCompiler(model)
+    else:
+        from repro.build import IncrementalCompiler
+
+        compiler = IncrementalCompiler(model, store=store)
+    sw_build = compiler.compile(sw_marks)
+    hw_build = compiler.compile(hw_marks)
+    return [
+        Simulation(model),
+        CSoftwareMachine(sw_build.manifest),
+        VHardwareMachine(hw_build.manifest),
+    ]
 
 
 @dataclass

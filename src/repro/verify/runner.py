@@ -1,13 +1,14 @@
 """Test-case runner.
 
-Executes a :class:`~repro.verify.testcase.TestCase` against one
-:class:`~repro.verify.targets.Target`, collecting every assertion
-failure (a verification tool reports all of them, not just the first).
+Executes a :class:`~repro.verify.testcase.TestCase` on one executor --
+:class:`~repro.runtime.Simulation`, csim, vsim or the co-simulation, all
+of which share the :class:`~repro.runtime.dispatcher.Dispatcher` run
+surface -- collecting every assertion failure (a verification tool
+reports all of them, not just the first).
 """
 
 from __future__ import annotations
 
-from .targets import Target
 from .testcase import (
     AdvanceStep,
     CreateStep,
@@ -25,8 +26,8 @@ from .testcase import (
 )
 
 
-def run_case(case: TestCase, target: Target) -> TestResult:
-    """Run *case* on *target*; never raises for assertion failures."""
+def run_case(case: TestCase, target) -> TestResult:
+    """Run *case* on executor *target*; never raises for assertion failures."""
     result = TestResult(case.name, target.name)
     bindings: dict[str, int] = {}
     try:
@@ -45,7 +46,7 @@ def _resolve(bindings: dict[str, int], name: str) -> int:
             from None
 
 
-def _run_step(step, index: int, target: Target,
+def _run_step(step, index: int, target,
               bindings: dict[str, int], result: TestResult) -> None:
     if isinstance(step, CreateStep):
         bindings[step.name] = target.create_instance(
@@ -56,7 +57,7 @@ def _run_step(step, index: int, target: Target,
             step.association, step.phrase)
     elif isinstance(step, InjectStep):
         target.inject(_resolve(bindings, step.name), step.label,
-                      dict(step.params), delay_us=step.delay_us)
+                      dict(step.params), delay=step.delay_us)
     elif isinstance(step, CreationEventStep):
         target.send_creation(step.class_key, step.label, dict(step.params))
     elif isinstance(step, RunStep):
@@ -97,15 +98,3 @@ def _run_step(step, index: int, target: Target,
     else:
         raise TypeError(f"unknown step {type(step).__name__}")
 
-
-def run_suite(cases: list[TestCase], target: Target) -> list[TestResult]:
-    """Run several cases, each on a *fresh* copy of the target platform.
-
-    The caller supplies a factory-like target; since platform engines are
-    stateful, each case re-instantiates via ``type(...)`` is not possible
-    generically, so this helper simply runs cases in sequence on the
-    given target **only when the cases are independent by construction**.
-    Prefer :func:`repro.verify.conformance.check_conformance`, which
-    rebuilds targets per case.
-    """
-    return [run_case(case, target) for case in cases]

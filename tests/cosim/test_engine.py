@@ -3,8 +3,10 @@
 import pytest
 
 from repro.cosim import (
+    US_TO_NS,
     CoSimConfig,
     CoSimMachine,
+    FaultPlan,
     LatencyProbe,
     ThroughputProbe,
     measure_partition,
@@ -13,14 +15,17 @@ from repro.cosim import (
     sweep_partitions,
 )
 from repro.marks import marks_for_partition
-from repro.mda import ModelCompiler
+from repro.mda import CSoftwareMachine, ModelCompiler
 from repro.models import (
+    build_microwave_model,
     build_packetproc_model,
     build_trafficlight_model,
     packetproc,
 )
+from repro.obs import dump_jsonl
 from repro.runtime import TraceKind
-from repro.verify import CoSimTarget, run_case, suite_for
+from repro.verify import run_case, suite_for
+from repro.xuml import ModelBuilder
 
 
 def compiled(hardware=()):
@@ -187,12 +192,15 @@ class TestSweep:
             m.mean_latency_ns for m in second]
 
 
-def _traffic_build(all_hardware: bool):
-    model = build_trafficlight_model()
+def _compile(model, all_hardware: bool):
     component = model.components[0]
     hardware = tuple(component.class_keys) if all_hardware else ()
     return ModelCompiler(model).compile(
         marks_for_partition(component, hardware))
+
+
+def _traffic_build(all_hardware: bool):
+    return _compile(build_trafficlight_model(), all_hardware)
 
 
 class TestSignalsWaitInTheSharedPool:
@@ -203,7 +211,7 @@ class TestSignalsWaitInTheSharedPool:
                              ids=["all-software", "all-hardware"])
     def test_trafficlight_suite_passes(self, all_hardware):
         build = _traffic_build(all_hardware)
-        results = [run_case(case, CoSimTarget(build))
+        results = [run_case(case, CoSimMachine(build))
                    for case in suite_for("trafficlight")]
         assert len(results) == 4
         assert all(result.passed for result in results), \
@@ -220,3 +228,84 @@ class TestSignalsWaitInTheSharedPool:
         consumed = {event.data["sequence"] for event
                     in machine.trace.of_kind(TraceKind.SIGNAL_CONSUMED)}
         assert pending.sequence not in consumed
+
+    def test_timer_started_and_cancelled_in_one_activity_never_fires(self):
+        model = build_alarm_model()
+        sw_build = _compile(model, all_hardware=False)
+        hw_build = _compile(model, all_hardware=True)
+        machines = (CSoftwareMachine(sw_build.manifest),
+                    CoSimMachine(sw_build), CoSimMachine(hw_build))
+        for machine in machines:
+            alarm = machine.create_instance("AL", al_id=1)
+            machine.inject(alarm, "ARM")
+        machines[0].run_to_quiescence()
+        for machine in machines[1:]:
+            machine.run()
+        for machine in machines:
+            assert machine.state_of(alarm) == "Armed"
+            assert machine.read_attribute(alarm, "cancelled") == 1
+            assert (machine.trace.behavioural_summary()
+                    == machines[0].trace.behavioural_summary())
+
+
+def build_alarm_model():
+    """One activity that starts a timer and cancels it straight away."""
+    builder = ModelBuilder("Alarm")
+    component = builder.component("c")
+    tim = component.ext("TIM")
+    tim.bridge("timer_start", params=[("duration", "integer"),
+                                      ("event", "string")],
+               returns="integer")
+    tim.bridge("timer_cancel", params=[("event", "string")],
+               returns="integer")
+    alarm = component.klass("Alarm", "AL")
+    alarm.attr("al_id", "unique_id")
+    alarm.attr("cancelled", "integer")
+    alarm.event("ARM")
+    alarm.event("RING")
+    alarm.state("Idle", 1)
+    alarm.state("Armed", 2, activity="""
+        started = TIM::timer_start(duration: 1000, event: "RING");
+        self.cancelled = TIM::timer_cancel(event: "RING");
+    """)
+    alarm.state("Ringing", 3)
+    alarm.trans("Idle", "ARM", "Armed")
+    alarm.trans("Armed", "RING", "Ringing")
+    return builder.build()
+
+
+class TestRunSurface:
+    """The co-sim runs itself: callers need no wrapper around it."""
+
+    def _microwave_build(self):
+        model = build_microwave_model()
+        return ModelCompiler(model).compile(
+            marks_for_partition(model.components[0], ("PT",)))
+
+    def test_direct_calls_equal_the_runner(self):
+        build = self._microwave_build()
+        case = next(case for case in suite_for("microwave")
+                    if case.name == "door-open-pauses-cooking")
+        by_runner = CoSimMachine(build)
+        assert run_case(case, by_runner).passed
+        machine = CoSimMachine(build)
+        oven = machine.create_instance("MO", oven_id=1)
+        tube = machine.create_instance("PT", tube_id=1)
+        machine.relate(oven, tube, "R1")
+        machine.inject(oven, "MO1", {"seconds": 10})
+        machine.run_until(2_500_000)
+        assert machine.now == 2_500_000 * US_TO_NS
+        assert machine.state_of(oven) == "Cooking"
+        machine.inject(oven, "MO2")
+        assert machine.run_to_quiescence() > 0
+        assert machine.state_of(oven) == "Paused"
+        machine.inject(oven, "MO3")
+        machine.run_to_quiescence()
+        assert machine.state_of(oven) == "Complete"
+        assert dump_jsonl(machine.trace) == dump_jsonl(by_runner.trace)
+
+    def test_name_marks_a_faulted_platform(self):
+        build = self._microwave_build()
+        assert CoSimMachine(build).name == "cosim"
+        faulted = CoSimMachine(build, fault_plan=FaultPlan.uniform(7, 0.0))
+        assert faulted.name == "cosim/faulted"

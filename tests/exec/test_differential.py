@@ -27,7 +27,7 @@ from repro.models import build_model
 from repro.models.catalog import CATALOG
 from repro.obs import dump_jsonl
 from repro.runtime import Simulation
-from repro.verify import Target, run_case, suite_for
+from repro.verify import run_case, suite_for
 from repro.xuml import ModelBuilder
 
 from .pinned_ast_interpreter import PinnedAstSimulation
@@ -116,8 +116,8 @@ class TestOldVsNewTraceSweep:
         swept = 0
         for entry in CATALOG:
             for case in suite_for(entry.name):
-                pinned = Target(PinnedAstSimulation(build_model(entry.name)))
-                live = Target(Simulation(build_model(entry.name)))
+                pinned = PinnedAstSimulation(build_model(entry.name))
+                live = Simulation(build_model(entry.name))
                 pinned_result = run_case(case, pinned)
                 live_result = run_case(case, live)
                 assert live_result.error == pinned_result.error, \
@@ -136,9 +136,9 @@ class TestOldVsNewTraceSweep:
         # dispatch must reach the oracle's _run_state_activity hook: the
         # case runs, yet the shared IR evaluator executes nothing
         case = suite_for("checksum")[0]
-        run_case(case, Target(sim))
+        run_case(case, sim)
         live = Simulation(build_model("checksum"))
-        run_case(case, Target(live))
+        run_case(case, live)
         assert len(sim.trace) > 0
         assert sim.ops_executed == 0
         assert live.ops_executed > 0

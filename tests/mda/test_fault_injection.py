@@ -19,7 +19,7 @@ from repro.mda import (
 )
 from repro.models import build_microwave_model
 from repro.runtime import Simulation
-from repro.verify import CSimTarget, TestCase, run_case
+from repro.verify import TestCase, run_case
 from repro.verify.suites import microwave_suite
 
 
@@ -41,22 +41,13 @@ def cook_case():
     )
 
 
-class _FaultyTarget(CSimTarget):
-    """A CSimTarget over a hand-corrupted manifest."""
-
-    name = "faulty-c"
-
-    def __init__(self, manifest):
-        self._engine = CSoftwareMachine(manifest)
-
-
 class TestManifestFaults:
     def test_wrong_transition_target_detected(self):
         _model, manifest = fresh_manifest()
         bad = copy.deepcopy(manifest)
         # a miswired table: MO1 in Idle goes straight to Complete
         bad.classes["MO"].transitions[("Idle", "MO1")] = "Complete"
-        result = run_case(cook_case(), _FaultyTarget(bad))
+        result = run_case(cook_case(), CSoftwareMachine(bad))
         assert not result.passed
 
     def test_dropped_action_statement_detected(self):
@@ -64,7 +55,7 @@ class TestManifestFaults:
         bad = copy.deepcopy(manifest)
         # the emitter "forgot" the Preparing entry action entirely
         bad.classes["MO"].activities["Preparing"] = []
-        result = run_case(cook_case(), _FaultyTarget(bad))
+        result = run_case(cook_case(), CSoftwareMachine(bad))
         assert not result.passed        # cycles_run never incremented
 
     def test_off_by_one_in_lowered_constant_detected(self):
@@ -80,7 +71,7 @@ class TestManifestFaults:
             for piece in node:
                 bump_ints(piece)
         bump_ints(bad.classes["MO"].activities["Preparing"])
-        result = run_case(cook_case(), _FaultyTarget(bad))
+        result = run_case(cook_case(), CSoftwareMachine(bad))
         assert not result.passed
 
     def test_ignore_flipped_to_transition_diverges_traces(self):
@@ -97,15 +88,15 @@ class TestManifestFaults:
             .run()
             .expect_state("oven", "Idle")
         )
-        good = run_case(case, _FaultyTarget(copy.deepcopy(manifest)))
+        good = run_case(case, CSoftwareMachine(copy.deepcopy(manifest)))
         assert good.passed
-        result = run_case(case, _FaultyTarget(bad))
+        result = run_case(case, CSoftwareMachine(bad))
         assert not result.passed
 
     def test_pristine_manifest_passes_everything(self):
         _model, manifest = fresh_manifest()
         for case in microwave_suite():
-            assert run_case(case, _FaultyTarget(
+            assert run_case(case, CSoftwareMachine(
                 copy.deepcopy(manifest))).passed
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mda import ArchError, CSoftwareMachine, VHardwareMachine, build_manifest
+from repro.mda.archrt import TargetMachine
 from repro.models import (
     build_checksum_model,
     build_microwave_model,
@@ -12,10 +13,27 @@ from repro.models import (
     packetproc,
 )
 from repro.runtime import Simulation
+from repro.xuml import ModelBuilder
 
 
 def manifest_of(model):
     return build_manifest(model, model.components[0])
+
+
+def build_pinger_model():
+    """One instance that pings itself forever."""
+    builder = ModelBuilder("Pinger")
+    component = builder.component("c")
+    pinger = component.klass("Pinger", "PG")
+    pinger.attr("pg_id", "unique_id")
+    pinger.attr("pings", "integer")
+    pinger.event("PING")
+    pinger.state("Pinging", 1, activity="""
+        self.pings = self.pings + 1;
+        generate PING:PG() to self;
+    """)
+    pinger.trans("Pinging", "PING", "Pinging")
+    return builder.build()
 
 
 class TestCSoftwareMachine:
@@ -98,6 +116,36 @@ class TestVHardwareMachine:
         with pytest.raises(ArchError):
             VHardwareMachine(manifest_of(build_microwave_model()),
                              clock_mhz=0)
+
+    def test_cycle_is_the_clock(self):
+        machine = VHardwareMachine(manifest_of(build_microwave_model()))
+        oven = machine.create_instance("MO", oven_id=1)
+        machine.inject(oven, "MO1", {"seconds": 0})
+        machine.tick()
+        machine.run_until(3)
+        assert machine.cycle == machine.now == 300
+        with pytest.raises(AttributeError):
+            machine.cycle = 0
+
+    def test_quiescence_counts_active_edges_on_the_shared_loop(self):
+        assert (VHardwareMachine.__dict__["run_to_quiescence"]
+                is TargetMachine.run_to_quiescence)
+        machine = VHardwareMachine(manifest_of(build_microwave_model()))
+        oven = machine.create_instance("MO", oven_id=1)
+        machine.inject(oven, "MO1", {"seconds": 1})
+        edges = machine.run_to_quiescence()
+        assert machine.state_of(oven) == "Complete"
+        # idle edges are skipped: a handful of active ones in 1e8 cycles
+        assert 0 < edges < 10
+        assert machine.step() is False
+
+    def test_run_that_never_quiesces_raises(self):
+        machine = VHardwareMachine(manifest_of(build_pinger_model()))
+        handle = machine.create_instance("PG", pg_id=1)
+        machine.inject(handle, "PING")
+        with pytest.raises(ArchError, match="no quiescence within 50 steps"):
+            machine.run_to_quiescence(max_steps=50)
+        assert machine.read_attribute(handle, "pings") == 50
 
     def test_registered_outputs_take_one_edge(self):
         machine = VHardwareMachine(manifest_of(build_microwave_model()),

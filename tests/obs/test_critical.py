@@ -2,8 +2,9 @@
 
 from repro.models.catalog import build_model
 from repro.obs import critical_path
+from repro.runtime import Simulation
 from repro.runtime.tracing import Trace, TraceKind
-from repro.verify import AbstractTarget, run_case, suite_for
+from repro.verify import run_case, suite_for
 
 
 def send(trace, time, sequence, activity=0, label="S"):
@@ -94,10 +95,10 @@ class TestSyntheticChains:
 
 class TestRealTraces:
     def test_microwave_run_has_a_multi_hop_path(self):
-        target = AbstractTarget(build_model("microwave"))
-        result = run_case(suite_for("microwave")[0], target)
+        sim = Simulation(build_model("microwave"))
+        result = run_case(suite_for("microwave")[0], sim)
         assert not result.error
-        path = critical_path(target.trace)
+        path = critical_path(sim.trace)
         assert path.length >= 2
         # every link is consumed no earlier than it was sent, and links
         # are causally ordered

@@ -6,7 +6,6 @@ from repro.models.catalog import CATALOG, build_model
 from repro.obs import (
     SCHEMA_VERSION,
     TraceSchemaError,
-    attach_machine_trace,
     batch_report_trace,
     dump_jsonl,
     load_jsonl,
@@ -16,15 +15,16 @@ from repro.obs import (
 from repro.obs.metrics import active_registry
 from repro.runtime.simulator import Simulation
 from repro.runtime.tracing import Trace, TraceKind
-from repro.verify import AbstractTarget, CoSimTarget, chaos_build, run_case, suite_for
+from repro.cosim import CoSimMachine
+from repro.verify import chaos_build, run_case, suite_for
 
 
 def traced_run(name: str) -> Trace:
-    """Run the first suite case of a catalog model on the abstract target."""
-    target = AbstractTarget(build_model(name))
-    result = run_case(suite_for(name)[0], target)
+    """Run the first suite case of a catalog model on the abstract runtime."""
+    sim = Simulation(build_model(name))
+    result = run_case(suite_for(name)[0], sim)
     assert not result.error
-    return target.trace
+    return sim.trace
 
 
 class TestRoundTrip:
@@ -108,17 +108,6 @@ class TestSchemaGuards:
 
 
 class TestSubsystemLifting:
-    def test_machine_trace_records_bus_level_traffic(self):
-        machine = CoSimTarget(chaos_build("microwave")).engine
-        trace = attach_machine_trace(machine)
-        result = run_case(suite_for("microwave")[0],
-                          CoSimTargetReuse(machine))
-        assert not result.error
-        sent = trace.of_kind(TraceKind.SIGNAL_SENT)
-        consumed = trace.of_kind(TraceKind.SIGNAL_CONSUMED)
-        assert sent and consumed
-        assert dump_jsonl(load_jsonl(dump_jsonl(trace))) == dump_jsonl(trace)
-
     def test_batch_report_trace(self, tmp_path):
         from repro.build import BatchJob, run_batch
 
@@ -133,14 +122,6 @@ class TestSubsystemLifting:
         assert dump_jsonl(load_jsonl(dump_jsonl(trace))) == dump_jsonl(trace)
 
 
-class CoSimTargetReuse(CoSimTarget):
-    """Drive an already-constructed machine (observers pre-attached)."""
-
-    def __init__(self, machine):
-        self._engine = machine
-        self._budget_us = 3_600 * 1_000_000
-
-
 class TestDisabledOverhead:
     def test_disabled_hooks_add_no_events_and_no_metrics(self):
         # no registry active, no observers attached: a run must produce
@@ -148,7 +129,7 @@ class TestDisabledOverhead:
         assert active_registry() is None
         simulation = Simulation(build_model("microwave"))
         assert simulation._metric_dispatches is None
-        machine = CoSimTarget(chaos_build("microwave")).engine
+        machine = CoSimMachine(chaos_build("microwave"))
         assert machine._m_routed is None
         assert machine.bus._m_messages is None
         assert machine.on_sent == [] and machine.on_consumed == []

@@ -23,20 +23,17 @@ from repro.mda.compiler import ModelCompiler
 from repro.models import build_model
 from repro.models.catalog import CATALOG
 from repro.obs import dump_jsonl
-from repro.verify import (
-    AbstractTarget,
-    CoSimTarget,
-    CSimTarget,
-    VSimTarget,
-    run_case,
-    suite_for,
-)
+from repro.cosim import CoSimMachine
+from repro.mda.csim import CSoftwareMachine
+from repro.mda.vsim import VHardwareMachine
+from repro.runtime import Simulation
+from repro.verify import run_case, suite_for
 
 TARGETS = ("abstract", "csim", "vsim", "cosim-sw", "cosim-hw")
 
 
 def target_factories(model_name: str) -> dict:
-    """One fresh-target factory per pinned executor for *model_name*."""
+    """One fresh-executor factory per pinned executor for *model_name*."""
     model = build_model(model_name)
     component = model.components[0]
     compiler = ModelCompiler(model)
@@ -44,11 +41,11 @@ def target_factories(model_name: str) -> dict:
     hw_build = compiler.compile(
         marks_for_partition(component, tuple(component.class_keys)))
     return {
-        "abstract": lambda: AbstractTarget(build_model(model_name)),
-        "csim": lambda: CSimTarget(sw_build),
-        "vsim": lambda: VSimTarget(hw_build),
-        "cosim-sw": lambda: CoSimTarget(sw_build),
-        "cosim-hw": lambda: CoSimTarget(hw_build),
+        "abstract": lambda: Simulation(build_model(model_name)),
+        "csim": lambda: CSoftwareMachine(sw_build.manifest),
+        "vsim": lambda: VHardwareMachine(hw_build.manifest),
+        "cosim-sw": lambda: CoSimMachine(sw_build),
+        "cosim-hw": lambda: CoSimMachine(hw_build),
     }
 
 

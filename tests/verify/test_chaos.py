@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.cosim import CoSimMachine
 from repro.verify import (
-    CoSimTarget,
     chaos_build,
     chaos_sweep,
     default_hardware_for,
@@ -36,13 +36,13 @@ class TestCoSimTarget:
     def test_suite_passes_on_cosim_without_faults(self):
         build = chaos_build("microwave", protected=False)
         for case in suite_for("microwave"):
-            result = run_case(case, CoSimTarget(build))
+            result = run_case(case, CoSimMachine(build))
             assert result.passed, str(result)
 
     def test_protected_build_also_passes_clean(self):
         build = chaos_build("microwave", protected=True)
         for case in suite_for("microwave"):
-            result = run_case(case, CoSimTarget(build))
+            result = run_case(case, CoSimMachine(build))
             assert result.passed, str(result)
 
 

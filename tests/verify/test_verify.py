@@ -2,18 +2,17 @@
 
 import pytest
 
+from repro.mda.csim import CSoftwareMachine
+from repro.mda.vsim import VHardwareMachine
 from repro.models import build_microwave_model
+from repro.runtime import Simulation
 from repro.verify import (
-    AbstractTarget,
-    CSimTarget,
     TestCase,
-    VSimTarget,
     check_conformance,
     run_case,
     standard_targets,
     suite_for,
 )
-from repro.verify.runner import run_suite
 
 
 @pytest.fixture
@@ -33,7 +32,7 @@ def cook_case():
 
 class TestRunner:
     def test_passing_case(self, model):
-        result = run_case(cook_case(), AbstractTarget(model))
+        result = run_case(cook_case(), Simulation(model))
         assert result.passed
         assert "PASS" in str(result)
 
@@ -46,7 +45,7 @@ class TestRunner:
             .expect_state("oven", "Idle")
             .expect_attr("oven", "cycles_run", 99)
         )
-        result = run_case(case, AbstractTarget(model))
+        result = run_case(case, Simulation(model))
         assert not result.passed
         assert len(result.failures) == 2
         assert "FAIL" in str(result)
@@ -58,13 +57,13 @@ class TestRunner:
             .inject("oven", "MO5")       # can't happen in Idle
             .run()
         )
-        result = run_case(case, AbstractTarget(model))
+        result = run_case(case, Simulation(model))
         assert not result.passed
         assert "CantHappenError" in result.error
 
     def test_unknown_binding_reported(self, model):
         case = TestCase("bad").inject("ghost", "MO1")
-        result = run_case(case, AbstractTarget(model))
+        result = run_case(case, Simulation(model))
         assert result.error is not None
 
     def test_expect_count(self, model):
@@ -74,7 +73,7 @@ class TestRunner:
             .expect_count("MO", 1)
             .expect_count("PT", 0)
         )
-        assert run_case(case, AbstractTarget(model)).passed
+        assert run_case(case, Simulation(model)).passed
 
     def test_advance_step(self, model):
         case = (
@@ -84,11 +83,11 @@ class TestRunner:
             .advance(2_000_000)
             .expect_state("oven", "Cooking")
         )
-        assert run_case(case, AbstractTarget(model)).passed
+        assert run_case(case, Simulation(model)).passed
 
     def test_run_suite_sequential(self, model):
-        cases = [cook_case()]
-        results = run_suite(cases, AbstractTarget(model))
+        sim = Simulation(model)
+        results = [run_case(case, sim) for case in [cook_case()]]
         assert all(r.passed for r in results)
 
 
@@ -102,23 +101,26 @@ class TestTargets:
         for target in standard_targets(model):
             assert run_case(cook_case(), target).passed, target.name
 
-    def test_csim_target_wraps_software_machine(self, model):
+    def test_csim_is_a_target(self, model):
         from repro.marks import marks_for_partition
         from repro.mda import ModelCompiler
         component = model.components[0]
         build = ModelCompiler(model).compile(
             marks_for_partition(component, ()))
-        target = CSimTarget(build)
-        assert run_case(cook_case(), target).passed
+        result = run_case(cook_case(), CSoftwareMachine(build.manifest))
+        assert result.passed
+        assert result.target_name == "generated-c"
 
-    def test_vsim_target_wraps_hardware_machine(self, model):
+    def test_vsim_is_a_target(self, model):
         from repro.marks import marks_for_partition
         from repro.mda import ModelCompiler
         component = model.components[0]
         build = ModelCompiler(model).compile(
             marks_for_partition(component, tuple(component.class_keys)))
-        target = VSimTarget(build, clock_mhz=25)
-        assert run_case(cook_case(), target).passed
+        machine = VHardwareMachine(build.manifest, clock_mhz=25)
+        result = run_case(cook_case(), machine)
+        assert result.passed
+        assert result.target_name == "generated-vhdl"
 
 
 class TestConformanceReport:
