@@ -19,7 +19,8 @@ The host is duck-typed; the surface the evaluator calls is:
   ``navigate(h, rnum, class_key, phrase)``
 * signals — ``send_signal(target, class_key, label, params, sender=,
   delay=)``, ``send_creation(class_key, label, params, sender=, delay=)``
-* calls — ``call_bridge(self_handle, entity, op, kwargs)``,
+* calls — ``call_bridge(self_handle, entity, op, kwargs)`` (the executors'
+  shared ``Dispatcher`` serves it from their ``bridges`` table),
   ``call_class_operation(class_key, op, kwargs)``,
   ``call_instance_operation(h, op, kwargs)``
 * policy — ``loop_bound`` (read on every loop, so a host may tighten it

@@ -6,12 +6,12 @@ attribute layouts the generators printed as C and VHDL.  Everything it
 runs comes from the manifest, so an emitter that lowers wrongly fails
 conformance (experiment E3) instead of slipping through.
 
-:class:`TargetMachine` is manifest-backed storage (attribute dicts,
-links, the architecture bridges) on the shared
-:class:`~repro.runtime.dispatcher.Dispatcher`, which stamps, traces,
-queues and dispatches exactly as the abstract runtime does.  The
-architectures (:mod:`repro.mda.csim`, :mod:`repro.mda.vsim`,
-:mod:`repro.cosim.engine`) add only their source policy and clock.
+:class:`TargetMachine` is manifest-backed storage (attribute dicts and
+links) on the shared :class:`~repro.runtime.dispatcher.Dispatcher`,
+which stamps, traces, queues, dispatches and serves bridges exactly as
+the abstract runtime does.  The architectures (:mod:`repro.mda.csim`,
+:mod:`repro.mda.vsim`, :mod:`repro.cosim.engine`) add only their source
+policy and clock.
 
 Value semantics (C integer division, handle numbering, attribute
 defaults) are kept identical to the abstract runtime on purpose: the
@@ -26,7 +26,6 @@ from collections import defaultdict
 from repro.exec import IRExecutor
 from repro.runtime.dispatcher import Dispatcher
 from repro.runtime.events import SignalInstance
-from repro.runtime.tracing import TraceKind
 from repro.xuml.statemachine import EventResponse
 
 from .manifest import ClassManifest, ComponentManifest
@@ -42,19 +41,17 @@ class TargetMachine(Dispatcher):
     The machine shares the :class:`repro.runtime.Simulation` surface, so
     verification test cases drive either one directly.  Action
     semantics live in the shared execution core (:mod:`repro.exec`) and
-    the signal life cycle in :class:`Dispatcher`; this class supplies
-    only storage, links and bridges.
+    the signal life cycle and bridges in :class:`Dispatcher`; this class
+    supplies only storage and links.
     """
 
-    error = cant_happen_error = ArchError
+    error = cant_happen_error = bridge_error = ArchError
 
     def __init__(self, manifest: ComponentManifest):
         super().__init__()
         self.manifest = manifest
         self.executor = IRExecutor(self, error=ArchError,
                                    selection_error=ArchError)
-        self.log_lines: list[tuple[int, str]] = []
-        self.metrics: dict[str, list[tuple[int, float]]] = {}
         #: class key -> handle -> {attr: value}
         self._data: dict[str, dict[int, dict[str, object]]] = {
             key: {} for key in manifest.classes
@@ -229,32 +226,7 @@ class TargetMachine(Dispatcher):
     # resolves on every architecture runtime
     dispatch = Dispatcher.dispatch
 
-    # -- bridges and operations ------------------------------------------------------
-
-    def call_bridge(self, self_handle, entity: str, operation: str, kwargs):
-        self.trace.record(
-            self.now, TraceKind.BRIDGE_CALL,
-            entity=entity, operation=operation, handle=self_handle,
-        )
-        if entity == "LOG" and operation == "info":
-            self.log_lines.append((self.now, str(kwargs.get("message", ""))))
-            return None
-        if entity == "LOG" and operation == "metric":
-            self.metrics.setdefault(str(kwargs.get("name", "")), []).append(
-                (self.now, float(kwargs.get("value", 0.0))))
-            return None
-        if entity == "TIM" and operation == "current_time":
-            return self.now
-        if entity == "TIM" and operation == "timer_start":
-            class_key = self.class_of(self_handle)
-            self.send_signal(
-                self_handle, class_key, str(kwargs.get("event", "")),
-                sender=self_handle, delay=int(kwargs.get("duration", 0)),
-            )
-            return 0
-        if entity == "TIM" and operation == "timer_cancel":
-            return self.cancel_timer(self_handle, str(kwargs.get("event", "")))
-        raise ArchError(f"no architecture bridge for {entity}::{operation}")
+    # -- operations ------------------------------------------------------
 
     def call_operation(self, class_key: str, name: str, self_handle, kwargs):
         klass = self._klass(class_key)

@@ -1,12 +1,13 @@
 """Execution runtime for Executable UML models.
 
 * :class:`Simulation` — the model executor (run-to-completion semantics)
+* :class:`~repro.runtime.dispatcher.Dispatcher` — the signal life cycle
+  and ``LOG``/``TIM`` bridges every executor shares (``bridges`` dict)
 * schedulers — legal refinements of the profile's concurrency freedom
 * :class:`Trace` — the observable record every other subsystem consumes
 * :func:`check_trace` — machine-checkable causality (paper section 2)
 """
 
-from .bridges import BridgeContext, BridgeRegistry
 from .causality import (
     CausalityViolation,
     check_causality,
@@ -38,9 +39,7 @@ from .simulator import Simulation
 from .tracing import Trace, TraceEvent, TraceKind
 
 __all__ = [
-    "BridgeContext",
     "BridgeError",
-    "BridgeRegistry",
     "CREATION",
     "CantHappenError",
     "CausalityViolation",

@@ -17,15 +17,62 @@ Executors differ only in
   :class:`~repro.runtime.scheduler.Scheduler` for the step-driven
   executors, the per-edge snapshot for vsim, the timed resources for the
   co-simulation.
+
+The standard bridge services (:data:`STANDARD_BRIDGES`) are written here
+once too, so ``LOG`` and ``TIM`` mean the same on every executor: a
+``TIM::timer_start`` is an ordinary delayed self-send, traced as
+``SIGNAL_SENT`` like any other.
 """
 
 from __future__ import annotations
 
 from repro.xuml.statemachine import EventResponse
 
-from .errors import CantHappenError, SimulationError
+from .errors import BridgeError, CantHappenError, SimulationError
 from .events import EventPool, SignalInstance
 from .tracing import Trace, TraceKind
+
+
+# -- standard bridge services ------------------------------------------------
+# Each is ``impl(executor, self_handle, **params)``; the declared bridge
+# parameters arrive by keyword.
+
+def _log_info(executor, self_handle, message: str = "") -> None:
+    executor.trace.record(executor.now, TraceKind.LOG, message=str(message))
+
+
+def _log_metric(executor, self_handle, name: str = "",
+                value: float = 0.0) -> None:
+    executor.metrics.setdefault(str(name), []).append(
+        (executor.now, float(value)))
+
+
+def _tim_current_time(executor, self_handle) -> int:
+    return executor.now
+
+
+def _tim_timer_start(executor, self_handle, duration: int = 0,
+                     event: str = "") -> int:
+    """Schedule *event* back to the caller; returns the signal's stamp."""
+    return executor.send_signal(
+        self_handle, executor.class_of(self_handle), str(event),
+        sender=self_handle, delay=int(duration),
+    ).sequence
+
+
+def _tim_timer_cancel(executor, self_handle, event: str = "") -> int:
+    return executor.cancel_timer(self_handle, str(event))
+
+
+#: (entity, operation) -> implementation; every executor starts from a
+#: copy in its ``bridges`` table, where callers add custom bridges
+STANDARD_BRIDGES = {
+    ("LOG", "info"): _log_info,
+    ("LOG", "metric"): _log_metric,
+    ("TIM", "current_time"): _tim_current_time,
+    ("TIM", "timer_start"): _tim_timer_start,
+    ("TIM", "timer_cancel"): _tim_timer_cancel,
+}
 
 
 class Dispatcher:
@@ -48,6 +95,8 @@ class Dispatcher:
     #: raised by the run loops (and, by default, on a can't-happen event)
     error: type[Exception] = SimulationError
     cant_happen_error: type[Exception] = CantHappenError
+    #: raised by :meth:`call_bridge` when no implementation is registered
+    bridge_error: type[Exception] = BridgeError
     cant_happen_policy = "error"
     #: metrics hook, called with each chosen source before it is popped;
     #: bound once, so with metrics off a step pays one ``is None`` test
@@ -63,6 +112,9 @@ class Dispatcher:
         self._next_sequence = 1
         self._next_activity = 1
         self._activity_stack: list[int] = []
+        self.bridges = dict(STANDARD_BRIDGES)
+        #: ``LOG::metric`` samples: name -> [(time, value), ...]
+        self.metrics: dict[str, list[tuple[int, float]]] = {}
 
     # -- execution core ------------------------------------------------------
 
@@ -160,6 +212,20 @@ class Dispatcher:
         return self.pool.cancel_delayed(
             lambda s: s.target_handle == handle and s.label == label
         )
+
+    # -- bridges ------------------------------------------------------------------
+
+    def call_bridge(self, self_handle, entity, operation, kwargs: dict):
+        """Trace a bridge call and run its implementation from ``bridges``."""
+        self.trace.record(
+            self.now, TraceKind.BRIDGE_CALL,
+            entity=entity, operation=operation, handle=self_handle,
+        )
+        impl = self.bridges.get((entity, operation))
+        if impl is None:
+            raise self.bridge_error(
+                f"no implementation registered for {entity}::{operation}")
+        return impl(self, self_handle, **kwargs)
 
     # -- dispatch ----------------------------------------------------------------
 

@@ -11,8 +11,9 @@ CANT_HAPPEN, and on a transition the destination state's activity runs to
 completion (possibly generating further signals, creating and deleting
 instances, starting timers) before any other signal is consumed.  That
 life cycle is :class:`~repro.runtime.dispatcher.Dispatcher`, shared with
-the architecture runtimes; this class adds model-backed storage, links,
-bridges, timers and the pluggable :class:`Scheduler`.
+the architecture runtimes, with the standard bridges; this class adds
+model-backed storage, links, declared-bridge checks and the pluggable
+:class:`Scheduler`.
 
 For the E6 ablation the simulator also supports ``eager_dispatch=True``,
 which *breaks* run-to-completion on purpose by delivering generated
@@ -30,14 +31,12 @@ from repro.xuml.component import Component
 from repro.xuml.model import Model
 from repro.xuml.statemachine import EventResponse
 
-from .bridges import BridgeContext, BridgeRegistry
 from .dispatcher import Dispatcher
 from .errors import SelectionError, SimulationError
 from .events import SignalInstance
 from .instances import Instance, Population
 from .links import LinkStore
 from .scheduler import Scheduler, SynchronousScheduler
-from .tracing import TraceKind
 
 
 class Simulation(Dispatcher):
@@ -85,13 +84,11 @@ class Simulation(Dispatcher):
             self.component = model.component(component)
         super().__init__(self_priority)
         self.scheduler = scheduler or SynchronousScheduler()
-        self.bridges = BridgeRegistry()
         self.links = LinkStore(self.component)
         self.cant_happen_policy = cant_happen
         self.eager_dispatch = eager_dispatch
         if eager_dispatch:
             self._enqueue = self._enqueue_eagerly
-        self._next_timer = 1
         self._populations: dict[str, Population] = {
             klass.key_letters: Population(klass) for klass in self.component.classes
         }
@@ -220,43 +217,11 @@ class Simulation(Dispatcher):
         else:
             Dispatcher._enqueue(self, signal, delay)
 
-    # -- timers -----------------------------------------------------------------------
-
-    def schedule_timer(
-        self, handle: int, class_key: str, label: str, duration: int
-    ) -> int:
-        klass = self.component.klass(class_key)
-        klass.event(label)  # validates
-        timer_id = self._next_timer
-        self._next_timer += 1
-        signal = SignalInstance(
-            sequence=self._stamp(),
-            label=label,
-            class_key=class_key,
-            params={},
-            target_handle=handle,
-            sender_handle=handle,   # timers deliver back to the requester
-            activity_id=self._current_activity,
-            sent_at=self.now,
-        )
-        self.pool.push_delayed(signal, self.now + max(0, duration))
-        self.trace.record(
-            self.now, TraceKind.TIMER_SET,
-            timer=timer_id, handle=handle, label=label, duration=duration,
-        )
-        return timer_id
-
     # -- bridges and operations ----------------------------------------------------------
 
     def call_bridge(self, self_handle, entity: str, operation: str, kwargs: dict):
         self.component.external(entity).bridge(operation)  # validates
-        class_key = self.class_of(self_handle) if self_handle is not None else None
-        context = BridgeContext(self, self_handle, class_key)
-        self.trace.record(
-            self.now, TraceKind.BRIDGE_CALL,
-            entity=entity, operation=operation, handle=self_handle,
-        )
-        return self.bridges.call(context, entity, operation, **kwargs)
+        return super().call_bridge(self_handle, entity, operation, kwargs)
 
     def call_instance_operation(self, handle: int, name: str, kwargs: dict):
         class_key = self.class_of(handle)

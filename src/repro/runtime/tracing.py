@@ -24,7 +24,6 @@ class TraceKind(enum.Enum):
     ACTIVITY_START = "activity_start"
     ACTIVITY_END = "activity_end"
     BRIDGE_CALL = "bridge_call"
-    TIMER_SET = "timer_set"
     LOG = "log"
 
 

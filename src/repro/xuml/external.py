@@ -3,8 +3,8 @@
 An external entity is xtUML's stand-in for everything outside the modelled
 component: device drivers, the timer service, a logging console, the
 architecture underneath.  The action language calls *bridges* on them
-(``TIM::timer_start(...)``), and the runtime dispatches those calls to
-Python callables registered at simulation time — or, in generated code, to
+(``TIM::timer_start(...)``), and every executor dispatches those calls
+to the Python callables in its ``bridges`` table — or, in generated code, to
 whatever the model compiler's architecture supplies.
 """
 

@@ -12,7 +12,7 @@ from repro.models import (
     fletcher_reference,
     packetproc,
 )
-from repro.runtime import Simulation
+from repro.runtime import Simulation, TraceKind
 from repro.xuml import ModelBuilder
 
 
@@ -91,7 +91,8 @@ class TestCSoftwareMachine:
         oven = machine.create_instance("MO", oven_id=1)
         machine.inject(oven, "MO1", {"seconds": 1})
         machine.run_to_quiescence()
-        assert any(line == "ding" for _t, line in machine.log_lines)
+        assert any(event.data["message"] == "ding"
+                   for event in machine.trace.of_kind(TraceKind.LOG))
 
     def test_ops_counter_increases(self):
         machine = CSoftwareMachine(manifest_of(build_microwave_model()))

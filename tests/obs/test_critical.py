@@ -4,7 +4,7 @@ from repro.models.catalog import build_model
 from repro.obs import critical_path
 from repro.runtime import Simulation
 from repro.runtime.tracing import Trace, TraceKind
-from repro.verify import run_case, suite_for
+from repro.verify import run_case, standard_targets, suite_for
 
 
 def send(trace, time, sequence, activity=0, label="S"):
@@ -109,3 +109,15 @@ class TestRealTraces:
         sequences = [step.sequence for step in path.steps]
         assert sequences == sorted(sequences)
         assert path.render().count("\n") == path.length
+
+    def test_timer_chain_is_the_same_path_on_every_executor(self):
+        # TIM::timer_start is a traced send on every executor, so the
+        # trafficlight's T1 ticks chain into one path everywhere
+        case = next(case for case in suite_for("trafficlight")
+                    if case.name == "two-full-cycles")
+        paths = []
+        for executor in standard_targets(build_model("trafficlight")):
+            assert not run_case(case, executor).error
+            paths.append(critical_path(executor.trace).labels())
+        assert paths[0] == ("T1",) * 13
+        assert paths[1] == paths[0] and paths[2] == paths[0]

@@ -1,4 +1,4 @@
-"""Unit tests for the bridge registry and the standard services."""
+"""Unit tests for the bridges table and the standard services."""
 
 import pytest
 
@@ -77,7 +77,7 @@ class TestTimService:
         widget = sim.create_instance("W", w_id=1)
         sim.inject(widget, "GO")
         sim.run_to_quiescence()
-        assert sim.bridges.metrics["armed"] == [(0, 1.0)]
+        assert sim.metrics["armed"] == [(0, 1.0)]
 
 
 class TestRegistry:
@@ -100,16 +100,16 @@ class TestRegistry:
     def test_registration_overrides(self):
         sim = Simulation(build_timer_model())
         calls = []
-        sim.bridges.register(
-            "LOG", "metric",
-            lambda ctx, name, value: calls.append((name, value)))
+        sim.bridges["LOG", "metric"] = (
+            lambda executor, self_handle, name, value:
+            calls.append((name, value)))
         widget = sim.create_instance("W", w_id=1)
         sim.inject(widget, "GO")
         sim.run_to_quiescence()
         assert calls == [("armed", 1.0)]
-        assert sim.bridges.metrics == {}     # default impl replaced
+        assert sim.metrics == {}     # default impl replaced
 
     def test_has(self):
         sim = Simulation(build_timer_model())
-        assert sim.bridges.has("TIM", "current_time")
-        assert not sim.bridges.has("TIM", "warp_time")
+        assert ("TIM", "current_time") in sim.bridges
+        assert ("TIM", "warp_time") not in sim.bridges

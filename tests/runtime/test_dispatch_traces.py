@@ -9,12 +9,16 @@ executors were put on one dispatch core.  The pinned-oracle sweep in
 code it compares.  These digests do not.
 
 A digest may move only when the behaviour it pins was a bug; each such
-case is listed in ``REFRESHED`` with the reason and the new digest.
+case is listed in ``REFRESHED`` with the reason and the new digest.  The
+digests refreshed when the executors came to share one set of standard
+bridges are also proven: undoing just the two record changes that sharing
+made (:func:`undo_bridge_unification`) restores each golden digest.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -49,18 +53,22 @@ def target_factories(model_name: str) -> dict:
     }
 
 
-def trace_digests() -> dict[tuple[str, str, str], str]:
-    """(model, case, target) -> sha256 of the case's exported trace."""
-    digests = {}
+def exported_traces() -> dict[tuple[str, str, str], str]:
+    """(model, case, target) -> the case's exported JSONL trace."""
+    traces = {}
     for entry in CATALOG:
         factories = target_factories(entry.name)
         for case in suite_for(entry.name):
             for name in TARGETS:
                 target = factories[name]()
                 run_case(case, target)
-                digests[(entry.name, case.name, name)] = hashlib.sha256(
-                    dump_jsonl(target.trace).encode()).hexdigest()
-    return digests
+                traces[(entry.name, case.name, name)] = dump_jsonl(
+                    target.trace)
+    return traces
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 #: recorded before the executors shared one dispatch core
@@ -292,6 +300,15 @@ _STALE_TICK = (
     "TIM::timer_cancel cancelled in an event pool the co-simulation never "
     "drained, so the cancelled T1 tick still fired and cut the next green"
 )
+_LOG_DROPPED = (
+    "the architecture runtimes kept LOG::info in a private list instead of "
+    "the trace, so their traces lacked the log record the abstract "
+    "runtime writes"
+)
+_TIMER_UNSENT = (
+    "the abstract runtime traced TIM::timer_start as timer_set, never as "
+    "signal_sent, so the causality check reported its timer ticks unsent"
+)
 REFRESHED: dict[tuple[str, str, str], tuple[str, str]] = {
     ('trafficlight', 'pedestrian-cuts-green', 'cosim-sw'): (
         '9b9c115c0800f54c31ad706a1ab6006cacc2894beb9ec423931b44f69780f235',
@@ -299,12 +316,121 @@ REFRESHED: dict[tuple[str, str, str], tuple[str, str]] = {
     ('trafficlight', 'pedestrian-cuts-green', 'cosim-hw'): (
         'e9395976bd1723c8d20c48deee930639c880a24de22de23f0091e4dec0266b48',
         _STALE_TICK),
+    ('microwave', 'cook-runs-to-complete', 'cosim-hw'): (
+        '5d8fe27f58a51d0f3325bdc6ca870c9cea54dbf106ca402e69c212970a409b26',
+        _LOG_DROPPED),
+    ('microwave', 'cook-runs-to-complete', 'cosim-sw'): (
+        '2497f8064f830195eda8d296eab5cd569e23f5912d213c62788f44b003d956b6',
+        _LOG_DROPPED),
+    ('microwave', 'cook-runs-to-complete', 'csim'): (
+        'ef963b5a5bf9533899df42ab5957cf973b04f0a835b8db6c9a1ca7b5cb3c67bc',
+        _LOG_DROPPED),
+    ('microwave', 'cook-runs-to-complete', 'vsim'): (
+        '8f14b580060b58d527c367f250ea99d280a2f168607318abfe1d6fbe122134c4',
+        _LOG_DROPPED),
+    ('microwave', 'door-open-from-complete-resets', 'cosim-hw'): (
+        '39e77c8187694e617c6dd1649d8fa55ab682df13ff6f6a8c466c2863e94931d2',
+        _LOG_DROPPED),
+    ('microwave', 'door-open-from-complete-resets', 'cosim-sw'): (
+        'f8575913ee9cb832bed58f9af854322d2de22a9b39dd7980dc8240ff524a4492',
+        _LOG_DROPPED),
+    ('microwave', 'door-open-from-complete-resets', 'csim'): (
+        '333c233d7c427a8cfa0581e36c31d555ba4b8457b2239444f850e6dae07fe334',
+        _LOG_DROPPED),
+    ('microwave', 'door-open-from-complete-resets', 'vsim'): (
+        '1d51c6b13922a5edd1be0773ee99a5237c450c734e31c1c1836b6b9605d9dcda',
+        _LOG_DROPPED),
+    ('microwave', 'door-open-pauses-cooking', 'cosim-hw'): (
+        'f6cbf8a2fd8767dc19f86d81ac5dbd8c83366333ed5937957f1fc9fecf96d165',
+        _LOG_DROPPED),
+    ('microwave', 'door-open-pauses-cooking', 'cosim-sw'): (
+        '4f8962a809c7cab0589aeb6fe0c6b6c2e53db6e9e4dfa1e7ce8c4cd1a9eb2bbc',
+        _LOG_DROPPED),
+    ('microwave', 'door-open-pauses-cooking', 'csim'): (
+        '550fc8e0875bdf472ba1776ec49ee8c45e636775602055ad08c4810de99c22e2',
+        _LOG_DROPPED),
+    ('microwave', 'door-open-pauses-cooking', 'vsim'): (
+        '53cf7e7766c9b3a95a668cdf939f419e553633241826579bf2ba081e25956eaa',
+        _LOG_DROPPED),
+    ('microwave', 'second-cook-from-complete', 'cosim-hw'): (
+        '3426f17325cb05eb71ab3bae81b7efbc9f1299f403ae08299c0f9fbd4d4c2b85',
+        _LOG_DROPPED),
+    ('microwave', 'second-cook-from-complete', 'cosim-sw'): (
+        'e6ba7990fa9a82e1127e2869713f28317a3bd45f7055938e6ed406e772e766e3',
+        _LOG_DROPPED),
+    ('microwave', 'second-cook-from-complete', 'csim'): (
+        '6147b7a52b4d7f66e8e0e409a326bd257b0a35b90c11e108ad31ac5d74ff8f96',
+        _LOG_DROPPED),
+    ('microwave', 'second-cook-from-complete', 'vsim'): (
+        'ee457cf1a78bedd72830cddaacc8362db506952b6fb7686d1ac6f3e70ee3a52d',
+        _LOG_DROPPED),
+    ('microwave', 'zero-second-cook-completes-immediately', 'cosim-hw'): (
+        '4517be87a4eea692aa1da4b72f3757f9f99b809a6687e32e27bc07f3d25bbe39',
+        _LOG_DROPPED),
+    ('microwave', 'zero-second-cook-completes-immediately', 'cosim-sw'): (
+        'f95c274e00ca1e5e19ce16342aa875cef8cb691b1f5cb56bff9a2f6b1b458815',
+        _LOG_DROPPED),
+    ('microwave', 'zero-second-cook-completes-immediately', 'csim'): (
+        'e35c4fbf058cb5ebda10ae7b76c11831e9238536b673a021cafa41f9a9f17311',
+        _LOG_DROPPED),
+    ('microwave', 'zero-second-cook-completes-immediately', 'vsim'): (
+        '024f684efa0811d26d22cd3ed0ad8732dc3eacde77248d0bc9346acc39171d92',
+        _LOG_DROPPED),
+    ('trafficlight', 'button-debounces', 'abstract'): (
+        '85cb3dd2cdfef21becdac9bc6b29920475ee46df42ec24a88a76fbdaf9d0f7a6',
+        _TIMER_UNSENT),
+    ('trafficlight', 'pedestrian-cuts-green', 'abstract'): (
+        '5f219eae35892b58c5295487b83296a7ee67dd72c433d0101ca02a6bdc7d2fee',
+        _TIMER_UNSENT),
+    ('trafficlight', 'phases-cycle', 'abstract'): (
+        '4577f70487cb6ad412c97fb745e3eba7efa372af24db40b6ee6b1ab2515584c8',
+        _TIMER_UNSENT),
+    ('trafficlight', 'two-full-cycles', 'abstract'): (
+        '8ddded6bc9ff26e31dbab452469e1d2844d46fad18dad8ce6fe1d7e95c443c20',
+        _TIMER_UNSENT),
 }
 
 
+def undo_bridge_unification(target: str, text: str) -> str:
+    """Rewrite an exported trace into what the executor wrote before the
+    standard bridges were shared: the architecture targets drop their
+    ``log`` records, and the abstract runtime's timer sends go back to
+    ``timer_set`` records numbered per run."""
+    header, *lines = text.splitlines()
+    events = [json.loads(line) for line in lines]
+    undone = []
+    timers = 0
+    for event in events:
+        kind, data = event["kind"], event["data"]
+        if target != "abstract" and kind == "log":
+            continue
+        previous = undone[-1] if undone else None
+        if (target == "abstract" and kind == "signal_sent"
+                and previous is not None
+                and previous["kind"] == "bridge_call"
+                and previous["data"]["entity"] == "TIM"
+                and previous["data"]["operation"] == "timer_start"):
+            timers += 1
+            event = dict(event, kind="timer_set", data={
+                "duration": data["delay"], "handle": data["target"],
+                "label": data["label"], "timer": timers,
+            })
+        undone.append(event)
+    for index, event in enumerate(undone):
+        event["index"] = index
+    return "\n".join(
+        [header] + [json.dumps(event, sort_keys=True, separators=(",", ":"))
+                    for event in undone]) + "\n"
+
+
 @pytest.fixture(scope="module")
-def digests():
-    return trace_digests()
+def traces():
+    return exported_traces()
+
+
+@pytest.fixture(scope="module")
+def digests(traces):
+    return {key: sha256(text) for key, text in traces.items()}
 
 
 def test_every_case_on_every_target_is_pinned(digests):
@@ -320,7 +446,19 @@ def test_traces_match_their_golden_digests(digests):
     assert not moved, sorted(moved)
 
 
-def test_only_cosim_digests_were_refreshed():
+def test_undoing_the_shared_bridges_restores_every_golden_digest(traces):
+    bridge_refreshed = [key for key, (_digest, reason) in REFRESHED.items()
+                        if reason != _STALE_TICK]
+    assert len(bridge_refreshed) == 24
+    for key in bridge_refreshed:
+        assert sha256(undo_bridge_unification(key[2], traces[key])) == \
+            GOLDEN[key], key
+
+
+def test_refreshed_digests_are_cosim_fixes_or_undo_proven():
     for (model, case, target), (_digest, reason) in REFRESHED.items():
-        assert target.startswith("cosim"), (model, case, target)
-        assert reason
+        if reason == _STALE_TICK:
+            assert target.startswith("cosim"), (model, case, target)
+        else:
+            assert reason in (_LOG_DROPPED, _TIMER_UNSENT)
+            assert (target == "abstract") == (reason == _TIMER_UNSENT)

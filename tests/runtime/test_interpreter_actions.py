@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.runtime import SelectionError, Simulation
+from repro.mda import CSoftwareMachine, build_manifest
+from repro.runtime import SelectionError, Simulation, TraceKind
 from repro.xuml import ModelBuilder
 
 
@@ -213,17 +214,23 @@ class TestLoops:
 class TestBridgesAndOperations:
     def test_log_bridge_records(self):
         sim, lab = run_lab('LOG::info(message: "hello");')
-        assert sim.bridges.log_lines == [(0, "hello")]
+        assert [(event.time, event.data["message"])
+                for event in sim.trace.of_kind(TraceKind.LOG)] == [(0, "hello")]
 
-    def test_custom_bridge_registration(self):
+    @pytest.mark.parametrize("executor", [
+        Simulation,
+        lambda model: CSoftwareMachine(
+            build_manifest(model, model.components[0])),
+    ], ids=["abstract", "csim"])
+    def test_custom_bridge_registration(self, executor):
         def extra(component):
             component.ext("HW").bridge(
                 "read_reg", params=[("addr", "integer")], returns="integer")
 
         activity = "self.n = HW::read_reg(addr: 16);"
-        sim = Simulation(build_lab(activity, extra))
-        sim.bridges.register(
-            "HW", "read_reg", lambda ctx, addr: addr * 2)
+        sim = executor(build_lab(activity, extra))
+        sim.bridges["HW", "read_reg"] = (
+            lambda executor, self_handle, addr: addr * 2)
         lab = sim.create_instance("L", l_id=1)
         sim.inject(lab, "GO", {"a": 0})
         sim.run_to_quiescence()

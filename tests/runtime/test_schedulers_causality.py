@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.models import build_packetproc_model, packetproc
+from repro.models import build_model, build_packetproc_model, packetproc
+from repro.models.catalog import CATALOG
 from repro.runtime import (
     InterleavedScheduler,
     PriorityScheduler,
@@ -14,6 +15,7 @@ from repro.runtime import (
     check_receiver_fifo,
     check_trace,
 )
+from repro.verify import run_case, standard_targets, suite_for
 
 
 def run_pipeline(scheduler=None, eager=False, packets=12):
@@ -63,6 +65,16 @@ class TestSchedulerLegality:
         sim.run_to_quiescence()
         assert check_trace(sim.trace) == []
         assert sim.read_attribute(handles["ST"], "packets") == 8
+
+
+@pytest.mark.parametrize("model_name", [entry.name for entry in CATALOG])
+def test_catalog_suites_are_causally_clean_on_every_executor(model_name):
+    model = build_model(model_name)
+    for case in suite_for(model_name):
+        for executor in standard_targets(model):
+            run_case(case, executor)
+            assert check_trace(executor.trace) == [], (
+                case.name, executor.name)
 
 
 class TestCausalityChecker:

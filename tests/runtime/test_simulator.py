@@ -159,7 +159,7 @@ class TestTimeAndTimers:
 
     def test_timer_start_and_cancel(self, sim):
         counter = sim.create_instance("CN", cn_id=1)
-        sim.schedule_timer(counter, "CN", "CN1", 100)
+        sim.send_signal(counter, "CN", "CN1", sender=counter, delay=100)
         cancelled = sim.cancel_timer(counter, "CN1")
         assert cancelled == 1
         sim.run_until(200)
