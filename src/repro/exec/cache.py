@@ -24,6 +24,7 @@ from repro.oal.parser import parse_activity
 from repro.xuml.component import Component
 from repro.xuml.model import Model
 
+from .codegen import clear_compiled_blocks
 from .ir import lower_block
 
 
@@ -75,9 +76,10 @@ def lowering_cache_stats() -> dict[str, int]:
 
 
 def clear_lowering_cache() -> None:
-    """Drop every cached lowering and reset the counters (tests)."""
+    """Drop every cached lowering and compiled block; reset the counters."""
     global _hits, _misses
     _cache.clear()
+    clear_compiled_blocks()
     _hits = 0
     _misses = 0
 

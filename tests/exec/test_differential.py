@@ -16,16 +16,19 @@ Two families:
   IR path, must produce **byte-identical** exported traces.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.marks.partition import marks_for_partition
+from repro.mda.archrt import ArchError
 from repro.mda.compiler import ModelCompiler
 from repro.mda.csim import CSoftwareMachine
 from repro.mda.vsim import VHardwareMachine
 from repro.models import build_model
 from repro.models.catalog import CATALOG
 from repro.obs import dump_jsonl
+from repro.oal.errors import OALRuntimeError
 from repro.runtime import Simulation
 from repro.verify import run_case, suite_for
 from repro.xuml import ModelBuilder
@@ -107,6 +110,19 @@ class TestArithmeticDifferential:
     def test_empty_set_cardinality_is_zero(self):
         result = _observe(Simulation(ARITH_MODEL), 10, 3)
         assert result[2] == 0
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: Simulation(ARITH_MODEL), OALRuntimeError),
+        (lambda: CSoftwareMachine(_SW_BUILD.manifest), ArchError),
+        (lambda: VHardwareMachine(_HW_BUILD.manifest, 100), ArchError),
+    ], ids=["abstract", "csim", "vsim"])
+    def test_integer_division_by_zero_is_the_host_dialect(self, make, error):
+        # the co-sim contains only ArchError, so an architecture host
+        # must not leak the abstract runtime's OALRuntimeError
+        with pytest.raises(Exception) as raised:
+            _observe(make(), 7, 0)
+        assert type(raised.value) is error
+        assert str(raised.value) == "integer division by zero"
 
 
 class TestOldVsNewTraceSweep:

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.exec import (
-    BreakSignal,
     CORE_NAME,
-    ContinueSignal,
     IRExecutor,
-    ReturnSignal,
     c_div,
     c_mod,
     clear_lowering_cache,
@@ -76,10 +73,20 @@ class TestSingleDefinitions:
         for name in ("_Break", "_Continue", "_Return", "_Frame"):
             assert not hasattr(archrt, name)
 
-    def test_control_flow_signals_are_distinct_exceptions(self):
-        assert issubclass(BreakSignal, Exception)
-        assert issubclass(ContinueSignal, Exception)
-        assert ReturnSignal(5).value == 5
+    def test_walker_names_left_the_core(self):
+        import repro.exec as core
+
+        # the dict-dispatch walker and its control-flow signals live
+        # only in the pinned oracle (tests/exec/pinned_ir_interpreter.py)
+        for name in ("Frame", "BreakSignal", "ContinueSignal",
+                     "ReturnSignal"):
+            assert name not in core.__all__
+            assert not hasattr(core, name)
+        with pytest.raises(ModuleNotFoundError):
+            import repro.exec.controlflow  # noqa: F401
+        walker_methods = [name for name in vars(IRExecutor)
+                          if name.startswith(("_stmt_", "_expr_", "_exec"))]
+        assert walker_methods == []
 
 
 class TestExecutorErrorsArePluggable:
@@ -100,6 +107,80 @@ class TestExecutorErrorsArePluggable:
         executor.run([["assign_var", "x", ["int", 1]],
                       ["assign_var", "y", ["int", 2]]], None, {})
         assert executor.ops_executed == 2
+
+    def test_ops_executed_is_exact_when_a_statement_raises(self):
+        executor = IRExecutor(host=None)
+        with pytest.raises(OALRuntimeError, match="read before assignment"):
+            executor.run([["assign_var", "x", ["int", 1]],
+                          ["exprstmt", ["var", "never_assigned"]],
+                          ["assign_var", "y", ["int", 2]]], None, {})
+        assert executor.ops_executed == 2
+
+    def test_remainder_by_zero_raises_the_host_error(self):
+        class HostError(Exception):
+            pass
+
+        executor = IRExecutor(host=None, error=HostError)
+        for op, message in (("/", "integer division by zero"),
+                            ("%", "integer remainder by zero")):
+            with pytest.raises(HostError, match=message):
+                executor.run([["return", ["bin", op, ["int", 1],
+                                          ["int", 0]]]], None, {})
+
+
+class TestCompiledBlocks:
+    """Each block is compiled once, lazily, and shared by content."""
+
+    def test_construction_compiles_nothing(self):
+        from repro.exec import codegen
+
+        clear_lowering_cache()
+        Simulation(build_counter_model())
+        assert codegen._by_content == {}
+        assert codegen._by_identity == {}
+
+    def test_first_run_compiles_and_later_runs_reuse(self):
+        from repro.exec import codegen
+
+        clear_lowering_cache()
+        block = [["return", ["int", 1]]]
+        function = codegen.compiled(block)
+        assert codegen.compiled(block) is function
+        # an equal block (a manifest reloaded from the store) shares it
+        assert codegen.compiled([["return", ["int", 1]]]) is function
+        assert len(codegen._by_content) == 1
+
+    def test_clear_lowering_cache_drops_compiled_code(self):
+        from repro.exec import codegen
+
+        block = [["return", ["int", 2]]]
+        function = codegen.compiled(block)
+        clear_lowering_cache()
+        assert codegen._by_content == {} and codegen._by_identity == {}
+        assert codegen.compiled(block) is not function
+
+    def test_distinct_types_do_not_share_code(self):
+        from repro.exec import codegen
+
+        executor = IRExecutor(host=None)
+        for literal, expected in ((["int", 1], 1), (["bool", True], True),
+                                  (["real", 1.0], 1.0)):
+            value = executor.run([["return", literal]], None, {})
+            assert value == expected and type(value) is type(expected)
+        assert len({codegen.compiled([["return", literal]]) for literal in
+                    (["int", 1], ["bool", True], ["real", 1.0])}) == 3
+
+    def test_generated_source_never_names_oal_variables(self):
+        import re
+
+        from repro.exec.codegen import _Generator
+
+        source = _Generator().source([["assign_var", "ﬁ", ["int", 1]],
+                               ["assign_var", "x²", ["var", "ﬁ"]],
+                               ["return", ["var", "x²"]]])
+        compile(source, "<test>", "exec")
+        without_strings = re.sub(r"'[^']*'|\"[^\"]*\"", "", source)
+        assert "ﬁ" not in without_strings and "x²" not in without_strings
 
 
 class TestLoweringCache:
