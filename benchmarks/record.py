@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -34,11 +35,13 @@ SIDES = ("parent", "change")
 
 
 def _seeds(text: str) -> list[int]:
-    """``11-20`` or ``1,4,9``."""
-    if "-" in text:
-        first, last = text.split("-")
-        return list(range(int(first), int(last) + 1))
-    return [int(part) for part in text.split(",")]
+    """``11-20``: every seed from the first to the last, inclusive."""
+    match = re.fullmatch(r"(\d+)-(\d+)", text)
+    if match is None:
+        raise argparse.ArgumentTypeError(
+            f"seeds must be a range like 11-20, not {text!r}")
+    first, last = (int(group) for group in match.groups())
+    return list(range(first, last + 1))
 
 
 def _git(checkout: Path, *args: str) -> str:
@@ -51,10 +54,11 @@ def _revision(checkout: Path) -> dict:
             "dirty": bool(_git(checkout, "status", "--porcelain"))}
 
 
-def _command(checkout: Path, workload: str, seed, seconds: float):
+def _command(checkout: Path, workload: str, seed):
+    """The benchmark command and run length *checkout*'s BENCHMARK.json sets."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text("utf-8"))
     return [*spec["command"], "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
+            "--seconds", str(spec["run_seconds"]), "--trace", "0"]
 
 
 def _run(checkout: Path, command: list[str]) -> dict:
@@ -104,7 +108,7 @@ def print_summary(workload: str, summary: dict) -> None:
 def record(args) -> int:
     checkouts = {"parent": Path(args.parent).resolve(),
                  "change": Path(args.change).resolve()}
-    seeds = _seeds(args.seeds)
+    seeds = args.seeds
     revisions = {side: _revision(path) for side, path in checkouts.items()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json")
                       .read_text("utf-8"))
@@ -112,8 +116,7 @@ def record(args) -> int:
     for pair, seed in enumerate(seeds):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
-            command = _command(checkouts[side], args.workload, seed,
-                               args.seconds)
+            command = _command(checkouts[side], args.workload, seed)
             outcome = _run(checkouts[side], command)
             runs.append({"pair": pair, "seed": seed, "side": side,
                          "position": position, **revisions[side],
@@ -126,8 +129,7 @@ def record(args) -> int:
     summary = summarize(runs, better)
     document = {
         "workload": args.workload,
-        "command": _command(checkouts["change"], args.workload, "<seed>",
-                            args.seconds),
+        "command": _command(checkouts["change"], args.workload, "<seed>"),
         "how": "each command runs from the root of its side's checkout; "
                "pairs alternate which side runs first",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
@@ -203,9 +205,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", help="checkout of the parent commit")
     parser.add_argument("--change", help="checkout of the change")
     parser.add_argument("--workload")
-    parser.add_argument("--seeds", help="e.g. 11-20 or 1,4,9")
-    parser.add_argument("--seconds", type=float, default=10.0,
-                        help="perfbench --seconds per run (default 10)")
+    parser.add_argument("--seeds", type=_seeds, help="a range, e.g. 11-20")
     parser.add_argument("-o", "--output", help="BENCH file to write")
     args = parser.parse_args(argv)
     if args.check is not None:

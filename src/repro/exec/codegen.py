@@ -193,15 +193,8 @@ class _Generator:
         start = self.temp()
         self.emit(depth, f"{start} = {self.value(stmt[3], assigned)}")
         handles = self.temp()
-        hops = list(stmt[4])
-        if hops:
-            class_key, number, phrase = (self.const(v) for v in hops.pop(0))
-            first = (f"tuple(sorted(set(host.navigate({start}, {number}, "
-                     f"{class_key}, {phrase}))))")
-        else:
-            first = f"({start},)"
-        self.emit(depth, f"{handles} = () if {start} is None else {first}")
-        for class_key, number, phrase in hops:
+        self.emit(depth, f"{handles} = () if {start} is None else ({start},)")
+        for class_key, number, phrase in stmt[4]:
             self.emit(depth, f"{handles} = _hop(host, {handles}, "
                              f"{self.const(class_key)}, {self.const(number)}, "
                              f"{self.const(phrase)})")

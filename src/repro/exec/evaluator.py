@@ -68,4 +68,10 @@ class IRExecutor:
 
     def run(self, block: list, self_handle, params):
         """Execute one IR block; returns the ``return`` value, if any."""
-        return compiled(block)(self, self_handle, params)
+        try:
+            function = compiled(block)
+        except (SyntaxError, RecursionError, MemoryError):
+            # CPython caps statically nested blocks (20) and parser depth
+            raise self._error(
+                "action block too deeply nested to compile") from None
+        return function(self, self_handle, params)

@@ -10,6 +10,8 @@ and message of any error.
 The one allowed difference is integer division or remainder by zero:
 the walker raised ``OALRuntimeError`` whatever the host's dialect, the
 compiled path raises the host's own error type with the same message.
+A block nested past what CPython can compile (20 loops deep) is the one
+limit: the walker ran it, the compiled path raises the host's error.
 """
 
 import pytest
@@ -349,6 +351,22 @@ class TestRequiredCases:
         assert walked[0] == ("raise", OALRuntimeError, message)
         assert compiled[0] == ("raise", HostError, message)
         assert compiled[1:] == walked[1:] == (2, [])
+
+    def test_a_block_too_deep_to_compile_is_a_host_error(self):
+        def nested(depth):
+            block = [["return", _int(7)]]
+            for level in range(depth):
+                block = [["foreach", f"v{level}", ["param", "s"], block]]
+            return block
+
+        params = {"s": (1,)}
+        assert assert_same(nested(19), params=params)[0] == ("return", "7")
+        walked = outcome(walker.IRExecutor, nested(20), params=params)
+        compiled = outcome(IRExecutor, nested(20), params=params)
+        assert walked[0] == ("return", "7")
+        assert compiled == (("raise", HostError,
+                             "action block too deeply nested to compile"),
+                            0, [])
 
     def test_unknown_tags_and_operators(self):
         cases = [

@@ -1,7 +1,11 @@
-"""The committed speed records and the checker CI runs over them."""
+"""The speed-record script: its checker, seeds, command and summary."""
 
+import argparse
 import importlib.util
+import json
 import pathlib
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -46,11 +50,19 @@ def test_missing_fields_and_incorrect_runs_are_reported():
     ]
 
 
-def test_committed_records_pass_the_check(capsys):
-    paths = sorted(str(path) for path in ROOT.glob("BENCH_*.json"))
-    assert paths, "no BENCH_*.json committed at the repo root"
-    assert _record_module().check(paths) == 0
-    assert "complete and correct" in capsys.readouterr().out
+def test_seeds_are_an_inclusive_range():
+    record = _record_module()
+    assert record._seeds("11-20") == list(range(11, 21))
+    for text in ("1,4,9", "-3-5", "11"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            record._seeds(text)
+
+
+def test_run_length_comes_from_the_benchmark_spec():
+    command = _record_module()._command(ROOT, "lint", 3)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+    assert command[command.index("--seconds") + 1] == str(
+        spec["run_seconds"])
 
 
 def test_summary_counts_wins_per_pair():
