@@ -86,9 +86,6 @@ class SignalFlowGraph:
             and (label is None or e.event_label == label)
         )
 
-    def edges_from(self, sender_class: str):
-        return tuple(e for e in self.edges if e.sender_class == sender_class)
-
     def senders(self, receiver_class: str, label: str):
         """Distinct (sender class, sender state) pairs for one signal."""
         return sorted({

@@ -332,8 +332,10 @@ def run_scenario(
 ) -> RunRecord:
     """One bounded run: apply the scenario, dispatch to quiescence.
 
-    Time jumps forward to the next due signal whenever the pool is idle
-    (delays included in the exploration, not waited out), and the run is
+    The run is the executors' shared time-advance loop
+    (:meth:`~repro.runtime.dispatcher.Dispatcher.advance`): time jumps
+    forward to the next due signal whenever the pool is idle (delays
+    included in the exploration, not waited out), and the run is
     truncated — never raised — at *max_steps* so a livelocking schedule
     still yields a comparable record.
     """
@@ -341,19 +343,7 @@ def run_scenario(
     sim = Simulation(model, component=component, scheduler=recorder,
                      cant_happen="record")
     _apply_steps(sim, scenario)
-    steps = 0
-    truncated = False
-    while True:
-        if steps >= max_steps:
-            truncated = True
-            break
-        if sim.step():
-            steps += 1
-            continue
-        due = sim.pool.next_due_time()
-        if due is None:
-            break
-        sim.now = max(sim.now, due)
+    steps = sim.advance(max_steps=max_steps)
     drops, consumed, drop_first_step = _arrival_multisets(sim)
     return RunRecord(
         scheduler_name=scheduler.name,
@@ -364,7 +354,7 @@ def run_scenario(
         consumed=tuple(sorted(consumed.items())),
         cant_happen_count=sim.cant_happen_count,
         steps=steps,
-        truncated=truncated,
+        truncated=steps >= max_steps,
         drop_first_step=tuple(sorted(drop_first_step.items())),
     )
 
@@ -525,15 +515,6 @@ class WitnessSearch:
                     },
                 )
         return None
-
-    def ever_consumed(self, class_key: str, label: str, state: str) -> bool:
-        """Did any explored run consume (class, label) from *state*?"""
-        for scenario in self.scenarios:
-            for record in self.records_for(scenario):
-                for entry, _ in record.consumed:
-                    if entry == (class_key, label, state):
-                        return True
-        return False
 
 
 def _render_fingerprint(fingerprint: tuple) -> dict:

@@ -92,10 +92,6 @@ class SurfaceRow:
     in_profile: int
     used_by_models: int
 
-    @property
-    def profile_share(self) -> float:
-        return self.in_profile / self.total if self.total else 0.0
-
 
 def uml15_total() -> int:
     return sum(len(names) for names in UML15_METACLASSES.values())

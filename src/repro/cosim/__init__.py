@@ -10,7 +10,7 @@
 
 from .bus import Bus, BusRequest, BusStats
 from .config import CoSimConfig
-from .engine import CoSimError, CoSimMachine, ResourceStats, US_TO_NS
+from .engine import CoSimMachine, ResourceStats, US_TO_NS
 from .faults import (
     NO_FAULT,
     FaultDecision,
@@ -45,7 +45,6 @@ __all__ = [
     "BusRequest",
     "BusStats",
     "CoSimConfig",
-    "CoSimError",
     "CoSimMachine",
     "FaultDecision",
     "FaultError",

@@ -46,15 +46,13 @@ from .faults import NO_FAULT, FaultPlan, FaultStats
 #: model time (microseconds) to platform time (nanoseconds)
 US_TO_NS = 1_000
 
-#: sim-time budget of one ``run_to_quiescence`` (microseconds).  A
-#: corrupted parameter can legally ask for an absurdly long behaviour (a
-#: four-billion second cook) and chaos runs must terminate anyway; one
-#: hour is generous enough that every fault-free suite finishes unchanged.
+#: sim-time budget of one ``run_to_quiescence`` (microseconds), a horizon
+#: that only cuts: a run that quiesces first leaves ``now`` at its last
+#: event.  A corrupted parameter can legally ask for an absurdly long
+#: behaviour (a four-billion second cook) and chaos runs must terminate
+#: anyway; one hour is generous enough that every fault-free suite
+#: finishes unchanged.
 QUIESCENCE_BUDGET_US = 3_600 * 1_000_000
-
-
-class CoSimError(Exception):
-    """Co-simulation setup or execution failure."""
 
 
 @dataclass
@@ -102,6 +100,7 @@ class CoSimMachine(TargetMachine):
     """Timed execution of one build on the modelled SoC platform."""
 
     name = "cosim"
+    ticks_per_us = US_TO_NS
 
     def __init__(self, build: Build, config: CoSimConfig | None = None,
                  fault_plan: FaultPlan | None = None):
@@ -401,41 +400,33 @@ class CoSimMachine(TargetMachine):
     def _push_heap_now(self, kind: str, payload) -> None:
         self._push_heap(self.now, kind, payload)
 
-    # -- the discrete-event loop -----------------------------------------------------
+    # -- the shared loop's hooks: one instant, and the next one -----------------
 
     def run(self, horizon_us: int | None = None,
-            max_dispatches: int = 2_000_000) -> int:
-        """Run to quiescence (or to the horizon).  Returns dispatch count."""
-        horizon_ns = None if horizon_us is None else horizon_us * US_TO_NS
-        dispatches = 0
-        while dispatches < max_dispatches:
-            advanced = self._drain_heap(horizon_ns)
-            started = self._start_services(horizon_ns)
-            dispatches += started
-            if started or advanced:
-                continue
-            next_time = self._next_event_time()
-            if next_time is None:
-                break
-            if horizon_ns is not None and next_time > horizon_ns:
-                break
-            self.now = max(self.now, next_time)
-        else:
-            raise CoSimError(f"exceeded {max_dispatches} dispatches")
-        if horizon_ns is not None:
-            self.now = max(self.now, horizon_ns)
-        return dispatches
+            max_steps: int = 2_000_000) -> int:
+        """Run through model time *horizon_us* or, without one, to
+        quiescence within :data:`QUIESCENCE_BUDGET_US`.  Returns the
+        dispatch count."""
+        if horizon_us is not None:
+            return super().run_until(horizon_us, max_steps)
+        budget_us = self.now // US_TO_NS + QUIESCENCE_BUDGET_US
+        return self._run_to(budget_us * US_TO_NS, max_steps)
 
     def run_to_quiescence(self, max_steps: int = 1_000_000) -> int:
-        """Run to quiescence within :data:`QUIESCENCE_BUDGET_US` of sim time."""
-        horizon_us = self.now // US_TO_NS + QUIESCENCE_BUDGET_US
-        return self.run(horizon_us=horizon_us, max_dispatches=max_steps)
+        return self.run(max_steps=max_steps)
 
     def run_until(self, time_us: int) -> int:
-        """Advance platform time to model time *time_us*."""
         return self.run(horizon_us=time_us)
 
-    def _next_event_time(self) -> int | None:
+    def step(self) -> bool:
+        """One instant: False when nothing was dispatched at ``now``."""
+        return self._dispatch_now() > 0
+
+    def _dispatch_now(self) -> int:
+        self._drain_heap()
+        return self._start_services()
+
+    def _next_time(self) -> int | None:
         times = []
         if self._heap:
             times.append(self._heap[0][0])
@@ -452,10 +443,10 @@ class CoSimMachine(TargetMachine):
             times.append(self._cpu_free_at)
         return min(times) if times else None
 
-    def _drain_heap(self, horizon_ns) -> bool:
+    def _drain_heap(self) -> None:
         # local signals due by now reach their queues before anything the
         # bus delivers at this instant, as they were routed earlier
-        advanced = self.pool.release_due(self.now) > 0
+        self.pool.release_due(self.now)
         while self._heap and self._heap[0][0] <= self.now:
             _t, _s, kind, payload = heapq.heappop(self._heap)
             if kind == "bus_poll":
@@ -464,12 +455,10 @@ class CoSimMachine(TargetMachine):
                     delivery, request = granted
                     self._push_heap(delivery, "bus_deliver", request)
                     granted = self.bus.grant(self.now)
-                advanced = True
             elif kind == "bus_deliver":
                 payload.deliver()
                 # the bus may have more queued work now that it is free
                 self._push_heap_now("bus_poll", None)
-                advanced = True
             elif kind == "retry":
                 transfer = payload
                 if not transfer.done:
@@ -480,8 +469,6 @@ class CoSimMachine(TargetMachine):
                         self._send_attempt(transfer, self.now)
                     else:
                         self._count_lost(transfer)
-                advanced = True
-        return advanced
 
     def _receivable(self, signal: SignalInstance) -> bool:
         """False once the receiver died: the signal is then dropped."""
@@ -492,7 +479,7 @@ class CoSimMachine(TargetMachine):
         if self._receivable(signal):
             self.pool.push_ready(signal)
 
-    def _start_services(self, horizon_ns) -> int:
+    def _start_services(self) -> int:
         started = 0
         # hardware instances are independent resources: start any that can
         for handle in self.pool.ready_handles():

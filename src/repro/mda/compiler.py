@@ -52,13 +52,6 @@ class ClassPlan:
     hardware: tuple[str, ...]
     systemc: tuple[str, ...]
 
-    def target_of(self, class_key: str) -> str:
-        if class_key in self.hardware:
-            return "vhdl"
-        if class_key in self.systemc:
-            return "systemc"
-        return "c"
-
 
 def classify_classes(
     component: Component, rules: RuleSet, marks: MarkSet

@@ -529,15 +529,6 @@ class InterfaceCodec:
 
     # -- reliability framing ------------------------------------------------
 
-    def is_framed(self, name: str) -> bool:
-        return name in self.frames
-
-    def wire_bytes(self, name: str) -> int:
-        """On-wire size of the message: frame size if protected."""
-        if name in self.frames:
-            return self.frames[name].frame_bytes
-        return self.layouts[name][1]
-
     def frame(self, name: str, payload: bytes, sequence: int) -> bytes:
         """Append the seq16 + CRC trailer to a packed payload."""
         try:

@@ -12,7 +12,7 @@ snapshotted before any action runs, so an instance cannot react within
 the same cycle to a signal raised in it — exactly what the registered
 FSM does in hardware.
 
-Stamping, tracing, dispatch and the quiescence loop are the shared
+Stamping, tracing, dispatch and the time-advance loop are the shared
 :class:`~repro.runtime.dispatcher.Dispatcher`'s; this module adds only the
 per-edge snapshot policy, the registered-output queueing and the clock.
 """
@@ -35,6 +35,10 @@ class VHardwareMachine(TargetMachine):
         if clock_mhz < 1:
             raise ArchError("clock must be at least 1 MHz")
         self.clock_mhz = clock_mhz
+
+    @property
+    def ticks_per_us(self) -> int:
+        return self.clock_mhz
 
     @property
     def cycle(self) -> int:
@@ -92,23 +96,4 @@ class VHardwareMachine(TargetMachine):
 
     # bound in this class's own namespace so the mda.vsim span resolves
     run_to_quiescence = TargetMachine.run_to_quiescence
-
-    def run_until(self, time_us: int, max_cycles: int = 10_000_000) -> int:
-        """Clock until model time *time_us* (µs × clock = target cycle)."""
-        target_cycle = time_us * self.clock_mhz
-        cycles = 0
-        while self.now < target_cycle:
-            if self.pool.is_idle():
-                self.now = target_cycle
-                break
-            if self.pool.ready_count == 0:
-                due = self.pool.next_due_time()
-                if due is None or due > target_cycle:
-                    self.now = target_cycle
-                    break
-                self.now = due
-            self.tick()
-            cycles += 1
-            if cycles > max_cycles:
-                raise ArchError(f"exceeded {max_cycles} cycles")
-        return cycles
+    run_until = TargetMachine.run_until

@@ -55,9 +55,6 @@ class AnalyzedActivity:
     #: event parameters visible to this activity: name -> type
     event_parameters: dict[str, DataType] = field(default_factory=dict)
 
-    def type_of(self, expr: ast.Expr) -> DataType | None:
-        return self.expr_types[id(expr)]
-
 
 def entering_events(klass: ModelClass, state: State):
     """Event specs that can cause entry to *state* (incl. creation events)."""

@@ -16,7 +16,10 @@ Executors differ only in
 * **source policy** -- which ready source dispatches next: a
   :class:`~repro.runtime.scheduler.Scheduler` for the step-driven
   executors, the per-edge snapshot for vsim, the timed resources for the
-  co-simulation.
+  co-simulation;
+* **time** -- what one instant dispatches and when the next one is.
+  The loop between instants, :meth:`Dispatcher.advance`, is written once,
+  so every executor shares one boundary rule.
 
 The standard bridge services (:data:`STANDARD_BRIDGES`) are written here
 once too, so ``LOG`` and ``TIM`` mean the same on every executor: a
@@ -25,6 +28,8 @@ once too, so ``LOG`` and ``TIM`` mean the same on every executor: a
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.xuml.statemachine import EventResponse
 
@@ -86,7 +91,10 @@ class Dispatcher:
     and ``_run_state_activity``, which runs the activity through
     :meth:`_run_to_completion`.  A step-driven subclass also sets
     ``scheduler``, the :class:`~repro.runtime.scheduler.Scheduler` that
-    picks each step's source.  Each concrete executor sets ``name``; that,
+    picks each step's source; an executor whose instant is not one
+    ``step`` overrides ``_dispatch_now`` and ``_next_time`` instead, and a
+    clock other than the model's microsecond sets ``ticks_per_us``.  Each
+    concrete executor sets ``name``; that,
     the population and stimulus calls, the run loops and the state,
     attribute and trace reads are the surface :func:`repro.verify.run_case`
     drives.
@@ -98,6 +106,8 @@ class Dispatcher:
     #: raised by :meth:`call_bridge` when no implementation is registered
     bridge_error: type[Exception] = BridgeError
     cant_happen_policy = "error"
+    #: model microseconds -> ticks of this executor's clock
+    ticks_per_us = 1
     #: metrics hook, called with each chosen source before it is popped;
     #: bound once, so with metrics off a step pays one ``is None`` test
     _on_dispatch = None
@@ -311,34 +321,53 @@ class Dispatcher:
         self.dispatch(self.pool.pop(source))
         return True
 
-    def run_to_quiescence(self, max_steps: int = 1_000_000) -> int:
-        """Dispatch until no event is ready or scheduled.  Returns steps."""
+    # -- the one time-advance loop ----------------------------------------------
+
+    def _dispatch_now(self) -> int:
+        """Dispatch what is ready at ``now``; returns how many dispatches."""
+        return self.step()
+
+    def _next_time(self) -> int | None:
+        """The earliest later instant at which anything can happen."""
+        return self.pool.next_due_time()
+
+    def advance(self, horizon=math.inf, max_steps: int = 1_000_000) -> int:
+        """Dispatch until quiescence, until the next instant is past the
+        inclusive *horizon* (``now`` then becomes the horizon), or for
+        *max_steps* dispatches.  Returns the dispatch count; never raises.
+        """
         steps = 0
-        while steps < max_steps:
-            if self.step():
-                steps += 1
+        while steps < max_steps and self.now <= horizon:
+            dispatched = self._dispatch_now()
+            if dispatched:
+                steps += dispatched
                 continue
-            due = self.pool.next_due_time()
+            due = self._next_time()
             if due is None:
                 break
+            if due > horizon:
+                self.now = horizon
+                break
             self.now = max(self.now, due)
-        else:
+        return steps
+
+    def _run_to(self, horizon, max_steps: int) -> int:
+        steps = self.advance(horizon, max_steps)
+        if steps >= max_steps:
             raise self.error(f"no quiescence within {max_steps} steps")
         return steps
 
+    def run_to_quiescence(self, max_steps: int = 1_000_000) -> int:
+        """Dispatch until no event is ready or scheduled.  Returns steps."""
+        return self._run_to(math.inf, max_steps)
+
     def run_until(self, time: int, max_steps: int = 1_000_000) -> int:
-        """Advance time to *time*, dispatching everything due."""
-        if time < self.now:
-            raise self.error("cannot run backwards")
-        steps = 0
-        while True:
-            while self.step():
-                steps += 1
-                if steps > max_steps:
-                    raise self.error(f"exceeded {max_steps} steps")
-            due = self.pool.next_due_time()
-            if due is None or due > time:
-                break
-            self.now = max(self.now, due)
-        self.now = time
+        """Dispatch everything due by model time *time* (microseconds,
+        inclusive) and leave the clock there.  Returns steps."""
+        horizon = time * self.ticks_per_us
+        if horizon < self.now:
+            raise self.error(
+                f"cannot run backwards from {self.now} to {horizon}")
+        steps = self._run_to(horizon, max_steps)
+        self.now = max(self.now, horizon)
         return steps

@@ -65,13 +65,6 @@ class Trace:
     def of_kind(self, kind: TraceKind) -> tuple[TraceEvent, ...]:
         return tuple(e for e in self._events if e.kind is kind)
 
-    def signals_consumed_by(self, handle: int) -> tuple[TraceEvent, ...]:
-        return tuple(
-            e
-            for e in self._events
-            if e.kind is TraceKind.SIGNAL_CONSUMED and e.data.get("target") == handle
-        )
-
     def transitions_of(self, handle: int) -> tuple[TraceEvent, ...]:
         return tuple(
             e

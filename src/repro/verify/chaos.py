@@ -213,8 +213,6 @@ def chaos_sweep(model_name: str, hardware: tuple[str, ...] | None = None,
             machine = CoSimMachine(build, config, plan)
             result = run_case(case, machine)
             events = machine.trace.events
-            # machine.now sits at the quiescence-budget horizon; the last
-            # trace timestamp is when work actually stopped
             makespan = events[-1].time if events else 0
             point.cases.append(ChaosCaseResult(
                 case=case.name,

@@ -39,9 +39,6 @@ class Model:
                 f"model {self.name} has no component {name!r}"
             ) from None
 
-    def has_component(self, name: str) -> bool:
-        return name in self._components
-
     @property
     def components(self) -> tuple[Component, ...]:
         return tuple(self._components.values())

@@ -1,5 +1,7 @@
 """Unit tests for scenario distillation and the interleaving explorer."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.witness import (
@@ -102,6 +104,16 @@ class TestRunAndReplay:
                               max_steps=2)
         assert record.truncated
         assert record.steps == 2
+
+    def test_a_run_that_reaches_max_steps_is_truncated(self, microwave,
+                                                       microwave_scenarios):
+        full = run_scenario(microwave, microwave_scenarios[0],
+                            SynchronousScheduler(), component="control")
+        capped = run_scenario(microwave, microwave_scenarios[0],
+                              SynchronousScheduler(), component="control",
+                              max_steps=full.steps)
+        assert not full.truncated
+        assert capped == replace(full, truncated=True)
 
 
 class TestWitnessSearch:

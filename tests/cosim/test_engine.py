@@ -14,6 +14,7 @@ from repro.cosim import (
     poisson_packets,
     sweep_partitions,
 )
+from repro.cosim.engine import QUIESCENCE_BUDGET_US
 from repro.marks import marks_for_partition
 from repro.mda import CSoftwareMachine, ModelCompiler
 from repro.models import (
@@ -112,6 +113,33 @@ class TestTiming:
                        delay=1000)
         machine.run(horizon_us=10)
         assert machine.read_attribute(handles["ST"], "packets") == 0
+
+    def test_quiescence_leaves_the_clock_at_the_last_event(self):
+        def three_packets():
+            machine = CoSimMachine(compiled(()))
+            handles = packetproc.populate(machine)
+            packetproc.inject_packets(machine, handles["M"], 3, length=64,
+                                      spacing=20)
+            return machine
+
+        by_run = three_packets()
+        by_run.run()
+        machine = three_packets()
+        machine.run_to_quiescence()
+        assert machine.now == by_run.now == 43_680
+        report = machine.utilization_report()
+        assert report == by_run.utilization_report()
+        assert report["cpu"] == pytest.approx(0.248, abs=0.001)
+
+    def test_quiescence_budget_cuts_an_endless_run_at_its_horizon(self):
+        model = build_microwave_model()
+        machine = CoSimMachine(ModelCompiler(model).compile(
+            marks_for_partition(model.components[0], ())))
+        oven = machine.create_instance("MO", oven_id=1)
+        machine.inject(oven, "MO1", {"seconds": 10_000})
+        machine.run_to_quiescence()
+        assert machine.now == QUIESCENCE_BUDGET_US * US_TO_NS
+        assert machine.state_of(oven) == "Cooking"
 
     def test_config_injection(self):
         config = CoSimConfig(sw_ns_per_op=100, sw_dispatch_ns=1000)

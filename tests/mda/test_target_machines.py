@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.mda import ArchError, CSoftwareMachine, VHardwareMachine, build_manifest
+from repro.cosim import CoSimMachine
+from repro.marks import marks_for_partition
+from repro.mda import (
+    ArchError,
+    CSoftwareMachine,
+    ModelCompiler,
+    VHardwareMachine,
+    build_manifest,
+)
 from repro.mda.archrt import TargetMachine
 from repro.models import (
     build_checksum_model,
@@ -12,7 +20,8 @@ from repro.models import (
     fletcher_reference,
     packetproc,
 )
-from repro.runtime import Simulation, TraceKind
+from repro.runtime import Simulation, SimulationError, TraceKind
+from repro.runtime.dispatcher import Dispatcher
 from repro.xuml import ModelBuilder
 
 
@@ -34,6 +43,23 @@ def build_pinger_model():
     """)
     pinger.trans("Pinging", "PING", "Pinging")
     return builder.build()
+
+
+#: every executor, and the error it raises
+EXECUTORS = {"abstract": SimulationError, "csim": ArchError,
+             "vsim": ArchError, "cosim": ArchError}
+
+
+def executor_for(name: str, model):
+    """A fresh *name* executor of *model* (vsim clocked at 1 MHz)."""
+    if name == "abstract":
+        return Simulation(model)
+    if name == "csim":
+        return CSoftwareMachine(manifest_of(model))
+    if name == "vsim":
+        return VHardwareMachine(manifest_of(model), clock_mhz=1)
+    return CoSimMachine(ModelCompiler(model).compile(
+        marks_for_partition(model.components[0], ())))
 
 
 class TestCSoftwareMachine:
@@ -131,6 +157,8 @@ class TestVHardwareMachine:
     def test_quiescence_counts_active_edges_on_the_shared_loop(self):
         assert (VHardwareMachine.__dict__["run_to_quiescence"]
                 is TargetMachine.run_to_quiescence)
+        assert VHardwareMachine.__dict__["run_until"] is Dispatcher.run_until
+        assert CSoftwareMachine.__dict__["run_until"] is Dispatcher.run_until
         machine = VHardwareMachine(manifest_of(build_microwave_model()))
         oven = machine.create_instance("MO", oven_id=1)
         machine.inject(oven, "MO1", {"seconds": 1})
@@ -157,6 +185,15 @@ class TestVHardwareMachine:
         machine.tick()
         assert machine.state_of(oven) == "Preparing"
         machine.tick()
+        assert machine.state_of(oven) == "Cooking"
+
+    def test_an_output_registered_for_the_horizon_edge_is_consumed(self):
+        machine = VHardwareMachine(manifest_of(build_microwave_model()),
+                                   clock_mhz=1)
+        oven = machine.create_instance("MO", oven_id=1)
+        machine.inject(oven, "MO1", {"seconds": 0})
+        # edge 0 consumes MO1 and registers MO5 for edge 1, the horizon
+        machine.run_until(1)
         assert machine.state_of(oven) == "Cooking"
 
     def test_behaviour_matches_abstract(self):
@@ -220,3 +257,46 @@ class TestArchRuntimeDetails:
         machine.inject(tc, "T1")
         machine.run_until(36_000_000)
         assert machine.state_of(tc) == "AllRedToEW"
+
+
+class TestSharedTimeAdvance:
+    """One time-advance loop, so one boundary rule on every executor."""
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_run_until_into_the_past_raises_the_host_error(self, name):
+        executor = executor_for(name, build_microwave_model())
+        executor.run_until(10)
+        with pytest.raises(EXECUTORS[name], match="cannot run backwards"):
+            executor.run_until(5)
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_an_event_due_at_the_horizon_is_consumed(self, name):
+        executor = executor_for(name, build_microwave_model())
+        oven = executor.create_instance("MO", oven_id=1)
+        executor.inject(oven, "MO1", {"seconds": 1}, delay=1_000)
+        executor.run_until(1_000)
+        consumed = [event.data["label"] for event in
+                    executor.trace.of_kind(TraceKind.SIGNAL_CONSUMED)]
+        assert consumed[:1] == ["MO1"]
+        assert executor.state_of(oven) != "Idle"
+
+    @pytest.mark.parametrize("name", ["abstract", "csim", "vsim"])
+    def test_run_until_raises_after_exactly_max_steps(self, name):
+        executor = executor_for(name, build_pinger_model())
+        handle = executor.create_instance("PG", pg_id=1)
+        executor.inject(handle, "PING")
+        with pytest.raises(EXECUTORS[name], match="within 50 steps"):
+            executor.run_until(1_000_000, max_steps=50)
+        assert executor.read_attribute(handle, "pings") == 50
+
+    def test_cosim_step_is_one_instant(self):
+        machine = executor_for("cosim", build_microwave_model())
+        oven = machine.create_instance("MO", oven_id=1)
+        machine.inject(oven, "MO1", {"seconds": 1})
+        assert machine.step() is True
+        assert machine.state_of(oven) == "Preparing"
+        # MO1's activity holds the CPU: nothing more can start at time 0
+        assert machine.step() is False
+        assert machine.now == 0
+        machine.run_to_quiescence()
+        assert machine.state_of(oven) == "Complete"

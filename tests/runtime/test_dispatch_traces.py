@@ -12,7 +12,10 @@ A digest may move only when the behaviour it pins was a bug; each such
 case is listed in ``REFRESHED`` with the reason and the new digest.  The
 digests refreshed when the executors came to share one set of standard
 bridges are also proven: undoing just the two record changes that sharing
-made (:func:`undo_bridge_unification`) restores each golden digest.
+made (:func:`undo_bridge_unification`) restores each golden digest.  Six
+co-simulation digests moved again when the co-simulation's clock stopped
+jumping to its quiescence budget (``CLOCK_REFRESHED``); re-adding just that
+jump (:class:`BudgetJumpCoSim`) restores each ``REFRESHED`` digest.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from repro.mda.compiler import ModelCompiler
 from repro.models import build_model
 from repro.models.catalog import CATALOG
 from repro.obs import dump_jsonl
-from repro.cosim import CoSimMachine
+from repro.cosim import CoSimMachine, US_TO_NS
+from repro.cosim.engine import QUIESCENCE_BUDGET_US
 from repro.mda.csim import CSoftwareMachine
 from repro.mda.vsim import VHardwareMachine
 from repro.runtime import Simulation
@@ -36,7 +40,19 @@ from repro.verify import run_case, suite_for
 TARGETS = ("abstract", "csim", "vsim", "cosim-sw", "cosim-hw")
 
 
-def target_factories(model_name: str) -> dict:
+class BudgetJumpCoSim(CoSimMachine):
+    """The co-simulation with its old clock jump put back: its
+    ``run_to_quiescence`` left ``now`` at the one-hour budget horizon
+    even when the run quiesced long before it."""
+
+    def run_to_quiescence(self, max_steps: int = 1_000_000) -> int:
+        horizon = (self.now // US_TO_NS + QUIESCENCE_BUDGET_US) * US_TO_NS
+        steps = super().run_to_quiescence(max_steps)
+        self.now = max(self.now, horizon)
+        return steps
+
+
+def target_factories(model_name: str, cosim=CoSimMachine) -> dict:
     """One fresh-executor factory per pinned executor for *model_name*."""
     model = build_model(model_name)
     component = model.components[0]
@@ -48,8 +64,8 @@ def target_factories(model_name: str) -> dict:
         "abstract": lambda: Simulation(build_model(model_name)),
         "csim": lambda: CSoftwareMachine(sw_build.manifest),
         "vsim": lambda: VHardwareMachine(hw_build.manifest),
-        "cosim-sw": lambda: CoSimMachine(sw_build),
-        "cosim-hw": lambda: CoSimMachine(hw_build),
+        "cosim-sw": lambda: cosim(sw_build),
+        "cosim-hw": lambda: cosim(hw_build),
     }
 
 
@@ -64,6 +80,18 @@ def exported_traces() -> dict[tuple[str, str, str], str]:
                 run_case(case, target)
                 traces[(entry.name, case.name, name)] = dump_jsonl(
                     target.trace)
+    return traces
+
+
+def budget_jump_traces(keys) -> dict[tuple[str, str, str], str]:
+    """The co-simulation traces of *keys*, run on :class:`BudgetJumpCoSim`."""
+    traces = {}
+    for model_name, case_name, name in keys:
+        case = next(case for case in suite_for(model_name)
+                    if case.name == case_name)
+        target = target_factories(model_name, BudgetJumpCoSim)[name]()
+        run_case(case, target)
+        traces[(model_name, case_name, name)] = dump_jsonl(target.trace)
     return traces
 
 
@@ -391,6 +419,40 @@ REFRESHED: dict[tuple[str, str, str], tuple[str, str]] = {
 }
 
 
+_CLOCK_JUMP = (
+    "the co-simulation's run_to_quiescence left now at its one-hour "
+    "quiescence budget, so each stimulus injected after a run step, and "
+    "everything it caused, was stamped an hour late"
+)
+#: digests refreshed a second time, over ``REFRESHED``:
+#: (model, case, target) -> (new digest, why the old one pinned a bug)
+CLOCK_REFRESHED: dict[tuple[str, str, str], tuple[str, str]] = {
+    ('microwave', 'door-open-pauses-cooking', 'cosim-sw'): (
+        '89c1da43d1c484e53d36e17564fa0d264f05edb9d49438914ee4d46d502f169e',
+        _CLOCK_JUMP),
+    ('microwave', 'door-open-pauses-cooking', 'cosim-hw'): (
+        '46a516681056bfa84e0b818e9410b486ae3683af8ae672a0e4b18c1e6792d800',
+        _CLOCK_JUMP),
+    ('microwave', 'second-cook-from-complete', 'cosim-sw'): (
+        '1475d41028ebe4af268d9a01c44a151ad907cd3a2b1db4f32d5e785110706b56',
+        _CLOCK_JUMP),
+    ('microwave', 'second-cook-from-complete', 'cosim-hw'): (
+        'dbbac37c9bbc40e7057f2ea0539c0a37f125b7b0e68a37aac76f3a9bb4f61f45',
+        _CLOCK_JUMP),
+    ('microwave', 'door-open-from-complete-resets', 'cosim-sw'): (
+        'af911c14496fdd01a7c3571a05a52f2aeadc46db563c74685d513881563ed91c',
+        _CLOCK_JUMP),
+    ('microwave', 'door-open-from-complete-resets', 'cosim-hw'): (
+        'de04a1c258381c1d6bdb007b2890d726ce2e9b44e9bff4f7de05a8f5d2e569bf',
+        _CLOCK_JUMP),
+}
+
+
+def pinned_digest(key: tuple[str, str, str]) -> str:
+    """The digest *key*'s trace must have now."""
+    return CLOCK_REFRESHED.get(key, REFRESHED.get(key, (GOLDEN[key],)))[0]
+
+
 def undo_bridge_unification(target: str, text: str) -> str:
     """Rewrite an exported trace into what the executor wrote before the
     standard bridges were shared: the architecture targets drop their
@@ -429,6 +491,11 @@ def traces():
 
 
 @pytest.fixture(scope="module")
+def jump_traces():
+    return budget_jump_traces(CLOCK_REFRESHED)
+
+
+@pytest.fixture(scope="module")
 def digests(traces):
     return {key: sha256(text) for key, text in traces.items()}
 
@@ -441,17 +508,26 @@ def test_every_case_on_every_target_is_pinned(digests):
 def test_traces_match_their_golden_digests(digests):
     moved = {
         key: digest for key, digest in digests.items()
-        if digest != REFRESHED.get(key, (GOLDEN[key],))[0]
+        if digest != pinned_digest(key)
     }
     assert not moved, sorted(moved)
 
 
-def test_undoing_the_shared_bridges_restores_every_golden_digest(traces):
+def test_putting_the_clock_jump_back_restores_every_refreshed_digest(
+        jump_traces):
+    assert len(CLOCK_REFRESHED) == 6
+    for key, text in jump_traces.items():
+        assert sha256(text) == REFRESHED[key][0], key
+
+
+def test_undoing_the_shared_bridges_restores_every_golden_digest(
+        traces, jump_traces):
     bridge_refreshed = [key for key, (_digest, reason) in REFRESHED.items()
                         if reason != _STALE_TICK]
     assert len(bridge_refreshed) == 24
     for key in bridge_refreshed:
-        assert sha256(undo_bridge_unification(key[2], traces[key])) == \
+        text = jump_traces.get(key, traces[key])
+        assert sha256(undo_bridge_unification(key[2], text)) == \
             GOLDEN[key], key
 
 
@@ -462,3 +538,6 @@ def test_refreshed_digests_are_cosim_fixes_or_undo_proven():
         else:
             assert reason in (_LOG_DROPPED, _TIMER_UNSENT)
             assert (target == "abstract") == (reason == _TIMER_UNSENT)
+    for key, (_digest, reason) in CLOCK_REFRESHED.items():
+        assert reason == _CLOCK_JUMP and key[2].startswith("cosim"), key
+        assert REFRESHED[key][1] == _LOG_DROPPED, key
