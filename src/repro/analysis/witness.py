@@ -31,6 +31,7 @@ from repro.runtime.scheduler import (
 )
 from repro.runtime.simulator import Simulation
 from repro.runtime.tracing import TraceKind
+from repro.verify.runner import apply_stimulus
 from repro.verify.testcase import (
     CreateStep,
     CreationEventStep,
@@ -254,21 +255,6 @@ class RunRecord:
         )
 
 
-def _apply_steps(sim: Simulation, scenario: Scenario) -> None:
-    names: dict[str, int] = {}
-    for step in scenario.steps:
-        if isinstance(step, CreateStep):
-            names[step.name] = sim.create_instance(step.class_key, **step.attributes)
-        elif isinstance(step, RelateStep):
-            sim.relate(names[step.left], names[step.right],
-                       step.association, step.phrase)
-        elif isinstance(step, InjectStep):
-            sim.inject(names[step.name], step.label, step.params,
-                       delay=step.delay_us)
-        elif isinstance(step, CreationEventStep):
-            sim.send_creation(step.class_key, step.label, step.params)
-
-
 def _fingerprint(sim: Simulation) -> tuple:
     print_ = []
     for klass in sim.component.classes:
@@ -342,7 +328,9 @@ def run_scenario(
     recorder = RecordingScheduler(scheduler)
     sim = Simulation(model, component=component, scheduler=recorder,
                      cant_happen="record")
-    _apply_steps(sim, scenario)
+    names: dict[str, int] = {}
+    for step in scenario.steps:
+        apply_stimulus(step, sim, names)
     steps = sim.advance(max_steps=max_steps)
     drops, consumed, drop_first_step = _arrival_multisets(sim)
     return RunRecord(

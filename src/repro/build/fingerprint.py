@@ -17,8 +17,9 @@ per-piece dependency keys:
   other class's key, and therefore its cached artifacts, untouched.
 * :func:`shared_dependency_key` — the runtime support files (types
   header, C kernel, VHDL runtime package), functions of the model alone.
-* :func:`manifest_dependency_key` — the lowered manifest + signal flows,
-  the expensive parse/analyze/lower product that every retarget reuses.
+* :func:`manifest_dependency_key` — the manifest + signal flows, tables
+  built around the lowered IR, functions of the model alone that every
+  retarget reuses.
 
 Mapping-rule predicates are code and cannot be hashed by value; a rule's
 identity is its ordered ``(name, target)`` pair, and any change to a

@@ -2,13 +2,14 @@
 
 The paper's §4 claim is that "changing the partition is a matter of
 changing the placement of the marks"; this module makes that claim a
-*cached* operation.  :class:`IncrementalCompiler` runs the exact same
-emission functions as :class:`~repro.mda.compiler.ModelCompiler`, but
-keys every piece by its dependency fingerprint and files the output in
-an :class:`~repro.build.store.ArtifactStore`:
+*cached* operation.  :class:`IncrementalCompiler` is a
+:class:`~repro.mda.compiler.ModelCompiler` whose two emission hooks key
+every bundle by its dependency fingerprint and file it in an
+:class:`~repro.build.store.ArtifactStore`; ``assemble`` still decides
+what is emitted, and in which order:
 
-* the lowered manifest + signal flows (the expensive parse/analyze/lower
-  product) depend only on the model, so every retarget reuses them;
+* the manifest + signal flows (tables built around the lowering cache's
+  IR) depend only on the model, so every retarget reuses them;
 * each class's artifacts depend on the model, the class's resolved
   target and the marks *on that class* — moving one mark recompiles only
   the moved class;
@@ -17,9 +18,9 @@ an :class:`~repro.build.store.ArtifactStore`:
   paper's point is precisely that both halves are re-derived on every
   change).
 
-Because cold and warm paths share one set of emission functions, a warm
-build is byte-identical to a cold one by construction — and the tests
-and E9 bench verify it anyway.
+Because cold and warm paths share one ``assemble``, a warm build is
+byte-identical to a cold one by construction — and the tests and E9
+bench verify it anyway.
 """
 
 from __future__ import annotations
@@ -31,17 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.marks.model import MarkSet
 from repro.marks.partition import partition_from_flows, signal_flows
-from repro.mda.compiler import (
-    Build,
-    ModelCompiler,
-    classify_classes,
-    emit_c_runtime_artifacts,
-    emit_class_artifacts,
-    emit_interface_artifacts,
-    emit_types_artifacts,
-    emit_vhdl_runtime_artifacts,
-)
-from repro.mda.interfacegen import build_interface_spec
+from repro.mda.compiler import Build, ModelCompiler
 from repro.mda.manifest import build_manifest
 from repro.mda.rules import RuleSet
 from repro.xuml.model import Model
@@ -49,7 +40,6 @@ from repro.xuml.model import Model
 from .fingerprint import (
     class_dependency_key,
     manifest_dependency_key,
-    marks_fingerprint,
     model_fingerprint,
     rules_fingerprint,
     shared_dependency_key,
@@ -74,7 +64,6 @@ class CompileStats:
     shared_compiled: int = 0
     shared_reused: int = 0
     manifest_reused: bool = False
-    marks_fp: str = ""
     #: this compile's slice of the store counters
     store: StoreStats = field(default_factory=StoreStats)
 
@@ -92,28 +81,14 @@ class CompileStats:
             f"{self.shared_reused} reused; manifest {manifest}"
         )
 
-    def as_dict(self) -> dict:
-        data = {
-            "model": self.model,
-            "component": self.component,
-            "classes_total": self.classes_total,
-            "classes_compiled": self.classes_compiled,
-            "classes_reused": self.classes_reused,
-            "shared_compiled": self.shared_compiled,
-            "shared_reused": self.shared_reused,
-            "manifest_reused": self.manifest_reused,
-        }
-        data.update(self.store.as_dict())
-        return data
 
-
-class IncrementalCompiler:
+class IncrementalCompiler(ModelCompiler):
     """A :class:`ModelCompiler` with a content-addressed artifact cache.
 
-    With ``store=None`` it still memoizes the lowered manifest in
-    process (every same-model retarget skips re-parsing), but emits all
-    artifacts fresh; with a store, per-class and shared artifacts come
-    from cache whenever their dependency keys match.
+    With ``store=None`` it still memoizes the manifest and signal flows
+    in process (every same-model retarget skips rebuilding the tables),
+    but emits all artifacts fresh; with a store, per-class and shared
+    artifacts come from cache whenever their dependency keys match.
     """
 
     def __init__(
@@ -123,87 +98,41 @@ class IncrementalCompiler:
         rules: RuleSet | None = None,
         store: ArtifactStore | None = None,
     ):
-        self._inner = ModelCompiler(model, component, rules)
-        self.model = model
-        self.component = self._inner.component
-        self.rules = self._inner.rules
+        super().__init__(model, component, rules)
         self.store = store
         self._model_fp = model_fingerprint(model)
         self._rules_fp = rules_fingerprint(self.rules)
         self.last_stats: CompileStats | None = None
 
-    @property
-    def model_fingerprint(self) -> str:
-        return self._model_fp
-
     def compile(self, marks: MarkSet) -> Build:
         """The same pipeline as ``ModelCompiler.compile``, cached."""
-        name = self.component.name
-        stats = CompileStats(
-            model=self.model.name, component=name,
+        self.last_stats = CompileStats(
+            model=self.model.name, component=self.component.name,
             classes_total=len(self.component.classes),
-            marks_fp=marks_fingerprint(marks),
         )
         before = (self.store.stats.snapshot() if self.store is not None
                   else None)
-
-        manifest, flows = self._manifest_and_flows(stats)
+        manifest, flows = self._manifest_and_flows()
         partition = partition_from_flows(self.component, marks, flows)
-        interface = build_interface_spec(manifest, partition, marks)
-        plan = classify_classes(self.component, self.rules, marks)
-
-        artifacts: dict[str, str] = {}
-        artifacts.update(self._shared(
-            "c-types", emit_types_artifacts, manifest, stats))
-        if plan.software:
-            artifacts.update(self._shared(
-                "c-runtime", emit_c_runtime_artifacts, manifest, stats))
-            for key in plan.software:
-                artifacts.update(self._class_artifacts(
-                    manifest, key, "c", marks, stats))
-        if plan.hardware:
-            artifacts.update(self._shared(
-                "vhdl-runtime", emit_vhdl_runtime_artifacts, manifest,
-                stats))
-            for key in plan.hardware:
-                artifacts.update(self._class_artifacts(
-                    manifest, key, "vhdl", marks, stats))
-        for key in plan.systemc:
-            artifacts.update(self._class_artifacts(
-                manifest, key, "systemc", marks, stats))
-
-        # both interface halves and the marking snapshot are re-derived
-        # on every compile — the consistency-by-construction argument
-        artifacts.update(emit_interface_artifacts(interface, name))
-        artifacts["marks.mks"] = marks.dumps()
-
+        build = self.assemble(manifest, partition, marks)
         if before is not None:
-            stats.store = self.store.stats.delta(before)
-        self.last_stats = stats
-        return Build(
-            model=self.model,
-            component_name=name,
-            manifest=manifest,
-            partition=partition,
-            interface=interface,
-            rules_applied=plan.rules_applied,
-            artifacts=artifacts,
-        )
+            self.last_stats.store = self.store.stats.delta(before)
+        return build
 
     # -- cached pieces -------------------------------------------------------
 
-    def _manifest_and_flows(self, stats: CompileStats):
+    def _manifest_and_flows(self):
         key = manifest_dependency_key(self._model_fp, self.component.name)
         memoized = _MANIFEST_MEMO.get(key)
         if memoized is not None:
             _MANIFEST_MEMO.move_to_end(key)
-            stats.manifest_reused = True
+            self.last_stats.manifest_reused = True
             return memoized
         if self.store is not None:
             payload = self.store.get(key)
             if payload is not None:
                 manifest, flows = pickle.loads(payload)
-                stats.manifest_reused = True
+                self.last_stats.manifest_reused = True
                 self._memoize(key, (manifest, flows))
                 return manifest, flows
         manifest = build_manifest(self.model, self.component)
@@ -220,33 +149,30 @@ class IncrementalCompiler:
         while len(_MANIFEST_MEMO) > _MEMO_LIMIT:
             _MANIFEST_MEMO.popitem(last=False)
 
-    def _shared(self, kind: str, emit, manifest,
-                stats: CompileStats) -> dict[str, str]:
+    def _shared_bundle(self, kind: str, emit, manifest) -> dict[str, str]:
         key = shared_dependency_key(self._model_fp, self.component.name,
                                     kind)
         cached = self._get_bundle(key)
         if cached is not None:
-            stats.shared_reused += 1
+            self.last_stats.shared_reused += 1
             return cached
-        bundle = emit(manifest, self.component.name)
+        bundle = super()._shared_bundle(kind, emit, manifest)
         self._put_bundle(key, bundle)
-        stats.shared_compiled += 1
+        self.last_stats.shared_compiled += 1
         return bundle
 
-    def _class_artifacts(self, manifest, class_key: str, target: str,
-                         marks: MarkSet,
-                         stats: CompileStats) -> dict[str, str]:
+    def _class_bundle(self, manifest, class_key: str, target: str,
+                      marks: MarkSet) -> dict[str, str]:
         key = class_dependency_key(
             self._model_fp, self._rules_fp, self.component.name,
             class_key, target, marks)
         cached = self._get_bundle(key)
         if cached is not None:
-            stats.classes_reused += 1
+            self.last_stats.classes_reused += 1
             return cached
-        bundle = emit_class_artifacts(
-            manifest, self.component.name, class_key, target, marks)
+        bundle = super()._class_bundle(manifest, class_key, target, marks)
         self._put_bundle(key, bundle)
-        stats.classes_compiled += 1
+        self.last_stats.classes_compiled += 1
         return bundle
 
     def _get_bundle(self, key: str) -> dict[str, str] | None:

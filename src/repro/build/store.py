@@ -65,10 +65,6 @@ class StoreStats:
     def snapshot(self) -> "StoreStats":
         return StoreStats(self.hits, self.misses, self.puts, self.evictions)
 
-    def as_dict(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "puts": self.puts, "evictions": self.evictions}
-
 
 class ArtifactStore:
     """A directory of content-addressed objects with LRU eviction."""

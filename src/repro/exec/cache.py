@@ -1,14 +1,18 @@
 """The lowering cache — parse/analyze/lower each component once.
 
+This is the only place in the execution and build paths that parses,
+analyzes and lowers OAL (``xuml.wellformed`` keeps its own front end
+because it must report every failing body, not stop at the first).
 Lowering is a pure function of the model's content, so the cache is
 content-addressed with the *build layer's* fingerprint
 (:func:`repro.build.fingerprint.model_fingerprint`): two structurally
 identical models — e.g. a catalog model rebuilt for every verification
 case — share one lowered form, while any model edit changes the key and
-misses.  The abstract runtime hits this cache at model-load, which is
-what lets it execute IR with no per-run parse/analyze cost; the
-signal-flow analyzer hits the same cache, so analysis and execution
-read literally the same lowered bodies.
+misses.  The abstract runtime reads it at model-load; the build
+manifest (which csim, vsim and the co-sim execute), the partition's
+signal flows and the signal-flow analyzer read the same blocks, so
+every executor and analysis sees literally the same lowered bodies.
+The blocks are shared, so nothing may mutate them.
 
 Hit/miss counters are kept module-level (``repro check`` prints them)
 and mirrored into the active metrics registry when observability is on

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.oal import ast
-from repro.oal.analyzer import analyze_activity
-from repro.oal.parser import parse_activity
+from repro.exec import lower_component, walk_ir_generates
 from repro.xuml.component import Component
 from repro.xuml.model import Model
 
@@ -41,19 +39,17 @@ class SignalFlow:
 def signal_flows(model: Model, component: Component) -> tuple[SignalFlow, ...]:
     """All (sender, receiver, event) triples found in the component's actions.
 
-    Discovered by walking every state activity's ``generate`` statements;
-    the analyzer resolves each statement's receiving class.  Environment
-    injections are not included (they have no sending class).
+    Discovered by walking the ``generate`` statements of every state
+    activity's lowered IR (operation bodies are not walked); lowering has
+    already resolved each send's receiving class.  Environment injections
+    are not included (they have no sending class).
     """
-    flows: set[SignalFlow] = set()
-    for klass in component.classes:
-        for state in klass.statemachine.states:
-            block = parse_activity(state.activity)
-            analysis = analyze_activity(block, model, component, klass, state)
-            for stmt in ast.walk_statements(block):
-                if isinstance(stmt, ast.Generate):
-                    receiver = analysis.generate_classes[id(stmt)]
-                    flows.add(SignalFlow(klass.key_letters, receiver, stmt.event_label))
+    lowered = lower_component(model, component)
+    flows = {
+        SignalFlow(class_key, stmt[2], stmt[1])
+        for (class_key, _), block in lowered.activities.items()
+        for stmt, _, _ in walk_ir_generates(block)
+    }
     return tuple(sorted(flows, key=lambda f: (f.sender_class, f.receiver_class, f.event_label)))
 
 
@@ -105,9 +101,9 @@ def partition_from_flows(
 ) -> Partition:
     """Derive the partition from marks and precomputed signal flows.
 
-    Flow discovery re-parses every state activity, but the flows depend
-    only on the model — not the marks — so retarget-heavy callers (the
-    incremental build cache) compute them once and re-split cheaply here.
+    The flows depend only on the model, not the marks, so retarget-heavy
+    callers (the incremental build cache, which also stores them with the
+    manifest) compute them once and re-split cheaply here.
     """
     hardware: list[str] = []
     software: list[str] = []

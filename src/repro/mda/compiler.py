@@ -9,16 +9,18 @@ interface was generated."
 
 :class:`ModelCompiler.compile` does exactly that pipeline:
 
-1. lower the component to its build manifest (parse + analyze + IR);
+1. build the component's manifest around its cached lowered IR;
 2. derive the partition from the marks;
 3. resolve each class against the mapping :class:`~repro.mda.rules.RuleSet`;
 4. emit C for the software classes, VHDL for the hardware classes,
    the kernel/runtime support files, and both halves of the generated
    interface — all collected into a :class:`Build`.
 
-The emission steps are module-level pure functions of the manifest so
-that :class:`repro.build.IncrementalCompiler` can replay any subset of
-them against cached inputs and produce byte-identical artifacts.
+The emission steps are module-level pure functions of the manifest, and
+:meth:`ModelCompiler.assemble` is the one place that orders them; it
+reaches them through two hooks, one per shared bundle and one per class,
+which :class:`repro.build.IncrementalCompiler` overrides to serve each
+bundle from its store, so cached builds are byte-identical.
 """
 
 from __future__ import annotations
@@ -258,20 +260,22 @@ class ModelCompiler:
         plan = classify_classes(self.component, self.rules, marks)
 
         artifacts: dict[str, str] = {}
-        artifacts.update(emit_types_artifacts(manifest, name))
+        artifacts.update(self._shared_bundle(
+            "c-types", emit_types_artifacts, manifest))
         if plan.software:
-            artifacts.update(emit_c_runtime_artifacts(manifest, name))
+            artifacts.update(self._shared_bundle(
+                "c-runtime", emit_c_runtime_artifacts, manifest))
             for key in plan.software:
-                artifacts.update(
-                    emit_class_artifacts(manifest, name, key, "c", marks))
+                artifacts.update(self._class_bundle(manifest, key, "c", marks))
         if plan.hardware:
-            artifacts.update(emit_vhdl_runtime_artifacts(manifest, name))
+            artifacts.update(self._shared_bundle(
+                "vhdl-runtime", emit_vhdl_runtime_artifacts, manifest))
             for key in plan.hardware:
                 artifacts.update(
-                    emit_class_artifacts(manifest, name, key, "vhdl", marks))
+                    self._class_bundle(manifest, key, "vhdl", marks))
         for key in plan.systemc:
             artifacts.update(
-                emit_class_artifacts(manifest, name, key, "systemc", marks))
+                self._class_bundle(manifest, key, "systemc", marks))
 
         # the generated interface: both halves from one spec, always
         artifacts.update(emit_interface_artifacts(interface, name))
@@ -288,3 +292,19 @@ class ModelCompiler:
             rules_applied=plan.rules_applied,
             artifacts=artifacts,
         )
+
+    # -- emission hooks: a caching compiler overrides these two ------------
+
+    def _shared_bundle(
+        self, kind: str, emit, manifest: ComponentManifest,
+    ) -> dict[str, str]:
+        """A bundle every class shares; *kind* names it for caching."""
+        return emit(manifest, self.component.name)
+
+    def _class_bundle(
+        self, manifest: ComponentManifest, class_key: str, target: str,
+        marks: MarkSet,
+    ) -> dict[str, str]:
+        """One class's artifacts under its mapping *target*."""
+        return emit_class_artifacts(
+            manifest, self.component.name, class_key, target, marks)

@@ -5,15 +5,15 @@ tables, event signatures, attribute layouts and lowered action IR, all in
 plain dict/list/str form (JSON-able).  The C and VHDL emitters print
 *from the manifest*, and the target-architecture simulators *execute* the
 manifest — so the text and the simulated behaviour cannot drift apart.
+The IR blocks are the lowering cache's own
+(:func:`repro.exec.lower_component`), shared and never mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.exec.ir import lower_block
-from repro.oal.analyzer import analyze_activity
-from repro.oal.parser import parse_activity
+from repro.exec.cache import lower_component
 from repro.xuml.component import Component
 from repro.xuml.datatypes import (
     CoreType,
@@ -116,47 +116,37 @@ class ComponentManifest:
 
 
 def build_manifest(model: Model, component: Component) -> ComponentManifest:
-    """Lower one component to its manifest (parses + analyzes every action)."""
-    from repro.xuml.klass import Operation
+    """The component's manifest, its action IR read from the lowering cache.
 
+    Every activity, operation and derived-attribute block is the very
+    object :func:`repro.exec.lower_component` holds, so the manifests and
+    the abstract runtime execute one lowering; this function builds only
+    the tables around it.
+    """
+    lowered = lower_component(model, component)
     classes: dict[str, ClassManifest] = {}
     for klass in component.classes:
+        key = klass.key_letters
         machine = klass.statemachine
-        activities: dict[str, list] = {}
-        for state in machine.states:
-            block = parse_activity(state.activity)
-            analysis = analyze_activity(block, model, component, klass, state)
-            activities[state.name] = lower_block(block, analysis, component)
-
-        operations: dict[str, OperationManifest] = {}
-        for operation in klass.operations:
-            block = parse_activity(operation.body)
-            analysis = analyze_activity(
-                block, model, component, klass, None, operation=operation
-            )
-            operations[operation.name] = OperationManifest(
+        activities = {
+            state.name: lowered.activities[(key, state.name)]
+            for state in machine.states
+        }
+        operations = {
+            operation.name: OperationManifest(
                 operation.name,
                 [(p.name, dtype_tag(p.dtype)) for p in operation.parameters],
                 dtype_tag(operation.returns) if operation.returns is not None else None,
                 operation.instance_based,
-                lower_block(block, analysis, component),
+                lowered.operations[(key, operation.name)],
             )
-
-        derived: dict[str, list] = {}
-        for attribute in klass.attributes:
-            if attribute.derived is None:
-                continue
-            pseudo = Operation(
-                f"derived_{attribute.name}",
-                f"return {attribute.derived};",
-                instance_based=True,
-                returns=attribute.dtype,
-            )
-            block = parse_activity(pseudo.body)
-            analysis = analyze_activity(
-                block, model, component, klass, None, operation=pseudo
-            )
-            derived[attribute.name] = lower_block(block, analysis, component)
+            for operation in klass.operations
+        }
+        derived = {
+            attribute.name: lowered.derived[(key, attribute.name)]
+            for attribute in klass.attributes
+            if attribute.derived is not None
+        }
 
         transitions = {
             (t.from_state, t.event_label): t.to_state

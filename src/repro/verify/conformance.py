@@ -24,26 +24,19 @@ from .runner import run_case
 from .testcase import TestCase, TestResult
 
 
-def standard_targets(model: Model, store=None) -> list:
+def standard_targets(model: Model) -> list:
     """The three executors every model is verified on (E3).
 
     The C executor runs the model compiled all-software, the VHDL one
     all-hardware -- each architecture then executes *every* class, which
     is the strongest conformance statement a single executor can make.
-
-    With *store* (an :class:`repro.build.ArtifactStore`) the builds come
-    from the incremental compiler, so suites that rebuild executors per
-    case reuse cached artifacts instead of recompiling from scratch.
+    Both builds read the model's one cached lowering, so rebuilding the
+    executors for every case repeats only table building and emission.
     """
     component = model.components[0]
     sw_marks = marks_for_partition(component, ())
     hw_marks = marks_for_partition(component, tuple(component.class_keys))
-    if store is None:
-        compiler = ModelCompiler(model)
-    else:
-        from repro.build import IncrementalCompiler
-
-        compiler = IncrementalCompiler(model, store=store)
+    compiler = ModelCompiler(model)
     sw_build = compiler.compile(sw_marks)
     hw_build = compiler.compile(hw_marks)
     return [
@@ -109,30 +102,19 @@ class ConformanceReport:
 
 
 def check_conformance(
-    model: Model, cases: list[TestCase], include_traces: bool = True,
-    store=None,
+    model: Model, cases: list[TestCase]
 ) -> ConformanceReport:
-    """Run *cases* on all standard targets of *model*.
-
-    *store* (an :class:`repro.build.ArtifactStore`) makes the per-case
-    target rebuilds hit the artifact cache: the first case pays for the
-    compilation, the rest reuse it.
-    """
+    """Run *cases* on all standard targets of *model*."""
     report = ConformanceReport(model.name)
     names: tuple[str, ...] = ()
     for case in cases:
-        # fresh platforms per case (cached artifacts when store given)
-        targets = standard_targets(model, store=store)
+        targets = standard_targets(model)  # fresh platforms per case
         names = tuple(target.name for target in targets)
         conformance = CaseConformance(case.name)
-        summaries = []
         for target in targets:
             conformance.results.append(run_case(case, target))
-            if include_traces:
-                summaries.append(target.trace.behavioural_summary())
-        if include_traces and summaries:
-            first = summaries[0]
-            conformance.summaries_equal = all(s == first for s in summaries)
+        summaries = [target.trace.behavioural_summary() for target in targets]
+        conformance.summaries_equal = all(s == summaries[0] for s in summaries)
         report.cases.append(conformance)
     report.target_names = names
     return report

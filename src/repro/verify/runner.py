@@ -46,8 +46,12 @@ def _resolve(bindings: dict[str, int], name: str) -> int:
             from None
 
 
-def _run_step(step, index: int, target,
-              bindings: dict[str, int], result: TestResult) -> None:
+def apply_stimulus(step, target, bindings: dict[str, int]) -> bool:
+    """Apply one create, relate, inject or creation-event step to *target*.
+
+    *bindings* maps the case's instance names to handles and gains an
+    entry per create.  Returns False, doing nothing, for any other step.
+    """
     if isinstance(step, CreateStep):
         bindings[step.name] = target.create_instance(
             step.class_key, **step.attributes)
@@ -60,7 +64,16 @@ def _run_step(step, index: int, target,
                       dict(step.params), delay=step.delay_us)
     elif isinstance(step, CreationEventStep):
         target.send_creation(step.class_key, step.label, dict(step.params))
-    elif isinstance(step, RunStep):
+    else:
+        return False
+    return True
+
+
+def _run_step(step, index: int, target,
+              bindings: dict[str, int], result: TestResult) -> None:
+    if apply_stimulus(step, target, bindings):
+        return
+    if isinstance(step, RunStep):
         target.run_to_quiescence(step.max_steps)
     elif isinstance(step, AdvanceStep):
         target.run_until(step.time_us)

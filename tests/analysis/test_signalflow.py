@@ -3,7 +3,8 @@
 import pytest
 
 from repro.analysis.signalflow import build_graph
-from repro.models import build_microwave_model
+from repro.marks import signal_flows
+from repro.models import all_models, build_microwave_model, build_model
 from repro.xuml import ModelBuilder
 from repro.xuml.statemachine import EventResponse
 
@@ -138,3 +139,19 @@ class TestOperationAndLoopEdges:
         assert op_edge.from_operation
         # operation bodies run outside any run-to-completion chain
         assert not graph.self_only("A", "A1")
+
+
+@pytest.mark.parametrize("name", sorted(all_models()))
+def test_partition_flows_match_the_graph_state_edges(name):
+    """Two views of one component's sends agree: the partition's flows
+    are the graph's state-activity edges, projected."""
+    model = build_model(name)
+    component = model.components[0]
+    graph = build_graph(model, component)
+    projected = {
+        (edge.sender_class, edge.receiver_class, edge.event_label)
+        for edge in graph.edges if not edge.from_operation
+    }
+    flows = signal_flows(model, component)
+    assert [(f.sender_class, f.receiver_class, f.event_label)
+            for f in flows] == sorted(projected)

@@ -131,14 +131,25 @@ class TestStrictReuse:
 class TestCachedBuildsBehave:
     def test_cached_build_drives_the_simulators(self, tmp_path):
         """A cache-served Build is a real Build: targets execute it."""
-        from repro.verify import check_conformance, suite_for
+        from repro.mda import CSoftwareMachine, VHardwareMachine
+        from repro.verify import run_case, suite_for
 
         store = ArtifactStore(tmp_path)
         model = build_model("checksum")
-        warmup = check_conformance(model, suite_for("checksum"),
-                                   store=store)
-        assert warmup.conformant, warmup.render()
-        cached = check_conformance(model, suite_for("checksum"),
-                                   store=store)
-        assert cached.conformant, cached.render()
+        component = model.components[0]
+        sw_marks = marks_for_partition(component, ())
+        hw_marks = marks_for_partition(component,
+                                       tuple(component.class_keys))
+        for _ in range(2):  # cold, then served from the store
+            clear_manifest_memo()
+            compiler = IncrementalCompiler(model, store=store)
+            sw_build = compiler.compile(sw_marks)
+            hw_build = compiler.compile(hw_marks)
+            for case in suite_for("checksum"):
+                for target in (CSoftwareMachine(sw_build.manifest),
+                               VHardwareMachine(hw_build.manifest)):
+                    result = run_case(case, target)
+                    assert result.passed, result
+        assert compiler.last_stats.fully_cached
+        assert compiler.last_stats.manifest_reused
         assert store.stats.hits > 0

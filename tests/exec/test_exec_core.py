@@ -204,6 +204,21 @@ class TestLoweringCache:
         assert stats["misses"] == 1
         assert stats["hits"] == 1
 
+    def test_model_compiler_lowers_through_the_cache_once(self):
+        from repro.marks.partition import marks_for_partition
+        from repro.mda.compiler import ModelCompiler
+
+        clear_lowering_cache()
+        model = build_counter_model()
+        component = model.components[0]
+        compiler = ModelCompiler(model)
+        compiler.compile(marks_for_partition(component, ()))
+        assert lowering_cache_stats()["misses"] == 1
+        compiler.compile(marks_for_partition(component, ("CN",)))
+        stats = lowering_cache_stats()
+        assert stats["misses"] == 1
+        assert stats["hits"] > 0
+
     def test_cache_counters_reach_obs_registry(self):
         from repro.obs.metrics import observe
 

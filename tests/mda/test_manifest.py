@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.exec import lower_component
 from repro.mda import build_manifest, dtype_tag, tag_to_dtype
-from repro.models import build_microwave_model, build_checksum_model
+from repro.models import (
+    all_models,
+    build_checksum_model,
+    build_microwave_model,
+    build_model,
+)
 from repro.xuml import CoreType, EnumType, InstRefType, InstSetType
 
 
@@ -84,3 +90,25 @@ class TestManifest:
         assert fletcher.ir
         census = engine.operations["engines_available"]
         assert not census.instance_based
+
+
+@pytest.mark.parametrize("name", sorted(all_models()))
+def test_manifest_ir_is_the_lowering_cache_ir(name):
+    """The manifest shares the cached lowering: one IR, not a copy."""
+    model = build_model(name)
+    component = model.components[0]
+    manifest = build_manifest(model, component)
+    lowered = lower_component(model, component)
+    blocks = 0
+    for key, klass in manifest.classes.items():
+        for state, block in klass.activities.items():
+            assert block is lowered.activities[(key, state)]
+            blocks += 1
+        for op_name, operation in klass.operations.items():
+            assert operation.ir is lowered.operations[(key, op_name)]
+            blocks += 1
+        for attribute, block in klass.derived.items():
+            assert block is lowered.derived[(key, attribute)]
+            blocks += 1
+    assert blocks == (len(lowered.activities) + len(lowered.operations)
+                      + len(lowered.derived))
