@@ -438,7 +438,8 @@ class CoSimMachine(TargetMachine):
             times.append(due)
         for handle in self.pool.ready_handles():
             times.append(
-                self._resource_free_at(handle, self._class_of[handle]))
+                self._resource_free_at(handle,
+                                       self._instances[handle].class_key))
         if self.pool.has_ready_creation():
             times.append(self._cpu_free_at)
         return min(times) if times else None
@@ -472,7 +473,7 @@ class CoSimMachine(TargetMachine):
 
     def _receivable(self, signal: SignalInstance) -> bool:
         """False once the receiver died: the signal is then dropped."""
-        return signal.is_creation or signal.target_handle in self._class_of
+        return signal.is_creation or signal.target_handle in self._instances
 
     def _deliver(self, signal: SignalInstance) -> None:
         """A bus transfer arrived: queue the signal for its receiver."""
@@ -483,11 +484,12 @@ class CoSimMachine(TargetMachine):
         started = 0
         # hardware instances are independent resources: start any that can
         for handle in self.pool.ready_handles():
-            class_key = self._class_of.get(handle)   # None: deleted just now
-            if class_key is None or self.side_of_class(class_key) != "hw":
+            instance = self._instances.get(handle)   # None: deleted just now
+            if instance is None or self.side_of_class(instance.class_key) != "hw":
                 continue
             if self._hw_free_at.get(handle, 0) <= self.now:
-                self._service(handle, class_key, self.pool.pop_for(handle))
+                self._service(handle, instance.class_key,
+                              self.pool.pop_for(handle))
                 started += 1
         # the single CPU: at most one software dispatch per pass
         if self._cpu_free_at <= self.now:

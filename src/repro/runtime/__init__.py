@@ -17,7 +17,6 @@ from .causality import (
 from .errors import (
     BridgeError,
     CantHappenError,
-    DeadInstanceError,
     MultiplicityError,
     SelectionError,
     SimulationError,
@@ -25,7 +24,7 @@ from .errors import (
 from repro.exec import c_div, c_mod
 
 from .events import EventPool, InstanceQueue, SignalInstance
-from .instances import Instance, Population
+from .instances import Instance
 from .links import LinkStore
 from .scheduler import (
     CREATION,
@@ -43,14 +42,12 @@ __all__ = [
     "CREATION",
     "CantHappenError",
     "CausalityViolation",
-    "DeadInstanceError",
     "EventPool",
     "Instance",
     "InstanceQueue",
     "InterleavedScheduler",
     "LinkStore",
     "MultiplicityError",
-    "Population",
     "PriorityScheduler",
     "RoundRobinScheduler",
     "Scheduler",

@@ -9,10 +9,15 @@ transition and runs the destination state's activity to completion.
 :class:`Dispatcher` is that life cycle, written once, so every executor
 emits the same trace records in the same order by construction.
 
-Executors differ only in
+It is also the one instance-and-link store: a handle -> :class:`Instance`
+map, per-class extents and one :class:`LinkStore`.  Each executor hands
+it its tables once, from its constructor (:meth:`Dispatcher._load_tables`):
+per class its attribute defaults and initial state, the associations,
+and the derived-attribute IR.  Executors differ only in
 
-* **storage** -- model-backed populations or manifest-backed dicts,
-  reached through the hooks :class:`Dispatcher` lists;
+* **tables** -- read from the model (the abstract runtime) or from the
+  build manifest (csim, vsim and the co-simulation), plus the state
+  tables the ``_transition`` and ``_creation_state`` hooks consult;
 * **source policy** -- which ready source dispatches next: a
   :class:`~repro.runtime.scheduler.Scheduler` for the step-driven
   executors, the per-edge snapshot for vsim, the timed resources for the
@@ -33,8 +38,15 @@ import math
 
 from repro.xuml.statemachine import EventResponse
 
-from .errors import BridgeError, CantHappenError, SimulationError
+from .errors import (
+    BridgeError,
+    CantHappenError,
+    MultiplicityError,
+    SimulationError,
+)
 from .events import EventPool, SignalInstance
+from .instances import Instance
+from .links import LinkStore
 from .tracing import Trace, TraceKind
 
 
@@ -81,27 +93,29 @@ STANDARD_BRIDGES = {
 
 
 class Dispatcher:
-    """Stamping, tracing, queueing and run-to-completion dispatch.
+    """Stamping, tracing, queueing, run-to-completion dispatch and the
+    instance-and-link store.
 
-    Subclasses provide storage: ``create_instance``/``delete_instance``
-    call ``_store_instance``/``_forget_instance``; dispatch calls
-    ``_target`` (the live receiver or None), ``_state_of``/``_set_state``,
-    ``_transition`` (the destination state, or the
-    :class:`EventResponse` that drops the signal), ``_creation_state``
-    and ``_run_state_activity``, which runs the activity through
-    :meth:`_run_to_completion`.  A step-driven subclass also sets
-    ``scheduler``, the :class:`~repro.runtime.scheduler.Scheduler` that
-    picks each step's source; an executor whose instant is not one
-    ``step`` overrides ``_dispatch_now`` and ``_next_time`` instead, and a
-    clock other than the model's microsecond sets ``ticks_per_us``.  Each
-    concrete executor sets ``name``; that,
-    the population and stimulus calls, the run loops and the state,
-    attribute and trace reads are the surface :func:`repro.verify.run_case`
-    drives.
+    A subclass calls :meth:`_load_tables` once from its constructor and
+    provides the state-table hooks: ``_check_event``, ``_transition``
+    (the destination state, or the :class:`EventResponse` that drops the
+    signal), ``_creation_state`` and ``_run_state_activity``, which runs
+    the activity through :meth:`_run_to_completion`.  A step-driven
+    subclass also sets ``scheduler``, the
+    :class:`~repro.runtime.scheduler.Scheduler` that picks each step's
+    source; an executor whose instant is not one ``step`` overrides
+    ``_dispatch_now`` and ``_next_time`` instead, and a clock other than
+    the model's microsecond sets ``ticks_per_us``.  Each concrete
+    executor sets ``name``; that, the population and stimulus calls, the
+    run loops and the state, attribute and trace reads are the surface
+    :func:`repro.verify.run_case` drives.
     """
 
-    #: raised by the run loops (and, by default, on a can't-happen event)
+    #: raised by the run loops, on storage misuse (and, by default, on a
+    #: can't-happen event)
     error: type[Exception] = SimulationError
+    #: raised when a relate overflows an association end
+    multiplicity_error: type[Exception] = MultiplicityError
     cant_happen_error: type[Exception] = CantHappenError
     #: raised by :meth:`call_bridge` when no implementation is registered
     bridge_error: type[Exception] = BridgeError
@@ -140,12 +154,40 @@ class Dispatcher:
         """Dynamically executed IR statements (shared-core counter)."""
         return self.executor.ops_executed
 
-    # -- population ------------------------------------------------------------
+    # -- the store ---------------------------------------------------------------
+
+    def _load_tables(self, classes: dict, associations, derived: dict) -> None:
+        """Adopt this executor's tables and start an empty store.
+
+        *classes* maps each class key to (attribute defaults, initial
+        state or None for a passive class); *associations* are
+        :class:`~repro.xuml.association.Association` objects; *derived*
+        maps (class key, attribute) to the attribute's lowered IR.
+        """
+        self._classes = classes
+        self._derived = derived
+        self._instances: dict[int, Instance] = {}
+        #: class key -> handle -> instance, in creation (= handle) order
+        self._extents: dict[str, dict[int, Instance]] = {
+            key: {} for key in classes}
+        self.links = LinkStore(associations, self.error,
+                               self.multiplicity_error)
 
     def create_instance(self, class_key: str, **attribute_values) -> int:
+        try:
+            defaults, state = self._classes[class_key]
+        except KeyError:
+            raise self.error(f"no class {class_key!r}") from None
+        attributes = dict(defaults)
+        for name in attribute_values:
+            if name not in attributes:
+                raise self.error(f"{class_key} has no attribute {name!r}")
+        attributes.update(attribute_values)
         handle = self._next_handle
-        state = self._store_instance(class_key, handle, attribute_values)
         self._next_handle += 1
+        instance = Instance(handle, class_key, attributes, state)
+        self._instances[handle] = instance
+        self._extents[class_key][handle] = instance
         self.trace.record(
             self.now, TraceKind.INSTANCE_CREATED,
             handle=handle, class_key=class_key, state=state,
@@ -153,12 +195,78 @@ class Dispatcher:
         return handle
 
     def delete_instance(self, handle: int) -> None:
-        class_key = self._forget_instance(handle)
+        class_key = self.instance(handle).class_key
+        del self._instances[handle]
+        del self._extents[class_key][handle]
+        self.links.drop_instance(handle)
         dropped = self.pool.drop_instance(handle)
         self.trace.record(
             self.now, TraceKind.INSTANCE_DELETED,
             handle=handle, class_key=class_key, pending_dropped=dropped,
         )
+
+    def instance(self, handle: int) -> Instance:
+        try:
+            return self._instances[handle]
+        except KeyError:
+            raise self.error(f"no live instance #{handle}") from None
+
+    def class_of(self, handle: int) -> str:
+        # the hottest store call (the co-sim routes every signal by it),
+        # so it reads the map itself rather than through instance()
+        try:
+            return self._instances[handle].class_key
+        except KeyError:
+            raise self.error(f"no live instance #{handle}") from None
+
+    def instances_of(self, class_key: str) -> tuple[int, ...]:
+        """Live handles of *class_key*, sorted: handles are issued in
+        increasing order, so an extent's creation order is sorted."""
+        try:
+            return tuple(self._extents[class_key])
+        except KeyError:
+            raise self.error(f"no class {class_key!r}") from None
+
+    def state_of(self, handle: int) -> str | None:
+        return self.instance(handle).current_state
+
+    def read_attribute(self, handle: int, name: str):
+        instance = self.instance(handle)
+        try:
+            return instance.attributes[name]
+        except KeyError:
+            pass
+        ir = self._derived.get((instance.class_key, name))
+        if ir is None:
+            raise self.error(
+                f"{instance.class_key}#{handle} has no attribute {name!r}")
+        return self.executor.run(ir, handle, {})
+
+    def write_attribute(self, handle: int, name: str, value) -> None:
+        instance = self.instance(handle)
+        if name not in instance.attributes:
+            raise self.error(
+                f"{instance.class_key}#{handle} has no attribute {name!r}")
+        instance.attributes[name] = value
+
+    def relate(self, left: int, right: int, number: str,
+               phrase: str | None = None) -> None:
+        self.links.relate(number, left, self.class_of(left),
+                          right, self.class_of(right), phrase)
+
+    def unrelate(self, left: int, right: int, number: str,
+                 phrase: str | None = None) -> None:
+        self.links.unrelate(number, left, self.class_of(left),
+                            right, self.class_of(right), phrase)
+
+    def navigate(self, handle: int, number: str, to_class: str,
+                 phrase: str | None = None) -> tuple[int, ...]:
+        return self.links.navigate(number, handle, self.class_of(handle),
+                                   to_class, phrase)
+
+    def referential_violations(self) -> list[str]:
+        """Live instances missing a partner at an unconditional end."""
+        return self.links.integrity_violations(self._extents)
 
     # -- signals ---------------------------------------------------------------
 
@@ -244,16 +352,21 @@ class Dispatcher:
         if signal.is_creation:
             to_state = self._creation_state(signal)
             handle = self.create_instance(signal.class_key)
-            target = self._target(signal.class_key, handle)
+            target = self._instances[handle]
             from_state = None
         else:
             handle = signal.target_handle
-            target = self._target(signal.class_key, handle)
+            target = self._instances.get(handle)
             if target is None:
                 # the receiver died while the signal was in flight
                 self._drop(signal, "target deleted")
                 return
-            from_state = self._state_of(target)
+            if target.class_key != signal.class_key:
+                raise self.error(
+                    f"signal {signal.class_key}.{signal.label} addressed "
+                    f"to #{handle}, a live {target.class_key}"
+                )
+            from_state = target.current_state
             to_state = self._transition(signal, from_state)
             if to_state is EventResponse.IGNORE:
                 self._drop(signal, "ignored")
@@ -272,7 +385,7 @@ class Dispatcher:
             sequence=signal.sequence, label=signal.label, target=handle,
             sender=signal.sender_handle, sent_activity=signal.activity_id,
         )
-        self._set_state(target, to_state)
+        target.current_state = to_state
         self.trace.record(
             self.now, TraceKind.TRANSITION,
             handle=handle, class_key=signal.class_key,

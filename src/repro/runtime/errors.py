@@ -11,10 +11,6 @@ class CantHappenError(SimulationError):
     """An event arrived in a state whose table says it can't happen."""
 
 
-class DeadInstanceError(SimulationError):
-    """An operation touched an instance that has been deleted."""
-
-
 class MultiplicityError(SimulationError):
     """A relate/unrelate violated the association's declared multiplicity."""
 

@@ -1,21 +1,20 @@
-"""Instance populations.
+"""Instance records.
 
-Every class in the model owns a :class:`Population` at run time: the set
-of live instances, each holding attribute values and (for active classes)
-a current state.  Instance handles are plain integers, unique across the
-whole simulation, so traces and generated-code simulations can correlate.
+An :class:`Instance` is one live object: its handle, its class, its
+attribute values and (for an active class) its current state.  The one
+store that keeps them is :class:`~repro.runtime.dispatcher.Dispatcher`,
+shared by every executor.  Handles are plain integers, unique across
+the whole run, so traces from different executors correlate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.xuml.klass import ModelClass
-
-from .errors import DeadInstanceError, SimulationError
+from .errors import SimulationError
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
     """One live object."""
 
@@ -23,10 +22,8 @@ class Instance:
     class_key: str
     attributes: dict[str, object] = field(default_factory=dict)
     current_state: str | None = None
-    alive: bool = True
 
     def get(self, name: str) -> object:
-        self._require_alive()
         try:
             return self.attributes[name]
         except KeyError:
@@ -34,68 +31,6 @@ class Instance:
                 f"instance {self.class_key}#{self.handle} has no attribute {name!r}"
             ) from None
 
-    def set(self, name: str, value: object) -> None:
-        self._require_alive()
-        if name not in self.attributes:
-            raise SimulationError(
-                f"instance {self.class_key}#{self.handle} has no attribute {name!r}"
-            )
-        self.attributes[name] = value
-
-    def _require_alive(self) -> None:
-        if not self.alive:
-            raise DeadInstanceError(
-                f"instance {self.class_key}#{self.handle} has been deleted"
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = f" in {self.current_state}" if self.current_state else ""
         return f"<{self.class_key}#{self.handle}{state}>"
-
-
-class Population:
-    """All live instances of one class."""
-
-    def __init__(self, klass: ModelClass):
-        self.klass = klass
-        self._instances: dict[int, Instance] = {}
-
-    def create(self, handle: int, initial_state: str | None = None) -> Instance:
-        attributes = {a.name: a.initial_value for a in self.klass.attributes}
-        state = initial_state
-        if state is None and self.klass.is_active:
-            state = self.klass.statemachine.initial_state
-        instance = Instance(handle, self.klass.key_letters, attributes, state)
-        self._instances[handle] = instance
-        return instance
-
-    def delete(self, handle: int) -> Instance:
-        try:
-            instance = self._instances.pop(handle)
-        except KeyError:
-            raise DeadInstanceError(
-                f"no live {self.klass.key_letters} instance #{handle}"
-            ) from None
-        instance.alive = False
-        return instance
-
-    def get(self, handle: int) -> Instance:
-        try:
-            return self._instances[handle]
-        except KeyError:
-            raise DeadInstanceError(
-                f"no live {self.klass.key_letters} instance #{handle}"
-            ) from None
-
-    def has(self, handle: int) -> bool:
-        return handle in self._instances
-
-    def all(self) -> tuple[Instance, ...]:
-        """Live instances in creation order (deterministic)."""
-        return tuple(self._instances.values())
-
-    def __len__(self) -> int:
-        return len(self._instances)
-
-    def __iter__(self):
-        return iter(self._instances.values())

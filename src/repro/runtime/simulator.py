@@ -11,8 +11,9 @@ CANT_HAPPEN, and on a transition the destination state's activity runs to
 completion (possibly generating further signals, creating and deleting
 instances, starting timers) before any other signal is consumed.  That
 life cycle is :class:`~repro.runtime.dispatcher.Dispatcher`, shared with
-the architecture runtimes, with the standard bridges; this class adds
-model-backed storage, links, declared-bridge checks and the pluggable
+the architecture runtimes, with the standard bridges and the one
+instance-and-link store; this class adds the tables read from the model,
+its state machines, declared-bridge checks and the pluggable
 :class:`Scheduler`.
 
 For the E6 ablation the simulator also supports ``eager_dispatch=True``,
@@ -34,8 +35,7 @@ from repro.xuml.statemachine import EventResponse
 from .dispatcher import Dispatcher
 from .errors import SelectionError, SimulationError
 from .events import SignalInstance
-from .instances import Instance, Population
-from .links import LinkStore
+from .instances import Instance
 from .scheduler import Scheduler, SynchronousScheduler
 
 
@@ -84,18 +84,27 @@ class Simulation(Dispatcher):
             self.component = model.component(component)
         super().__init__(self_priority)
         self.scheduler = scheduler or SynchronousScheduler()
-        self.links = LinkStore(self.component)
         self.cant_happen_policy = cant_happen
         self.eager_dispatch = eager_dispatch
         if eager_dispatch:
             self._enqueue = self._enqueue_eagerly
-        self._populations: dict[str, Population] = {
-            klass.key_letters: Population(klass) for klass in self.component.classes
-        }
         # One lowering per model content (fingerprint-cached), one shared
         # evaluator: the abstract runtime executes literally the same IR
         # through literally the same code as csim and vsim.
         self._lowered: LoweredComponent = lower_component(model, self.component)
+        self._load_tables(
+            {
+                klass.key_letters: (
+                    {a.name: a.initial_value for a in klass.attributes
+                     if a.derived is None},
+                    klass.statemachine.initial_state
+                    if klass.is_active else None,
+                )
+                for klass in self.component.classes
+            },
+            self.component.associations,
+            self._lowered.derived,
+        )
         self.executor = IRExecutor(
             self, error=OALRuntimeError, selection_error=SelectionError
         )
@@ -117,90 +126,10 @@ class Simulation(Dispatcher):
                 "runtime.dispatch_wait_us",
                 buckets=(0, 1, 10, 100, 1_000, 10_000, 100_000, 1_000_000))
 
-    # -- population --------------------------------------------------------------
-
-    def population(self, class_key: str) -> Population:
-        try:
-            return self._populations[class_key]
-        except KeyError:
-            raise SimulationError(f"no class {class_key!r} in component") from None
-
-    def _store_instance(self, class_key: str, handle: int,
-                        attribute_values: dict) -> str | None:
-        instance = self.population(class_key).create(handle)
-        for name, value in attribute_values.items():
-            instance.set(name, value)
-        return instance.current_state
-
-    def _forget_instance(self, handle: int) -> str:
-        class_key = self.instance(handle).class_key
-        self.population(class_key).delete(handle)
-        self.links.drop_instance(handle)
-        return class_key
-
-    def instance(self, handle: int) -> Instance:
-        for population in self._populations.values():
-            if population.has(handle):
-                return population.get(handle)
-        raise SimulationError(f"no live instance #{handle}")
-
-    def class_of(self, handle: int) -> str:
-        return self.instance(handle).class_key
-
-    def instances_of(self, class_key: str) -> tuple[int, ...]:
-        return tuple(sorted(i.handle for i in self.population(class_key)))
-
-    def state_of(self, handle: int) -> str | None:
-        return self.instance(handle).current_state
-
-    # -- attributes ----------------------------------------------------------------
-
-    def read_attribute(self, handle: int, name: str):
-        instance = self.instance(handle)
-        klass = self.component.klass(instance.class_key)
-        attribute = klass.attribute(name)
-        if attribute.derived is not None:
-            ir = self._lowered.derived[(instance.class_key, name)]
-            return self.executor.run(ir, handle, {})
-        return instance.get(name)
-
-    def write_attribute(self, handle: int, name: str, value) -> None:
-        self.instance(handle).set(name, value)
-
-    # -- links ------------------------------------------------------------------------
-
-    def relate(self, left: int, right: int, association_number: str, phrase=None):
-        association = self.component.association(association_number)
-        self.links.relate(
-            association,
-            left, self.class_of(left),
-            right, self.class_of(right),
-            phrase,
-        )
-
-    def unrelate(self, left: int, right: int, association_number: str, phrase=None):
-        association = self.component.association(association_number)
-        self.links.unrelate(
-            association,
-            left, self.class_of(left),
-            right, self.class_of(right),
-            phrase,
-        )
-
-    def navigate(
-        self, handle: int, association_number: str, to_class: str, phrase=None
-    ) -> tuple[int, ...]:
-        association = self.component.association(association_number)
-        return self.links.navigate(
-            association, handle, self.class_of(handle), to_class, phrase
-        )
-
-    def referential_violations(self) -> list[str]:
-        populations = {
-            key: [i.handle for i in population]
-            for key, population in self._populations.items()
-        }
-        return self.links.integrity_violations(populations)
+    # bound in this class's own namespace so the runtime.instance_lookup
+    # span resolves
+    instance = Dispatcher.instance
+    instances_of = Dispatcher.instances_of
 
     # -- signals ---------------------------------------------------------------------
 
@@ -241,20 +170,6 @@ class Simulation(Dispatcher):
         self._metric_dispatches.inc()
         self._metric_queue_depth.observe(self.pool.ready_count)
         self._metric_wait.observe(self.now - self.pool.peek(source).sent_at)
-
-    def _target(self, class_key: str, handle: int) -> Instance | None:
-        population = self._populations.get(class_key)
-        if population is None or not population.has(handle):
-            return None
-        return population.get(handle)
-
-    @staticmethod
-    def _state_of(instance: Instance) -> str | None:
-        return instance.current_state
-
-    @staticmethod
-    def _set_state(instance: Instance, state: str) -> None:
-        instance.current_state = state
 
     def _transition(self, signal: SignalInstance, state: str):
         machine = self.component.klass(signal.class_key).statemachine

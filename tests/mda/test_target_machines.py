@@ -300,3 +300,72 @@ class TestSharedTimeAdvance:
         assert machine.now == 0
         machine.run_to_quiescence()
         assert machine.state_of(oven) == "Complete"
+
+
+class TestOneStore:
+    """One instance-and-link store, so one storage rule on every executor."""
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_an_unknown_creation_attribute_raises(self, name):
+        executor = executor_for(name, build_microwave_model())
+        with pytest.raises(EXECUTORS[name], match="bogus"):
+            executor.create_instance("MO", bogus=1)
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_a_failed_creation_uses_no_handle_and_leaves_no_instance(
+            self, name):
+        executor = executor_for(name, build_microwave_model())
+        with pytest.raises(EXECUTORS[name]):
+            executor.create_instance("MO", bogus=1)
+        tube = executor.create_instance("PT")
+        assert tube == 1
+        assert executor.class_of(tube) == "PT"
+        assert executor.instances_of("MO") == ()
+        created = executor.trace.of_kind(TraceKind.INSTANCE_CREATED)
+        assert [event.data["class_key"] for event in created] == ["PT"]
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_relating_one_class_across_a_non_reflexive_association_raises(
+            self, name):
+        executor = executor_for(name, build_microwave_model())
+        first = executor.create_instance("MO", oven_id=1)
+        second = executor.create_instance("MO", oven_id=2)
+        with pytest.raises(EXECUTORS[name], match="R1"):
+            executor.relate(first, second, "R1")
+        assert executor.navigate(first, "R1", "PT") == ()
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_a_signal_to_a_live_instance_of_another_class_raises(self, name):
+        executor = executor_for(name, build_microwave_model())
+        executor.create_instance("MO", oven_id=1)
+        tube = executor.create_instance("PT", tube_id=1)
+        executor.send_signal(tube, "MO", "MO1", {"seconds": 1})
+        with pytest.raises(EXECUTORS[name], match=r"MO\.MO1.*a live PT"):
+            executor.run_to_quiescence()
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_a_navigation_with_a_wrong_phrase_raises_the_host_error(
+            self, name):
+        executor = executor_for(name, build_microwave_model())
+        oven = executor.create_instance("MO", oven_id=1)
+        with pytest.raises(EXECUTORS[name], match="bogus"):
+            executor.navigate(oven, "R1", "PT", phrase="bogus")
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_a_navigation_from_the_wrong_class_raises_the_host_error(
+            self, name):
+        executor = executor_for(name, build_microwave_model())
+        oven = executor.create_instance("MO", oven_id=1)
+        with pytest.raises(EXECUTORS[name], match="R1"):
+            executor.navigate(oven, "R1", "MO")
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_an_unknown_association_raises_the_host_error(self, name):
+        executor = executor_for(name, build_microwave_model())
+        oven = executor.create_instance("MO", oven_id=1)
+        tube = executor.create_instance("PT", tube_id=1)
+        for misuse in (lambda: executor.relate(oven, tube, "R99"),
+                       lambda: executor.unrelate(oven, tube, "R99"),
+                       lambda: executor.navigate(oven, "R99", "PT")):
+            with pytest.raises(EXECUTORS[name], match="R99"):
+                misuse()

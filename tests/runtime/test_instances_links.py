@@ -1,18 +1,20 @@
-"""Unit tests for instance populations and link storage."""
+"""Unit tests for the one instance-and-link store.
+
+Every executor keeps its instances and links in the shared
+:class:`~repro.runtime.dispatcher.Dispatcher`, so these tests drive the
+store through the executors' public calls.  Each class runs on the
+abstract runtime; its ``OnCsim`` subclass reruns it on the C simulator,
+whose tables come from the build manifest instead of the model.
+"""
 
 import pytest
 
-from repro.runtime import (
-    DeadInstanceError,
-    LinkStore,
-    MultiplicityError,
-    Population,
-    SimulationError,
-)
+from repro.mda import ArchError, CSoftwareMachine, build_manifest
+from repro.runtime import MultiplicityError, Simulation, SimulationError
 from repro.xuml import ModelBuilder
 
 
-def component():
+def build_model():
     builder = ModelBuilder("M")
     c = builder.component("c")
     widget = c.klass("Widget", "W")
@@ -22,124 +24,161 @@ def component():
     c.klass("Person", "P").attr("p_id", "unique_id")
     c.assoc("R1", ("W", "owns", "1"), ("G", "is owned by", "*"))
     c.assoc("R2", ("P", "manages", "0..1"), ("P", "is managed by", "*"))
-    model = builder.build(check=False)
-    return model.component("c")
+    return builder.build(check=False)
 
 
-class TestPopulation:
+class OnAbstractRuntime:
+    """Runs a test class on the abstract runtime."""
+
+    error = SimulationError
+    multiplicity_error = MultiplicityError
+
+    def setup_method(self):
+        self.host = self.executor(build_model())
+
+    @staticmethod
+    def executor(model):
+        return Simulation(model)
+
+
+class OnCsim:
+    """Reruns a test class on the C simulator."""
+
+    error = multiplicity_error = ArchError
+
+    @staticmethod
+    def executor(model):
+        return CSoftwareMachine(build_manifest(model, model.component("c")))
+
+
+class TestPopulation(OnAbstractRuntime):
     def test_create_applies_defaults(self):
-        pop = Population(component().klass("W"))
-        instance = pop.create(1)
-        assert instance.attributes == {"w_id": 0, "count": 5}
-        assert instance.current_state is None    # passive class
+        handle = self.host.create_instance("W")
+        assert self.host.read_attribute(handle, "w_id") == 0
+        assert self.host.read_attribute(handle, "count") == 5
+        assert self.host.state_of(handle) is None    # passive class
 
     def test_get_and_has(self):
-        pop = Population(component().klass("W"))
-        pop.create(3)
-        assert pop.has(3)
-        assert pop.get(3).handle == 3
-        assert not pop.has(4)
+        handle = self.host.create_instance("W")
+        assert self.host.instance(handle).handle == handle
+        assert self.host.class_of(handle) == "W"
+        assert self.host.instances_of("W") == (handle,)
+        with pytest.raises(self.error):
+            self.host.class_of(handle + 1)
 
     def test_delete_marks_dead(self):
-        pop = Population(component().klass("W"))
-        instance = pop.create(1)
-        pop.delete(1)
-        assert not instance.alive
-        with pytest.raises(DeadInstanceError):
-            instance.get("count")
-        with pytest.raises(DeadInstanceError):
-            pop.get(1)
+        handle = self.host.create_instance("W")
+        self.host.delete_instance(handle)
+        assert self.host.instances_of("W") == ()
+        with pytest.raises(self.error):
+            self.host.read_attribute(handle, "count")
+        with pytest.raises(self.error):
+            self.host.write_attribute(handle, "count", 1)
+        with pytest.raises(self.error):
+            self.host.state_of(handle)
 
     def test_double_delete_raises(self):
-        pop = Population(component().klass("W"))
-        pop.create(1)
-        pop.delete(1)
-        with pytest.raises(DeadInstanceError):
-            pop.delete(1)
+        handle = self.host.create_instance("W")
+        self.host.delete_instance(handle)
+        with pytest.raises(self.error):
+            self.host.delete_instance(handle)
 
     def test_unknown_attribute_access(self):
-        pop = Population(component().klass("W"))
-        instance = pop.create(1)
-        with pytest.raises(SimulationError):
-            instance.get("ghost")
-        with pytest.raises(SimulationError):
-            instance.set("ghost", 1)
+        handle = self.host.create_instance("W")
+        with pytest.raises(self.error):
+            self.host.read_attribute(handle, "ghost")
+        with pytest.raises(self.error):
+            self.host.write_attribute(handle, "ghost", 1)
 
-    def test_creation_order_preserved(self):
-        pop = Population(component().klass("W"))
-        pop.create(2)
-        pop.create(1)
-        assert [i.handle for i in pop.all()] == [2, 1]
+    def test_instances_of_is_sorted(self):
+        first, second, third = (self.host.create_instance("W")
+                                for _ in range(3))
+        self.host.delete_instance(second)
+        fourth = self.host.create_instance("W")
+        assert self.host.instances_of("W") == (first, third, fourth)
+        assert first < third < fourth
 
 
-class TestLinkStore:
+class TestLinkStore(OnAbstractRuntime):
     def setup_method(self):
-        self.component = component()
-        self.links = LinkStore(self.component)
-        self.r1 = self.component.association("R1")
-        self.r2 = self.component.association("R2")
+        super().setup_method()
+        create = self.host.create_instance
+        self.w1, self.w2 = create("W"), create("W")
+        self.g1, self.g2 = create("G"), create("G")
+        self.p1, self.p2, self.p3 = create("P"), create("P"), create("P")
 
     def test_relate_and_navigate_both_directions(self):
-        self.links.relate(self.r1, 1, "W", 2, "G")
-        assert self.links.navigate(self.r1, 1, "W", "G") == (2,)
-        assert self.links.navigate(self.r1, 2, "G", "W") == (1,)
+        self.host.relate(self.w1, self.g1, "R1")
+        assert self.host.navigate(self.w1, "R1", "G") == (self.g1,)
+        assert self.host.navigate(self.g1, "R1", "W") == (self.w1,)
 
     def test_one_end_multiplicity_enforced(self):
         # each G sees exactly 1 W: relating a second W to the same G fails
-        self.links.relate(self.r1, 1, "W", 2, "G")
-        with pytest.raises(MultiplicityError):
-            self.links.relate(self.r1, 3, "W", 2, "G")
+        self.host.relate(self.w1, self.g1, "R1")
+        with pytest.raises(self.multiplicity_error):
+            self.host.relate(self.w2, self.g1, "R1")
 
     def test_many_end_accepts_several(self):
-        self.links.relate(self.r1, 1, "W", 2, "G")
-        self.links.relate(self.r1, 1, "W", 3, "G")
-        assert self.links.navigate(self.r1, 1, "W", "G") == (2, 3)
+        self.host.relate(self.w1, self.g1, "R1")
+        self.host.relate(self.w1, self.g2, "R1")
+        assert self.host.navigate(self.w1, "R1", "G") == (self.g1, self.g2)
 
     def test_relate_is_idempotent(self):
-        self.links.relate(self.r1, 1, "W", 2, "G")
-        self.links.relate(self.r1, 1, "W", 2, "G")
-        assert self.links.count("R1") == 1
+        self.host.relate(self.w1, self.g1, "R1")
+        self.host.relate(self.w1, self.g1, "R1")
+        assert self.host.navigate(self.w1, "R1", "G") == (self.g1,)
+        self.host.unrelate(self.w1, self.g1, "R1")   # one link to remove
+        assert self.host.navigate(self.g1, "R1", "W") == ()
 
     def test_unrelate(self):
-        self.links.relate(self.r1, 1, "W", 2, "G")
-        self.links.unrelate(self.r1, 1, "W", 2, "G")
-        assert self.links.navigate(self.r1, 1, "W", "G") == ()
+        self.host.relate(self.w1, self.g1, "R1")
+        self.host.unrelate(self.w1, self.g1, "R1")
+        assert self.host.navigate(self.w1, "R1", "G") == ()
 
     def test_unrelate_missing_link_raises(self):
-        with pytest.raises(SimulationError):
-            self.links.unrelate(self.r1, 1, "W", 2, "G")
+        with pytest.raises(self.error):
+            self.host.unrelate(self.w1, self.g1, "R1")
 
     def test_reflexive_needs_phrase(self):
-        with pytest.raises(SimulationError):
-            self.links.relate(self.r2, 1, "P", 2, "P")
-        self.links.relate(self.r2, 1, "P", 2, "P", phrase="is managed by")
+        with pytest.raises(self.error):
+            self.host.relate(self.p1, self.p2, "R2")
+        with pytest.raises(self.error):
+            self.host.navigate(self.p1, "R2", "P")
+        self.host.relate(self.p1, self.p2, "R2", phrase="is managed by")
 
     def test_reflexive_navigation_by_phrase(self):
-        # 1 manages 2: "2 is managed by 1"
-        self.links.relate(self.r2, 1, "P", 2, "P", phrase="is managed by")
-        assert self.links.navigate(
-            self.r2, 1, "P", "P", phrase="is managed by") == (2,)
-        assert self.links.navigate(
-            self.r2, 2, "P", "P", phrase="manages") == (1,)
+        # p1 manages p2: "p2 is managed by p1"
+        self.host.relate(self.p1, self.p2, "R2", phrase="is managed by")
+        assert self.host.navigate(
+            self.p1, "R2", "P", phrase="is managed by") == (self.p2,)
+        assert self.host.navigate(
+            self.p2, "R2", "P", phrase="manages") == (self.p1,)
 
     def test_reflexive_upper_bound(self):
         # a person has at most one manager (manages end is 0..1)
-        self.links.relate(self.r2, 1, "P", 3, "P", phrase="is managed by")
-        with pytest.raises(MultiplicityError):
-            self.links.relate(self.r2, 2, "P", 3, "P",
-                              phrase="is managed by")
+        self.host.relate(self.p1, self.p3, "R2", phrase="is managed by")
+        with pytest.raises(self.multiplicity_error):
+            self.host.relate(self.p2, self.p3, "R2", phrase="is managed by")
 
     def test_drop_instance_clears_all_links(self):
-        self.links.relate(self.r1, 1, "W", 2, "G")
-        self.links.relate(self.r1, 1, "W", 3, "G")
-        self.links.drop_instance(1)
-        assert self.links.navigate(self.r1, 2, "G", "W") == ()
-        assert self.links.count("R1") == 0
+        self.host.relate(self.w1, self.g1, "R1")
+        self.host.relate(self.w1, self.g2, "R1")
+        self.host.delete_instance(self.w1)
+        assert self.host.navigate(self.g1, "R1", "W") == ()
+        assert self.host.navigate(self.g2, "R1", "W") == ()
 
     def test_integrity_violations_for_unconditional_end(self):
         # every G must have a W (the W end is mult 1)
-        populations = {"W": [1], "G": [2], "P": []}
-        violations = self.links.integrity_violations(populations)
-        assert any("G#2" in v for v in violations)
-        self.links.relate(self.r1, 1, "W", 2, "G")
-        assert self.links.integrity_violations(populations) == []
+        self.host.delete_instance(self.g2)
+        violations = self.host.referential_violations()
+        assert any(f"G#{self.g1}" in v for v in violations)
+        self.host.relate(self.w1, self.g1, "R1")
+        assert self.host.referential_violations() == []
+
+
+class TestPopulationOnCsim(OnCsim, TestPopulation):
+    pass
+
+
+class TestLinkStoreOnCsim(OnCsim, TestLinkStore):
+    pass
