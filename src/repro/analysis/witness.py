@@ -280,29 +280,28 @@ def _arrival_multisets(sim: Simulation):
     consumed: Counter = Counter()
     drop_first_step: dict[tuple, int] = {}
     dispatch_index = 0
-    for event in sim.trace.events:
-        data = event.data
-        if event.kind is TraceKind.INSTANCE_CREATED:
-            klass_of[data["handle"]] = data["class_key"]
-            state_of[data["handle"]] = data["state"]
-        elif event.kind is TraceKind.SIGNAL_CONSUMED:
+    for _, kind, values in sim.trace.records():
+        if kind is TraceKind.INSTANCE_CREATED:
+            handle, class_key, state = values
+            klass_of[handle] = class_key
+            state_of[handle] = state
+        elif kind is TraceKind.SIGNAL_CONSUMED:
             dispatch_index += 1
-        elif event.kind is TraceKind.TRANSITION:
-            handle = data["handle"]
-            klass_of[handle] = data["class_key"]
-            if data["from_state"] is not None:
-                consumed[(data["class_key"], data["label"],
-                          data["from_state"])] += 1
-            state_of[handle] = data["to_state"]
-        elif event.kind is TraceKind.SIGNAL_IGNORED:
+        elif kind is TraceKind.TRANSITION:
+            handle, class_key, from_state, to_state, label = values
+            klass_of[handle] = class_key
+            if from_state is not None:
+                consumed[(class_key, label, from_state)] += 1
+            state_of[handle] = to_state
+        elif kind is TraceKind.SIGNAL_IGNORED:
             dispatch_index += 1
-            target = data["target"]
-            if data["reason"] == "target deleted":
-                entry = (klass_of.get(target, "?"), data["label"],
+            _, label, target, reason = values
+            if reason == "target deleted":
+                entry = (klass_of.get(target, "?"), label,
                          DELETED, "target deleted")
             else:
-                entry = (klass_of[target], data["label"],
-                         state_of[target] or "", data["reason"])
+                entry = (klass_of[target], label,
+                         state_of[target] or "", reason)
             drops[entry] += 1
             drop_first_step.setdefault(entry, dispatch_index)
     return drops, consumed, drop_first_step

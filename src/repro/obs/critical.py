@@ -76,32 +76,27 @@ def critical_path(trace: Trace) -> CriticalPath:
     Traces without activity events (e.g. bus-level co-sim recordings)
     yield single-link chains.
     """
-    sent: dict[int, dict] = {}
     sent_time: dict[int, int] = {}
-    consumed: dict[int, dict] = {}
+    consumed: dict[int, tuple] = {}         # sequence -> (label, target)
     consumed_time: dict[int, int] = {}
     activity_of: dict[int, int] = {}        # consumed sequence -> activity
     activity_end: dict[int, int] = {}
     sends_of_activity: dict[int, list[int]] = {}
 
-    for event in trace:
-        data = event.data
-        if event.kind is TraceKind.SIGNAL_SENT:
-            sequence = data["sequence"]
-            sent[sequence] = data
-            sent_time[sequence] = event.time
-            sends_of_activity.setdefault(data.get("activity", 0), []).append(
-                sequence)
-        elif event.kind is TraceKind.SIGNAL_CONSUMED:
-            sequence = data["sequence"]
-            consumed[sequence] = data
-            consumed_time[sequence] = event.time
-        elif event.kind is TraceKind.ACTIVITY_START:
-            sequence = data.get("consumed_sequence")
-            if sequence is not None:
-                activity_of[sequence] = data["activity"]
-        elif event.kind is TraceKind.ACTIVITY_END:
-            activity_end[data["activity"]] = event.time
+    for time, kind, values in trace.records():
+        if kind is TraceKind.SIGNAL_SENT:
+            sequence = values[0]
+            sent_time[sequence] = time
+            sends_of_activity.setdefault(values[4], []).append(sequence)
+        elif kind is TraceKind.SIGNAL_CONSUMED:
+            sequence = values[0]
+            consumed[sequence] = (values[1], values[2])
+            consumed_time[sequence] = time
+        elif kind is TraceKind.ACTIVITY_START:
+            if values[4] is not None:
+                activity_of[values[4]] = values[0]
+        elif kind is TraceKind.ACTIVITY_END:
+            activity_end[values[0]] = time
 
     if not consumed:
         return CriticalPath(steps=())
@@ -133,8 +128,8 @@ def critical_path(trace: Trace) -> CriticalPath:
     steps = tuple(
         CriticalStep(
             sequence=sequence,
-            label=consumed[sequence].get("label", "?"),
-            target=consumed[sequence].get("target"),
+            label=consumed[sequence][0],
+            target=consumed[sequence][1],
             sent_time=sent_time.get(sequence, consumed_time[sequence]),
             consumed_time=consumed_time[sequence],
         )

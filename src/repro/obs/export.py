@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.runtime.tracing import Trace, TraceKind
+from repro.runtime.tracing import FIELDS, Trace, TraceKind, record_data
 
 #: Schema identifier carried by every trace stream's header line.
 SCHEMA = "repro.trace"
@@ -49,12 +49,12 @@ def dump_jsonl(trace: Trace) -> str:
     lines = [_dumps({"schema": SCHEMA, "version": SCHEMA_VERSION})]
     lines.extend(
         _dumps({
-            "data": event.data,
-            "index": event.index,
-            "kind": event.kind.value,
-            "time": event.time,
+            "data": record_data(kind, values),
+            "index": index,
+            "kind": kind.value,
+            "time": time,
         })
-        for event in trace
+        for index, (time, kind, values) in enumerate(trace.records())
     )
     return "\n".join(lines) + "\n"
 
@@ -63,9 +63,10 @@ def load_jsonl(text: str) -> Trace:
     """Parse a trace stream back into a :class:`Trace`.
 
     Raises :class:`TraceSchemaError` for a missing/foreign header, an
-    unsupported version, malformed lines, unknown event kinds, or
-    event indices that do not form the gap-free 0..n-1 sequence an
-    append-only trace guarantees.
+    unsupported version, malformed lines, unknown event kinds, event
+    data whose keys are not exactly the kind's :data:`FIELDS` (``LOG``
+    data is free-form), or event indices that do not form the gap-free
+    0..n-1 sequence an append-only trace guarantees.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -99,11 +100,19 @@ def load_jsonl(text: str) -> Trace:
             raise TraceSchemaError(
                 f"line {lineno}: event data must be an object, "
                 f"got {type(data).__name__}")
-        event = trace.record(time, kind, **data)
-        if event.index != index:
+        if index != len(trace):
             raise TraceSchemaError(
                 f"line {lineno}: event index {index} breaks the "
-                f"append-only sequence (expected {event.index})")
+                f"append-only sequence (expected {len(trace)})")
+        fields = FIELDS[kind]
+        if fields is None:
+            trace.record(time, kind, data)
+            continue
+        if data.keys() != set(fields):
+            raise TraceSchemaError(
+                f"line {lineno}: {kind_name} data has keys "
+                f"{sorted(data)}, expected {sorted(fields)}")
+        trace.record(time, kind, *(data[name] for name in fields))
     return trace
 
 
@@ -143,11 +152,12 @@ def batch_report_trace(report) -> Trace:
     """
     trace = Trace()
     for result in report.results:
-        trace.record(
-            int(result.elapsed_s * 1_000_000), TraceKind.LOG,
-            record="build_job", job=result.job.label, ok=result.ok,
-            error=result.error, classes_compiled=result.classes_compiled,
-            classes_reused=result.classes_reused,
-            store_hits=result.store.hits, store_misses=result.store.misses,
-        )
+        trace.record(int(result.elapsed_s * 1_000_000), TraceKind.LOG, {
+            "record": "build_job", "job": result.job.label, "ok": result.ok,
+            "error": result.error,
+            "classes_compiled": result.classes_compiled,
+            "classes_reused": result.classes_reused,
+            "store_hits": result.store.hits,
+            "store_misses": result.store.misses,
+        })
     return trace

@@ -40,34 +40,31 @@ def check_causality(trace: Trace) -> list[CausalityViolation]:
     """All violations of sender-completes-before-receiver-starts."""
     violations: list[CausalityViolation] = []
     activity_end_index: dict[int, int] = {}
-    activity_start_index: dict[int, int] = {}
     sent_index: dict[int, int] = {}
     sent_activity: dict[int, int] = {}
     label_of: dict[int, str] = {}
+    starts: list[tuple[int, int]] = []     # (index, consumed sequence)
 
-    for event in trace:
-        if event.kind is TraceKind.ACTIVITY_START:
-            activity_start_index[event.data["activity"]] = event.index
-        elif event.kind is TraceKind.ACTIVITY_END:
-            activity_end_index[event.data["activity"]] = event.index
-        elif event.kind is TraceKind.SIGNAL_SENT:
-            sent_index[event.data["sequence"]] = event.index
-            sent_activity[event.data["sequence"]] = event.data["activity"]
-            label_of[event.data["sequence"]] = event.data["label"]
+    for index, (_, kind, values) in enumerate(trace.records()):
+        if kind is TraceKind.ACTIVITY_START:
+            if values[4] is not None:
+                starts.append((index, values[4]))
+        elif kind is TraceKind.ACTIVITY_END:
+            activity_end_index[values[0]] = index
+        elif kind is TraceKind.SIGNAL_SENT:
+            sequence = values[0]
+            sent_index[sequence] = index
+            sent_activity[sequence] = values[4]
+            label_of[sequence] = values[1]
 
-    for event in trace:
-        if event.kind is not TraceKind.ACTIVITY_START:
-            continue
-        sequence = event.data.get("consumed_sequence")
-        if sequence is None:
-            continue
+    for index, sequence in starts:
         if sequence not in sent_index:
             violations.append(CausalityViolation(
                 sequence, "?", "unsent",
                 "consumed a signal that was never sent",
             ))
             continue
-        if sent_index[sequence] > event.index:
+        if sent_index[sequence] > index:
             violations.append(CausalityViolation(
                 sequence, label_of[sequence], "time-travel",
                 "consumed before it was sent",
@@ -76,7 +73,7 @@ def check_causality(trace: Trace) -> list[CausalityViolation]:
         if sender == 0:
             continue  # environment injection: no sending activity
         sender_end = activity_end_index.get(sender)
-        if sender_end is None or sender_end > event.index:
+        if sender_end is None or sender_end > index:
             violations.append(CausalityViolation(
                 sequence, label_of[sequence], "run-to-completion",
                 f"receiver activity started before sending activity "
@@ -88,27 +85,26 @@ def check_causality(trace: Trace) -> list[CausalityViolation]:
 def check_receiver_fifo(trace: Trace) -> list[CausalityViolation]:
     """Non-self signals to one receiver must be consumed in send order."""
     violations: list[CausalityViolation] = []
-    send_order: dict[int, dict] = {}
-    for event in trace:
-        if event.kind is TraceKind.SIGNAL_SENT:
-            send_order[event.data["sequence"]] = event.data
+    records = trace.records()
+    delay_of: dict[int, int] = {
+        values[0]: values[5]
+        for _, kind, values in records if kind is TraceKind.SIGNAL_SENT
+    }
 
     last_consumed: dict[int, int] = {}
-    for event in trace:
-        if event.kind is not TraceKind.SIGNAL_CONSUMED:
+    for _, kind, values in records:
+        if kind is not TraceKind.SIGNAL_CONSUMED:
             continue
-        sequence = event.data["sequence"]
-        sent = send_order.get(sequence)
-        if sent is None or sent.get("delay", 0) > 0:
+        sequence, label, target, sender, _ = values
+        delay = delay_of.get(sequence)
+        if delay is None or delay > 0:
             continue  # delayed events re-enter the order at their due time
-        target = event.data["target"]
-        sender = event.data.get("sender")
         if sender is not None and sender == target:
             continue  # self-directed events legitimately jump the queue
         previous = last_consumed.get(target)
         if previous is not None and sequence < previous:
             violations.append(CausalityViolation(
-                sequence, event.data["label"], "fifo",
+                sequence, label, "fifo",
                 f"consumed after younger signal #{previous} to the same "
                 f"receiver {target}",
             ))

@@ -55,7 +55,8 @@ from .tracing import Trace, TraceKind
 # parameters arrive by keyword.
 
 def _log_info(executor, self_handle, message: str = "") -> None:
-    executor.trace.record(executor.now, TraceKind.LOG, message=str(message))
+    executor.trace.record(executor.now, TraceKind.LOG,
+                          {"message": str(message)})
 
 
 def _log_metric(executor, self_handle, name: str = "",
@@ -188,10 +189,8 @@ class Dispatcher:
         instance = Instance(handle, class_key, attributes, state)
         self._instances[handle] = instance
         self._extents[class_key][handle] = instance
-        self.trace.record(
-            self.now, TraceKind.INSTANCE_CREATED,
-            handle=handle, class_key=class_key, state=state,
-        )
+        self.trace.record(self.now, TraceKind.INSTANCE_CREATED,
+                          handle, class_key, state)
         return handle
 
     def delete_instance(self, handle: int) -> None:
@@ -200,10 +199,8 @@ class Dispatcher:
         del self._extents[class_key][handle]
         self.links.drop_instance(handle)
         dropped = self.pool.drop_instance(handle)
-        self.trace.record(
-            self.now, TraceKind.INSTANCE_DELETED,
-            handle=handle, class_key=class_key, pending_dropped=dropped,
-        )
+        self.trace.record(self.now, TraceKind.INSTANCE_DELETED,
+                          handle, class_key, dropped)
 
     def instance(self, handle: int) -> Instance:
         try:
@@ -305,8 +302,7 @@ class Dispatcher:
         )
         self.trace.record(
             self.now, TraceKind.SIGNAL_SENT,
-            sequence=signal.sequence, label=label, target=target,
-            sender=sender, activity=signal.activity_id, delay=delay,
+            signal.sequence, label, target, sender, signal.activity_id, delay,
         )
         self._enqueue(signal, delay)
         return signal
@@ -335,10 +331,8 @@ class Dispatcher:
 
     def call_bridge(self, self_handle, entity, operation, kwargs: dict):
         """Trace a bridge call and run its implementation from ``bridges``."""
-        self.trace.record(
-            self.now, TraceKind.BRIDGE_CALL,
-            entity=entity, operation=operation, handle=self_handle,
-        )
+        self.trace.record(self.now, TraceKind.BRIDGE_CALL,
+                          entity, operation, self_handle)
         impl = self.bridges.get((entity, operation))
         if impl is None:
             raise self.bridge_error(
@@ -382,22 +376,20 @@ class Dispatcher:
                 return
         self.trace.record(
             self.now, TraceKind.SIGNAL_CONSUMED,
-            sequence=signal.sequence, label=signal.label, target=handle,
-            sender=signal.sender_handle, sent_activity=signal.activity_id,
+            signal.sequence, signal.label, handle, signal.sender_handle,
+            signal.activity_id,
         )
         target.current_state = to_state
         self.trace.record(
             self.now, TraceKind.TRANSITION,
-            handle=handle, class_key=signal.class_key,
-            from_state=from_state, to_state=to_state, label=signal.label,
+            handle, signal.class_key, from_state, to_state, signal.label,
         )
         self._run_state_activity(target, to_state, signal)
 
     def _drop(self, signal: SignalInstance, reason: str) -> None:
         self.trace.record(
             self.now, TraceKind.SIGNAL_IGNORED,
-            sequence=signal.sequence, label=signal.label,
-            target=signal.target_handle, reason=reason,
+            signal.sequence, signal.label, signal.target_handle, reason,
         )
 
     def _run_to_completion(self, handle: int, class_key: str, state: str,
@@ -407,19 +399,15 @@ class Dispatcher:
         self._next_activity += 1
         self.trace.record(
             self.now, TraceKind.ACTIVITY_START,
-            activity=activity_id, handle=handle, class_key=class_key,
-            state=state, consumed_sequence=signal.sequence,
+            activity_id, handle, class_key, state, signal.sequence,
         )
         self._activity_stack.append(activity_id)
         try:
             self.executor.run(ir, handle, params)
         finally:
             self._activity_stack.pop()
-            self.trace.record(
-                self.now, TraceKind.ACTIVITY_END,
-                activity=activity_id, handle=handle, class_key=class_key,
-                state=state,
-            )
+            self.trace.record(self.now, TraceKind.ACTIVITY_END,
+                              activity_id, handle, class_key, state)
 
     # -- step-driven execution ------------------------------------------------------
 

@@ -6,6 +6,14 @@ lifecycle, bridge calls.  The trace is the common currency of the whole
 toolchain — the causality checker (paper: "this captures desired cause
 and effect"), the verification harness, and the model-vs-generated-code
 conformance comparison all consume it.
+
+A trace record is the plain tuple ``(time, kind, values)``; its index is
+its position in the trace.  ``values`` holds the kind's fields in the
+order :data:`FIELDS` lists them, so recording costs one tuple and no
+dict.  ``LOG`` is the one free-form kind: its ``values`` is a single
+dict.  :class:`TraceEvent`, with its ``data`` dict, is built only when a
+reader asks for events (:attr:`Trace.events`, iteration,
+:meth:`Trace.of_kind`); hot readers walk :meth:`Trace.records` instead.
 """
 
 from __future__ import annotations
@@ -27,6 +35,34 @@ class TraceKind(enum.Enum):
     LOG = "log"
 
 
+#: The trace schema: each kind's field names, in the order its records
+#: carry their values.  None marks ``LOG``, whose one value is a dict.
+FIELDS: dict[TraceKind, tuple[str, ...] | None] = {
+    TraceKind.INSTANCE_CREATED: ("handle", "class_key", "state"),
+    TraceKind.INSTANCE_DELETED: ("handle", "class_key", "pending_dropped"),
+    TraceKind.SIGNAL_SENT: (
+        "sequence", "label", "target", "sender", "activity", "delay"),
+    TraceKind.SIGNAL_CONSUMED: (
+        "sequence", "label", "target", "sender", "sent_activity"),
+    TraceKind.SIGNAL_IGNORED: ("sequence", "label", "target", "reason"),
+    TraceKind.TRANSITION: (
+        "handle", "class_key", "from_state", "to_state", "label"),
+    TraceKind.ACTIVITY_START: (
+        "activity", "handle", "class_key", "state", "consumed_sequence"),
+    TraceKind.ACTIVITY_END: ("activity", "handle", "class_key", "state"),
+    TraceKind.BRIDGE_CALL: ("entity", "operation", "handle"),
+    TraceKind.LOG: None,
+}
+
+
+def record_data(kind: TraceKind, values: tuple) -> dict:
+    """The ``data`` dict of one record: its values keyed by field name."""
+    fields = FIELDS[kind]
+    if fields is None:
+        return dict(values[0])
+    return dict(zip(fields, values))
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     """One trace record.  ``data`` is kind-specific."""
@@ -41,47 +77,61 @@ class TraceEvent:
         return f"[{self.index:5d} t={self.time:8d}] {self.kind.value}: {payload}"
 
 
+def _event(index: int, record: tuple) -> TraceEvent:
+    time, kind, values = record
+    return TraceEvent(index, time, kind, record_data(kind, values))
+
+
 class Trace:
     """An append-only record of one execution."""
 
     def __init__(self):
-        self._events: list[TraceEvent] = []
+        self._records: list[tuple[int, TraceKind, tuple]] = []
 
-    def record(self, time: int, kind: TraceKind, **data) -> TraceEvent:
-        event = TraceEvent(len(self._events), time, kind, data)
-        self._events.append(event)
-        return event
+    def record(self, time: int, kind: TraceKind, *values) -> None:
+        self._records.append((time, kind, values))
+
+    def records(self) -> list[tuple[int, TraceKind, tuple]]:
+        """The raw ``(time, kind, values)`` records; read, never mutate."""
+        return self._records
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
-        return tuple(self._events)
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._records)
 
     def __iter__(self):
-        return iter(self._events)
+        return (_event(index, record)
+                for index, record in enumerate(self._records))
 
     def of_kind(self, kind: TraceKind) -> tuple[TraceEvent, ...]:
-        return tuple(e for e in self._events if e.kind is kind)
+        return tuple(_event(index, record)
+                     for index, record in enumerate(self._records)
+                     if record[1] is kind)
 
     def transitions_of(self, handle: int) -> tuple[TraceEvent, ...]:
         return tuple(
-            e
-            for e in self._events
-            if e.kind is TraceKind.TRANSITION and e.data.get("handle") == handle
+            _event(index, record)
+            for index, record in enumerate(self._records)
+            if record[1] is TraceKind.TRANSITION and record[2][0] == handle
         )
 
     def state_history(self, handle: int) -> tuple[str, ...]:
         """The sequence of states *handle* entered, in order."""
-        return tuple(e.data["to_state"] for e in self.transitions_of(handle))
+        return tuple(
+            values[3]
+            for _, kind, values in self._records
+            if kind is TraceKind.TRANSITION and values[0] == handle
+        )
 
     def signal_labels(self) -> tuple[str, ...]:
         """Labels of all consumed signals, in consumption order."""
         return tuple(
-            e.data["label"]
-            for e in self._events
-            if e.kind is TraceKind.SIGNAL_CONSUMED
+            values[1]
+            for _, kind, values in self._records
+            if kind is TraceKind.SIGNAL_CONSUMED
         )
 
     def behavioural_summary(self) -> tuple[tuple, ...]:
@@ -95,15 +145,13 @@ class Trace:
         """
         per_instance: dict[int, list[tuple[str, str]]] = {}
         pending_label: dict[int, str] = {}
-        for event in self._events:
-            if event.kind is TraceKind.SIGNAL_CONSUMED:
-                pending_label[event.data["target"]] = event.data["label"]
-            elif event.kind is TraceKind.TRANSITION:
-                handle = event.data["handle"]
+        for _, kind, values in self._records:
+            if kind is TraceKind.SIGNAL_CONSUMED:
+                pending_label[values[2]] = values[1]
+            elif kind is TraceKind.TRANSITION:
+                handle = values[0]
                 label = pending_label.pop(handle, "")
-                per_instance.setdefault(handle, []).append(
-                    (label, event.data["to_state"])
-                )
+                per_instance.setdefault(handle, []).append((label, values[3]))
         return tuple(
             (handle, tuple(history))
             for handle, history in sorted(per_instance.items())

@@ -212,8 +212,8 @@ def chaos_sweep(model_name: str, hardware: tuple[str, ...] | None = None,
                     case_seed(seed, rate, case.name), rate)
             machine = CoSimMachine(build, config, plan)
             result = run_case(case, machine)
-            events = machine.trace.events
-            makespan = events[-1].time if events else 0
+            records = machine.trace.records()
+            makespan = records[-1][0] if records else 0
             point.cases.append(ChaosCaseResult(
                 case=case.name,
                 passed=result.passed,

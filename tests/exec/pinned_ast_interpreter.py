@@ -438,9 +438,8 @@ class PinnedAstSimulation(Simulation):
         self._next_activity += 1
         self.trace.record(
             self.now, TraceKind.ACTIVITY_START,
-            activity=activity_id, handle=instance.handle,
-            class_key=instance.class_key, state=state_name,
-            consumed_sequence=signal.sequence,
+            activity_id, instance.handle, instance.class_key, state_name,
+            signal.sequence,
         )
         self._activity_stack.append(activity_id)
         try:
@@ -453,6 +452,5 @@ class PinnedAstSimulation(Simulation):
             self._activity_stack.pop()
             self.trace.record(
                 self.now, TraceKind.ACTIVITY_END,
-                activity=activity_id, handle=instance.handle,
-                class_key=instance.class_key, state=state_name,
+                activity_id, instance.handle, instance.class_key, state_name,
             )

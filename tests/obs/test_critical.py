@@ -8,15 +8,18 @@ from repro.verify import run_case, standard_targets, suite_for
 
 
 def send(trace, time, sequence, activity=0, label="S"):
+    # sequence, label, target, sender, activity, delay
     trace.record(time, TraceKind.SIGNAL_SENT,
-                 sequence=sequence, label=label, target=1, activity=activity)
+                 sequence, label, 1, None, activity, 0)
 
 
 def consume(trace, time, sequence, activity, label="S"):
+    # sequence, label, target, sender, sent_activity
     trace.record(time, TraceKind.SIGNAL_CONSUMED,
-                 sequence=sequence, label=label, target=1)
+                 sequence, label, 1, None, 0)
+    # activity, handle, class_key, state, consumed_sequence
     trace.record(time, TraceKind.ACTIVITY_START,
-                 activity=activity, consumed_sequence=sequence)
+                 activity, 1, "C", "S", sequence)
 
 
 class TestSyntheticChains:
@@ -35,7 +38,7 @@ class TestSyntheticChains:
         consume(trace, 9, 2, activity=20, label="B")
         send(trace, 10, 3, activity=20, label="C")
         consume(trace, 15, 3, activity=30, label="C")
-        trace.record(18, TraceKind.ACTIVITY_END, activity=30)
+        trace.record(18, TraceKind.ACTIVITY_END, 30, 1, "C", "S")
         path = critical_path(trace)
         assert path.labels() == ("A", "B", "C")
         assert [step.sequence for step in path.steps] == [1, 2, 3]
@@ -84,9 +87,8 @@ class TestSyntheticChains:
     def test_trace_without_activities_yields_single_link(self):
         # bus-level co-sim recordings carry no activity events
         trace = Trace()
-        trace.record(0, TraceKind.SIGNAL_SENT, sequence=1, label="X", target=2)
-        trace.record(7, TraceKind.SIGNAL_CONSUMED,
-                     sequence=1, label="X", target=2)
+        trace.record(0, TraceKind.SIGNAL_SENT, 1, "X", 2, None, 0, 0)
+        trace.record(7, TraceKind.SIGNAL_CONSUMED, 1, "X", 2, None, 0)
         path = critical_path(trace)
         assert path.length == 1
         assert path.steps[0].sent_time == 0

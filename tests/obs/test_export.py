@@ -55,7 +55,7 @@ class TestRoundTrip:
 
     def test_stream_shape(self):
         trace = Trace()
-        trace.record(5, TraceKind.LOG, note="hello")
+        trace.record(5, TraceKind.LOG, {"note": "hello"})
         text = dump_jsonl(trace)
         assert text.endswith("\n")
         header, line = text.splitlines()
@@ -99,6 +99,19 @@ class TestSchemaGuards:
                 + '{"data":{},"index":3,"kind":"log","time":0}\n')
         with pytest.raises(TraceSchemaError, match="append-only"):
             load_jsonl(text)
+
+    def test_rejects_data_keys_other_than_the_kinds_fields(self):
+        header = dump_jsonl(Trace())
+        call = ('{"data":{"entity":"LOG","handle":1,"operation":"info"},'
+                '"index":0,"kind":"bridge_call","time":0}\n')
+        assert len(load_jsonl(header + call)) == 1
+        missing = call.replace('"handle":1,', "")
+        with pytest.raises(TraceSchemaError, match="line 2: bridge_call"):
+            load_jsonl(header + missing)
+        extra = call.replace('"handle":1,', '"handle":1,"note":"x",')
+        second = extra.replace('"index":0', '"index":1')
+        with pytest.raises(TraceSchemaError, match="line 3: bridge_call"):
+            load_jsonl(header + call + second)
 
     def test_rejects_non_object_data(self):
         text = (dump_jsonl(Trace())
