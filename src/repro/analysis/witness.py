@@ -17,12 +17,24 @@ a :class:`Witness` that :func:`replay_witness` can re-execute
 deterministically.  A finding with a witness is a defect; a suspect no
 schedule in budget could realize gets downgraded, not reported as
 ERROR.  That asymmetry is the acceptance bar: zero false ERRORs.
+
+Most seeded schedules repeat one already run: a scenario with few real
+choice points (or none, like a timer cycle) gives the same schedule
+under every seed.  Each scenario's runs therefore go into a
+:class:`ChoiceTree` keyed by their choice paths, the sorted ready
+sources and the source picked at each dispatch.  A run is a
+deterministic function of its choices, and a seeded run draws each one
+with :meth:`InterleavedScheduler.pick` over the ready sources.  Drawing
+with the seed's generator over the recorded options therefore follows
+the exact path that seed's run would take; when the walk reaches a
+recorded run, that record *is* the seed's record and the run is not
+executed again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.runtime.scheduler import (
     InterleavedScheduler,
@@ -159,18 +171,21 @@ def stimuli_from_scenarios(scenarios) -> dict[str, frozenset[str]]:
 
 
 class RecordingScheduler(Scheduler):
-    """Wrap any scheduler; remember every dispatch choice it makes."""
+    """Wrap any scheduler; remember every dispatch choice it makes and
+    the sorted ready sources it chose among."""
 
     name = "recording"
 
     def __init__(self, inner: Scheduler):
         self.inner = inner
         self.choices: list[int] = []
+        self.options: list[tuple[int, ...]] = []
 
     def choose(self, pool):
         choice = self.inner.choose(pool)
         if choice is not None:
             self.choices.append(choice)
+            self.options.append(tuple(sorted(self._sources(pool))))
         return choice
 
 
@@ -307,6 +322,52 @@ def _arrival_multisets(sim: Simulation):
     return drops, consumed, drop_first_step
 
 
+class _Node:
+    __slots__ = ("options", "children", "record")
+
+    def __init__(self):
+        self.options: tuple[int, ...] = ()
+        self.children: dict[int, _Node] = {}
+        self.record: RunRecord | None = None
+
+
+class ChoiceTree:
+    """The executed runs of one scenario, keyed by their choice paths.
+
+    A path is the run's ``(options, choice)`` steps.  Only the path up
+    to its last real choice (two or more options) is stored: the node
+    there holds the run's record, because the rest of the path is forced
+    and a forced node can never gain a second child.
+    """
+
+    def __init__(self):
+        self._root = _Node()
+
+    def insert(self, steps, record: RunRecord) -> None:
+        steps = list(steps)
+        last = max((i for i, (options, _) in enumerate(steps)
+                    if len(options) > 1), default=-1)
+        node = self._root
+        for options, choice in steps[:last + 1]:
+            node.options = options
+            node = node.children.setdefault(choice, _Node())
+        node.record = record
+
+    def lookup(self, scheduler: InterleavedScheduler) -> RunRecord | None:
+        """The record of the run *scheduler* would make, if one is stored.
+
+        Walks from the root drawing with ``scheduler.pick`` over each
+        node's recorded options; None once the walk leaves the tree.
+        The tree must hold at least one run.
+        """
+        node = self._root
+        while node.record is None:
+            node = node.children.get(scheduler.pick(node.options))
+            if node is None:
+                return None
+        return node.record
+
+
 def run_scenario(
     model: Model,
     scenario: Scenario,
@@ -314,6 +375,7 @@ def run_scenario(
     component: str | None = None,
     max_steps: int = 1_000,
     seed: int | None = None,
+    tree: ChoiceTree | None = None,
 ) -> RunRecord:
     """One bounded run: apply the scenario, dispatch to quiescence.
 
@@ -322,7 +384,8 @@ def run_scenario(
     forward to the next due signal whenever the pool is idle (delays
     included in the exploration, not waited out), and the run is
     truncated — never raised — at *max_steps* so a livelocking schedule
-    still yields a comparable record.
+    still yields a comparable record.  The finished run goes into
+    *tree* when one is given.
     """
     recorder = RecordingScheduler(scheduler)
     sim = Simulation(model, component=component, scheduler=recorder,
@@ -332,7 +395,7 @@ def run_scenario(
         apply_stimulus(step, sim, names)
     steps = sim.advance(max_steps=max_steps)
     drops, consumed, drop_first_step = _arrival_multisets(sim)
-    return RunRecord(
+    record = RunRecord(
         scheduler_name=scheduler.name,
         seed=seed,
         schedule=tuple(recorder.choices),
@@ -344,6 +407,9 @@ def run_scenario(
         truncated=steps >= max_steps,
         drop_first_step=tuple(sorted(drop_first_step.items())),
     )
+    if tree is not None:
+        tree.insert(zip(recorder.options, recorder.choices), record)
+    return record
 
 
 # --------------------------------------------------------------------------
@@ -405,6 +471,14 @@ class WitnessSearch:
     One search object serves every detector query for a model: runs are
     cached per (scenario, schedule), so asking about ten drop sites
     costs one sweep, not ten.
+
+    Each scenario's sweep keeps a :class:`ChoiceTree` of the runs it has
+    executed, the synchronous baseline first.  Before running seed *s*,
+    the sweep walks the tree with ``InterleavedScheduler(s).pick``; a
+    walk that reaches a recorded run reuses its record, relabelled with
+    the seed, which is exactly the record executing the run would give.
+    ``runs_executed`` counts only the runs actually executed: the
+    distinct schedules.
     """
 
     def __init__(
@@ -430,18 +504,27 @@ class WitnessSearch:
         cached = self._records.get(scenario.name)
         if cached is not None:
             return cached
-        records = [run_scenario(
-            self.model, scenario, SynchronousScheduler(),
-            component=self.component, max_steps=self.max_steps)]
+        tree = ChoiceTree()
+        records = [self._execute(scenario, SynchronousScheduler(), tree)]
         for offset in range(self.schedules):
             run_seed = self.seed + offset
-            records.append(run_scenario(
-                self.model, scenario, InterleavedScheduler(run_seed),
-                component=self.component, max_steps=self.max_steps,
-                seed=run_seed))
-        self.runs_executed += len(records)
+            record = tree.lookup(InterleavedScheduler(run_seed))
+            if record is None:
+                record = self._execute(scenario, InterleavedScheduler(run_seed),
+                                       tree, seed=run_seed)
+            else:
+                record = replace(record, scheduler_name=InterleavedScheduler.name,
+                                 seed=run_seed)
+            records.append(record)
         self._records[scenario.name] = records
         return records
+
+    def _execute(self, scenario: Scenario, scheduler: Scheduler,
+                 tree: ChoiceTree, seed: int | None = None) -> RunRecord:
+        self.runs_executed += 1
+        return run_scenario(
+            self.model, scenario, scheduler, component=self.component,
+            max_steps=self.max_steps, seed=seed, tree=tree)
 
     def find_drop(self, class_key: str, label: str, state: str,
                   reason: str) -> Witness | None:

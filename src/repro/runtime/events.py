@@ -197,6 +197,3 @@ class EventPool:
     @property
     def delayed_count(self) -> int:
         return len(self._delayed)
-
-    def is_idle(self) -> bool:
-        return self.ready_count == 0 and not self._delayed

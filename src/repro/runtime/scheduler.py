@@ -96,7 +96,15 @@ class InterleavedScheduler(Scheduler):
         sources = self._sources(pool)
         if not sources:
             return None
-        return self._rng.choice(sorted(sources))
+        return self.pick(sorted(sources))
+
+    def pick(self, options):
+        """Draw one of the sorted *options*: this scheduler's one random rule.
+
+        A forced draw (one option) consumes random bits like any other,
+        so drawing over a run's recorded options replays its choices.
+        """
+        return self._rng.choice(options)
 
 
 class PriorityScheduler(Scheduler):

@@ -1,8 +1,11 @@
 """Unit tests for scenario distillation and the interleaving explorer."""
 
 from dataclasses import replace
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.witness import (
     ReplayScheduler,
@@ -13,7 +16,12 @@ from repro.analysis.witness import (
     scenarios_from_cases,
     stimuli_from_scenarios,
 )
-from repro.models import build_elevator_model, build_microwave_model
+from repro.models import (
+    CATALOG,
+    build_elevator_model,
+    build_microwave_model,
+    build_model,
+)
 from repro.runtime.scheduler import InterleavedScheduler, SynchronousScheduler
 from repro.verify import suite_for
 from repro.verify.testcase import ExpectState, InjectStep, RunStep
@@ -143,10 +151,13 @@ class TestWitnessSearch:
                                             microwave_scenarios):
         search = WitnessSearch(microwave, microwave_scenarios[:1],
                                component="control", schedules=3)
-        search.records_for(microwave_scenarios[0])
+        records = search.records_for(microwave_scenarios[0])
         after_first = search.runs_executed
         search.records_for(microwave_scenarios[0])
-        assert search.runs_executed == after_first == 4  # baseline + 3
+        assert len(records) == 4  # baseline + 3
+        # each distinct schedule is executed once, and only once
+        assert after_first == len({record.schedule for record in records})
+        assert search.runs_executed == after_first
 
     def test_witness_json_is_self_describing(self, microwave_search):
         witness = microwave_search.find_drop("MO", "MO4", "Paused", "ignored")
@@ -169,3 +180,59 @@ class TestRaceWitness:
 
     def test_pinned_signal_never_races(self, microwave_search):
         assert microwave_search.find_race("MO", "MO5") is None
+
+
+@cache
+def _catalog_model(name):
+    return build_model(name)
+
+
+def _executed_one_by_one(model, scenario, seed, schedules, max_steps):
+    """The explorer's records, each run executed: the oracle for reuse."""
+    records = [run_scenario(model, scenario, SynchronousScheduler(),
+                            max_steps=max_steps)]
+    for run_seed in range(seed, seed + schedules):
+        records.append(run_scenario(
+            model, scenario, InterleavedScheduler(run_seed),
+            max_steps=max_steps, seed=run_seed))
+    return records
+
+
+class TestChoiceTreeReuse:
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from([entry.name for entry in CATALOG]),
+           index=st.integers(min_value=0),
+           seed=st.integers(min_value=0, max_value=100),
+           schedules=st.integers(min_value=0, max_value=30),
+           max_steps=st.sampled_from([5, 50, 1000]))
+    def test_reused_records_equal_executed_ones(self, name, index, seed,
+                                                schedules, max_steps):
+        model = _catalog_model(name)
+        scenarios = scenarios_for_model(model.name)
+        scenario = scenarios[index % len(scenarios)]
+        search = WitnessSearch(model, (scenario,), schedules=schedules,
+                               max_steps=max_steps, seed=seed)
+        assert search.records_for(scenario) == _executed_one_by_one(
+            model, scenario, seed, schedules, max_steps)
+        assert search.runs_executed <= schedules + 1
+
+    def _search(self, name, scenario_name):
+        model = _catalog_model(name)
+        scenario = next(s for s in scenarios_for_model(model.name)
+                        if s.name == scenario_name)
+        search = WitnessSearch(model, (scenario,))
+        records = search.records_for(scenario)
+        assert records == _executed_one_by_one(model, scenario, 0, 24, 1000)
+        return search, records
+
+    def test_forced_timer_cycle_executes_once(self):
+        # every trafficlight choice is forced: 25 records, one run
+        search, records = self._search("trafficlight", "phases-cycle")
+        assert len(records) == 25
+        assert search.runs_executed == 1
+
+    def test_distinct_schedules_all_execute(self):
+        # every seed of this packetproc scenario takes its own path
+        search, records = self._search("packetproc", "one-crypto-packet")
+        assert len(records) == 25
+        assert search.runs_executed == 25

@@ -79,7 +79,7 @@ class TestEventPool:
         pool.push_ready(signal(4, target=5))
         assert pool.drop_instance(4) == 3
         assert pool.ready_handles() == (5,)
-        assert pool.is_idle() is False
+        assert not (pool.ready_count == 0 and pool.delayed_count == 0)
 
     def test_emptied_queue_leaves_ready_handles(self):
         pool = EventPool()
@@ -93,6 +93,6 @@ class TestEventPool:
 
     def test_idle(self):
         pool = EventPool()
-        assert pool.is_idle()
+        assert pool.ready_count == 0 and pool.delayed_count == 0
         pool.push_delayed(signal(1), 10)
-        assert not pool.is_idle()
+        assert not (pool.ready_count == 0 and pool.delayed_count == 0)

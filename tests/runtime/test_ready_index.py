@@ -75,7 +75,8 @@ def _schedulers():
 
 def _observe(pool):
     return (pool.ready_handles(), pool.ready_count, pool.has_ready_creation(),
-            pool.next_due_time(), pool.delayed_count, pool.is_idle())
+            pool.next_due_time(), pool.delayed_count,
+            pool.ready_count == 0 and pool.delayed_count == 0)
 
 
 @settings(max_examples=300, deadline=None)
