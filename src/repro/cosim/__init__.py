@@ -4,8 +4,8 @@
   concurrent hardware blocks, a shared arbitrated bus carrying generated
   interface messages
 * :class:`CoSimConfig` — the documented platform timing model
-* :class:`LatencyProbe` / :class:`ThroughputProbe` — measurement
-* :func:`sweep_partitions` — marks -> compile -> measure, per candidate
+* :func:`measure_partition` / :func:`sweep_partitions` — marks ->
+  compile -> co-simulate -> latency and throughput read from the trace
 """
 
 from .bus import Bus, BusRequest, BusStats
@@ -19,19 +19,18 @@ from .faults import (
     FaultRates,
     FaultStats,
 )
-from .perf import (
-    LatencyProbe,
-    LatencySample,
-    PartitionMeasurement,
-    ThroughputProbe,
-)
 from .report import (
     measurements_to_csv,
     render_fault_stats,
     render_table,
     write_csv,
 )
-from .sweep import best_partition, measure_partition, sweep_partitions
+from .sweep import (
+    PartitionMeasurement,
+    best_partition,
+    measure_partition,
+    sweep_partitions,
+)
 from .workload import (
     PacketStimulus,
     bursty_packets,
@@ -51,13 +50,10 @@ __all__ = [
     "FaultPlan",
     "FaultRates",
     "FaultStats",
-    "LatencyProbe",
-    "LatencySample",
     "NO_FAULT",
     "PacketStimulus",
     "PartitionMeasurement",
     "ResourceStats",
-    "ThroughputProbe",
     "US_TO_NS",
     "best_partition",
     "bursty_packets",

@@ -36,6 +36,7 @@ from repro.mda.archrt import ArchError, TargetMachine
 from repro.mda.compiler import Build
 from repro.mda.interfacegen import InterfaceCodec, InterfaceError
 from repro.obs.metrics import active_registry
+from repro.runtime.causality import CausalIndex
 from repro.runtime.events import CREATION, SignalInstance
 from repro.runtime.scheduler import KernelScheduler
 
@@ -133,9 +134,6 @@ class CoSimMachine(TargetMachine):
             for key in self.partition.hardware_classes
         }
         self.bus_messages_sent = 0
-        #: observers: callables (time_ns, signal) for sent/consumed signals
-        self.on_sent: list = []
-        self.on_consumed: list = []
         registry = active_registry()
         if registry is None:
             self._m_routed = None
@@ -192,8 +190,6 @@ class CoSimMachine(TargetMachine):
 
     def _route(self, signal: SignalInstance, ready_ns: int) -> None:
         """Send *signal* towards its receiver, via the bus if it crosses."""
-        for observer in self.on_sent:
-            observer(ready_ns, signal)
         if self._m_routed is not None:
             self._m_routed.inc()
             self._m_sent_ns[signal.sequence] = ready_ns
@@ -455,6 +451,9 @@ class CoSimMachine(TargetMachine):
                 while granted is not None:
                     delivery, request = granted
                     self._push_heap(delivery, "bus_deliver", request)
+                    if delivery > self.bus.free_at:
+                        # a delayed frame frees the bus before it lands
+                        self._push_heap(self.bus.free_at, "bus_poll", None)
                     granted = self.bus.grant(self.now)
             elif kind == "bus_deliver":
                 payload.deliver()
@@ -521,8 +520,6 @@ class CoSimMachine(TargetMachine):
         ops_before = self.ops_executed
         self._emit_buffer = []
         start = self.now
-        for observer in self.on_consumed:
-            observer(start, signal)
         if self._m_latency is not None:
             sent_at = self._m_sent_ns.pop(signal.sequence, None)
             if sent_at is not None:
@@ -532,11 +529,13 @@ class CoSimMachine(TargetMachine):
         except ArchError:
             # a corrupted command can trip the runtime's safety bounds
             # directly (loop limit) or poison the receiver's state so a
-            # *later*, clean signal hits cant-happen.  Once corrupted
-            # data was delivered, contain the blast radius and write the
-            # dispatch off as lost; with no corruption in play the error
-            # is a genuine model bug and propagates.
-            if not self._corrupted_sequences:
+            # *later*, clean signal hits cant-happen.  Contain the blast
+            # radius -- write the dispatch off as lost -- only when a
+            # corrupted signal is among its causal ancestors; any other
+            # error is a genuine model bug and propagates.
+            if self._corrupted_sequences.isdisjoint(
+                    CausalIndex(self.trace).ancestors(
+                        signal.sequence, signal.target_handle)):
                 raise
             self.fault_stats.lost += 1
         finally:

@@ -10,7 +10,7 @@ import csv
 import io
 
 from .faults import FaultStats
-from .perf import PartitionMeasurement
+from .sweep import PartitionMeasurement
 
 _CSV_COLUMNS = (
     "partition", "offered_packets", "completed", "mean_latency_ns",

@@ -4,24 +4,76 @@ Drives the full paper workflow end to end, once per candidate partition:
 
     marks -> compile -> co-simulate under a fixed workload -> measure
 
-The stimulus, probes and measurement code never change between
-partitions; only the marking file does.  That invariance *is* the claim
-of paper section 4, and experiment E4 reports the resulting latency /
-throughput / utilization table.
+The stimulus and the measurement code never change between partitions;
+only the marking file does.  That invariance *is* the claim of paper
+section 4, and experiment E4 reports the resulting latency / throughput
+/ utilization table.  Both are read from the run's trace: a packet's
+latency runs from its ``M1`` arrival to the ``ST1`` consumption it
+caused, found through the trace's
+:class:`~repro.runtime.causality.CausalIndex`.
 """
 
 from __future__ import annotations
 
+import statistics
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.marks.partition import marks_for_partition
 from repro.mda.compiler import ModelCompiler
+from repro.obs.metrics import percentile_nearest_rank
+from repro.runtime.causality import CausalIndex
+from repro.runtime.tracing import Trace
 from repro.xuml.model import Model
 
 from .config import CoSimConfig
-from .engine import CoSimMachine
-from .perf import LatencyProbe, PartitionMeasurement, ThroughputProbe
+from .engine import US_TO_NS, CoSimMachine
 from .workload import PacketStimulus, inject_stimulus
+
+
+@dataclass
+class PartitionMeasurement:
+    """One row of the E4 partition sweep."""
+
+    hardware_classes: tuple[str, ...]
+    offered_packets: int
+    completed: int
+    mean_latency_ns: float
+    p99_latency_ns: float
+    throughput_per_s: float
+    cpu_utilization: float
+    bus_utilization: float
+    bus_messages: int
+    makespan_ns: int
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def label(self) -> str:
+        return "+".join(self.hardware_classes) or "(all software)"
+
+
+def packet_timings(trace: Trace) -> list[tuple[int, int]]:
+    """``(arrival_ns, completed_ns)`` per completed packet, in completion
+    order.
+
+    A packet is an ``M1`` signal sent by the environment; it arrives its
+    ``delay`` after the send.  It completes at the first ``ST1``
+    consumption whose causal root it is.
+    """
+    index = CausalIndex(trace)
+    samples: list[tuple[int, int]] = []
+    done: set[int] = set()
+    for _, time, sequence, label, _, _ in index.consumptions:
+        if label != "ST1":
+            continue
+        root = index.root_of(sequence)
+        if root is None or root in done:
+            continue
+        _, sent_at, root_label, _, delay = index.sent[root]
+        if root_label == "M1":
+            done.add(root)
+            samples.append((sent_at + delay * US_TO_NS, time))
+    return samples
 
 
 def measure_partition(
@@ -49,20 +101,24 @@ def measure_partition(
     else:
         handles = populate(machine)
 
-    latency = LatencyProbe(
-        machine, start=("M", "M1"), end=("ST", "ST1"), key_param="pkt_id")
-    throughput = ThroughputProbe(machine, signal=("ST", "ST1"))
     inject_stimulus(machine, handles["M"], packets)
     machine.run(horizon_us=horizon_us)
 
+    samples = packet_timings(machine.trace)
+    latencies = [end - start for start, end in samples]
+    throughput = 0.0
+    if len(samples) > 1 and samples[-1][1] != samples[0][1]:
+        span_s = (samples[-1][1] - samples[0][1]) / 1e9
+        throughput = (len(samples) - 1) / span_s
     utilization = machine.utilization_report()
     return PartitionMeasurement(
         hardware_classes=tuple(hardware_classes),
         offered_packets=len(packets),
-        completed=latency.count,
-        mean_latency_ns=latency.mean_ns(),
-        p99_latency_ns=latency.p99_ns(),
-        throughput_per_s=throughput.per_second(),
+        completed=len(samples),
+        mean_latency_ns=statistics.fmean(latencies) if latencies
+        else float("nan"),
+        p99_latency_ns=percentile_nearest_rank(latencies, 0.99),
+        throughput_per_s=throughput,
         cpu_utilization=utilization["cpu"],
         bus_utilization=utilization["bus"],
         bus_messages=machine.bus.stats.messages,

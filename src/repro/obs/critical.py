@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.runtime.tracing import Trace, TraceKind
+from repro.runtime.causality import CausalIndex
+from repro.runtime.tracing import Trace
 
 
 @dataclass(frozen=True)
@@ -69,37 +70,24 @@ class CriticalPath:
 def critical_path(trace: Trace) -> CriticalPath:
     """The longest send→consume→transition chain recorded in *trace*.
 
-    Chains follow the causality edges the checker in
-    :mod:`repro.runtime.causality` verifies: signal *s* links to every
+    Chains follow the causality edges of the trace's
+    :class:`~repro.runtime.causality.CausalIndex`: signal *s* links to every
     signal sent by the activity that *s*'s consumption started.  Ties
     break toward lower sequence numbers, so the result is deterministic.
     Traces without activity events (e.g. bus-level co-sim recordings)
     yield single-link chains.
     """
-    sent_time: dict[int, int] = {}
-    consumed: dict[int, tuple] = {}         # sequence -> (label, target)
-    consumed_time: dict[int, int] = {}
-    activity_of: dict[int, int] = {}        # consumed sequence -> activity
-    activity_end: dict[int, int] = {}
-    sends_of_activity: dict[int, list[int]] = {}
-
-    for time, kind, values in trace.records():
-        if kind is TraceKind.SIGNAL_SENT:
-            sequence = values[0]
-            sent_time[sequence] = time
-            sends_of_activity.setdefault(values[4], []).append(sequence)
-        elif kind is TraceKind.SIGNAL_CONSUMED:
-            sequence = values[0]
-            consumed[sequence] = (values[1], values[2])
-            consumed_time[sequence] = time
-        elif kind is TraceKind.ACTIVITY_START:
-            if values[4] is not None:
-                activity_of[values[4]] = values[0]
-        elif kind is TraceKind.ACTIVITY_END:
-            activity_end[values[0]] = time
-
+    index = CausalIndex(trace)
+    consumed: dict[int, tuple] = {}         # sequence -> (label, target, time)
+    for _, time, sequence, label, target, _ in index.consumptions:
+        consumed[sequence] = (label, target, time)
     if not consumed:
         return CriticalPath(steps=())
+    activity_of = {sequence: activity                # consumed -> activity
+                   for activity, sequence in index.started_by.items()}
+    sends_of_activity: dict[int, list[int]] = {}
+    for sequence, (_, _, _, activity, _) in index.sent.items():
+        sends_of_activity.setdefault(activity, []).append(sequence)
 
     # Causality edges only point at strictly later sequence stamps (a
     # signal is sent after the signal that caused it was consumed), so a
@@ -130,12 +118,13 @@ def critical_path(trace: Trace) -> CriticalPath:
             sequence=sequence,
             label=consumed[sequence][0],
             target=consumed[sequence][1],
-            sent_time=sent_time.get(sequence, consumed_time[sequence]),
-            consumed_time=consumed_time[sequence],
+            sent_time=index.sent[sequence][1] if sequence in index.sent
+            else consumed[sequence][2],
+            consumed_time=consumed[sequence][2],
         )
         for sequence in chain
     )
-    last = chain[-1]
-    end_time = activity_end.get(
-        activity_of.get(last, -1), consumed_time[last])
+    last = steps[-1]
+    ended = index.ended.get(activity_of.get(last.sequence, -1))
+    end_time = ended[1] if ended is not None else last.consumed_time
     return CriticalPath(steps=steps, end_time=end_time)

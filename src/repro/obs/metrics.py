@@ -13,8 +13,8 @@ returns ``None`` and every hook collapses to a single ``is not None``
 test — the hot path pays nothing for observability it did not ask for.
 
 The percentile helper here is the one shared by every caller (including
-:class:`repro.cosim.perf.LatencyProbe`): ceil-based nearest rank, which
-never under-reports the tail at small sample counts the way round-based
+the E4 partition measurement): ceil-based nearest rank, which never
+under-reports the tail at small sample counts the way round-based
 indexing does.
 """
 

@@ -5,10 +5,12 @@
   and ``LOG``/``TIM`` bridges every executor shares (``bridges`` dict)
 * schedulers — legal refinements of the profile's concurrency freedom
 * :class:`Trace` — the observable record every other subsystem consumes
-* :func:`check_trace` — machine-checkable causality (paper section 2)
+* :class:`CausalIndex` — a trace's cause-and-effect edges, read once;
+  :func:`check_trace` checks them (paper section 2)
 """
 
 from .causality import (
+    CausalIndex,
     CausalityViolation,
     check_causality,
     check_receiver_fifo,
@@ -41,6 +43,7 @@ __all__ = [
     "BridgeError",
     "CREATION",
     "CantHappenError",
+    "CausalIndex",
     "CausalityViolation",
     "EventPool",
     "Instance",

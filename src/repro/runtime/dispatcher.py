@@ -435,7 +435,9 @@ class Dispatcher:
     def advance(self, horizon=math.inf, max_steps: int = 1_000_000) -> int:
         """Dispatch until quiescence, until the next instant is past the
         inclusive *horizon* (``now`` then becomes the horizon), or for
-        *max_steps* dispatches.  Returns the dispatch count; never raises.
+        *max_steps* dispatches.  Returns the dispatch count.  Raises
+        ``error`` if an instant that dispatched nothing names no later
+        instant: the clock could never move again.
         """
         steps = 0
         while steps < max_steps and self.now <= horizon:
@@ -446,10 +448,14 @@ class Dispatcher:
             due = self._next_time()
             if due is None:
                 break
+            if due <= self.now:
+                raise self.error(
+                    f"stalled at {self.now}: nothing dispatched, "
+                    f"next instant {due}")
             if due > horizon:
                 self.now = horizon
                 break
-            self.now = max(self.now, due)
+            self.now = due
         return steps
 
     def _run_to(self, horizon, max_steps: int) -> int:

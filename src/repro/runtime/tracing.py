@@ -111,29 +111,6 @@ class Trace:
                      for index, record in enumerate(self._records)
                      if record[1] is kind)
 
-    def transitions_of(self, handle: int) -> tuple[TraceEvent, ...]:
-        return tuple(
-            _event(index, record)
-            for index, record in enumerate(self._records)
-            if record[1] is TraceKind.TRANSITION and record[2][0] == handle
-        )
-
-    def state_history(self, handle: int) -> tuple[str, ...]:
-        """The sequence of states *handle* entered, in order."""
-        return tuple(
-            values[3]
-            for _, kind, values in self._records
-            if kind is TraceKind.TRANSITION and values[0] == handle
-        )
-
-    def signal_labels(self) -> tuple[str, ...]:
-        """Labels of all consumed signals, in consumption order."""
-        return tuple(
-            values[1]
-            for _, kind, values in self._records
-            if kind is TraceKind.SIGNAL_CONSUMED
-        )
-
     def behavioural_summary(self) -> tuple[tuple, ...]:
         """A scheduler-independent digest used for conformance comparison.
 

@@ -7,8 +7,7 @@ from repro.cosim import (
     CoSimConfig,
     CoSimMachine,
     FaultPlan,
-    LatencyProbe,
-    ThroughputProbe,
+    PacketStimulus,
     measure_partition,
     periodic_packets,
     poisson_packets,
@@ -150,31 +149,23 @@ class TestTiming:
 
 
 class TestProbes:
+    """Latency and throughput as ``measure_partition`` reads them from
+    the trace."""
+
     def test_latency_probe_counts_all(self):
-        machine = CoSimMachine(compiled(("CE",)))
-        handles = packetproc.populate(machine)
-        probe = LatencyProbe(machine, ("M", "M1"), ("ST", "ST1"), "pkt_id")
-        for index in range(5):
-            machine.inject(handles["M"], "M1",
-                           {"pkt_id": index + 1, "length": 64},
-                           delay=index * 10)
-        machine.run()
-        assert probe.count == 5
-        assert probe.mean_ns() > 0
-        assert probe.p99_ns() >= probe.mean_ns() * 0.5
-        assert probe.max_ns() >= probe.p99_ns()
+        packets = [PacketStimulus(index * 10, index + 1, 64)
+                   for index in range(5)]
+        row = measure_partition(build_packetproc_model(), ("CE",), packets)
+        assert row.completed == 5
+        assert row.mean_latency_ns > 0
+        assert row.p99_latency_ns >= row.mean_latency_ns * 0.5
 
     def test_throughput_probe(self):
-        machine = CoSimMachine(compiled(()))
-        handles = packetproc.populate(machine)
-        probe = ThroughputProbe(machine, ("ST", "ST1"))
-        for index in range(10):
-            machine.inject(handles["M"], "M1",
-                           {"pkt_id": index + 1, "length": 64},
-                           delay=index * 100)
-        machine.run()
-        assert probe.completions == 10
-        assert probe.per_second() > 0
+        packets = [PacketStimulus(index * 100, index + 1, 64)
+                   for index in range(10)]
+        row = measure_partition(build_packetproc_model(), (), packets)
+        assert row.completed == 10
+        assert row.throughput_per_s > 0
 
 
 class TestWorkloads:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import price_repartition, run_generated_flow, run_parallel_teams
-from repro.cosim import CoSimMachine, LatencyProbe, periodic_packets, sweep_partitions
+from repro.cosim import measure_partition, periodic_packets, sweep_partitions
 from repro.marks import (
     MarkSet,
     derive_partition,
@@ -49,15 +49,9 @@ class TestPaperWorkflow:
         assert c_codec.layouts == v_codec.layouts
 
         # Section 1's complaint, measured: the co-simulated prototype
-        machine = CoSimMachine(build)
-        cos_handles = packetproc.populate(machine)
-        probe = LatencyProbe(machine, ("M", "M1"), ("ST", "ST1"), "pkt_id")
-        for index in range(10):
-            machine.inject(cos_handles["M"], "M1",
-                           {"pkt_id": index + 1, "length": 256},
-                           delay=index * 20)
-        machine.run()
-        assert probe.count == 10
+        row = measure_partition(model, ("CE",), periodic_packets(
+            10, period_us=20, length=256))
+        assert row.completed == 10
 
         # Section 4 again: repartition = move the marks
         new_marks = marks_for_partition(component, ("CE", "D"), base=marks)

@@ -102,22 +102,6 @@ class TestCausalityChecker:
 
 
 class TestTraceQueries:
-    def test_state_history(self):
-        sim, handles = run_pipeline(packets=1)
-        history = sim.trace.state_history(handles["M"])
-        assert history == ("Checking", "Forwarding", "Ready")
-
-    def test_signal_labels_in_consumption_order(self):
-        sim, handles = run_pipeline(packets=1)
-        labels = sim.trace.signal_labels()
-        assert labels[0] == "M1"
-        assert "ST1" in labels
-
-    def test_transitions_of_filters_by_handle(self):
-        sim, handles = run_pipeline(packets=1)
-        for event in sim.trace.transitions_of(handles["CE"]):
-            assert event.data["handle"] == handles["CE"]
-
     def test_behavioural_summary_is_per_instance(self):
         sim, handles = run_pipeline(packets=2)
         summary = dict(sim.trace.behavioural_summary())
