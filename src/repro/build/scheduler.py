@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.marks.partition import marks_for_partition
 from repro.models.catalog import CATALOG, build_model
-from repro.obs.metrics import active_registry
 
 from .fingerprint import artifacts_digest
 from .incremental import IncrementalCompiler
@@ -66,10 +65,6 @@ class JobResult:
     classes_reused: int = 0
     elapsed_s: float = 0.0
     store: StoreStats = field(default_factory=StoreStats)
-
-    @property
-    def fully_cached(self) -> bool:
-        return self.ok and self.classes_compiled == 0
 
 
 @dataclass
@@ -136,12 +131,8 @@ def catalog_matrix(models: tuple[str, ...] | None = None) -> list[BatchJob]:
     return jobs
 
 
-def _execute_job(
-    job: BatchJob, cache_dir: str | None, use_cache: bool,
-    gc_bytes: int | None = None,
-    store: ArtifactStore | None = None,
-) -> JobResult:
-    """Compile one matrix cell (runs inside a pool worker or inline)."""
+def _execute_job(job: BatchJob, store: ArtifactStore | None) -> JobResult:
+    """Compile one matrix cell against *store* (None: no cache)."""
     if os.environ.get(_CRASH_ENV) == job.label:
         os._exit(13)  # simulate a native worker crash (test hook)
     start = time.perf_counter()
@@ -149,9 +140,6 @@ def _execute_job(
         model = build_model(job.model)
         component = model.components[0]
         marks = marks_for_partition(component, job.hardware)
-        if store is None and use_cache and cache_dir is not None:
-            store = ArtifactStore(cache_dir, max_bytes=gc_bytes)
-        before = store.stats.snapshot() if store is not None else None
         compiler = IncrementalCompiler(model, store=store)
         build = compiler.compile(marks)
         stats = compiler.last_stats
@@ -165,8 +153,7 @@ def _execute_job(
             classes_compiled=stats.classes_compiled,
             classes_reused=stats.classes_reused,
             elapsed_s=time.perf_counter() - start,
-            store=(store.stats.delta(before) if store is not None
-                   else StoreStats()),
+            store=stats.store,
         )
     except Exception as exc:
         return JobResult(
@@ -177,22 +164,19 @@ def _execute_job(
 
 
 def _execute_chunk(
-    block: list[BatchJob], cache_dir: str | None, use_cache: bool,
-    gc_bytes: int | None = None,
+    block: list[BatchJob], cache_dir: str | None, gc_bytes: int | None,
 ) -> list[JobResult]:
-    """Compile a contiguous slice of the matrix inside one worker.
+    """Compile a contiguous slice of the matrix against one store.
 
     Chunked dispatch amortises the submit/result round-trip over several
     jobs and lets the worker keep one store handle and a warm manifest
     memo across the whole slice — per-job IPC was the dominant scheduler
-    overhead on small matrices.
+    overhead on small matrices.  ``cache_dir=None`` compiles without a
+    store.
     """
     store = (ArtifactStore(cache_dir, max_bytes=gc_bytes)
-             if use_cache and cache_dir is not None else None)
-    return [
-        _execute_job(job, cache_dir, use_cache, gc_bytes, store=store)
-        for job in block
-    ]
+             if cache_dir is not None else None)
+    return [_execute_job(job, store) for job in block]
 
 
 def run_batch(
@@ -200,7 +184,6 @@ def run_batch(
     *,
     jobs: int = 1,
     cache_dir: str | None = None,
-    use_cache: bool = True,
     gc_bytes: int | None = None,
 ) -> BatchReport:
     """Compile the whole *matrix* with *jobs* workers; see module docs."""
@@ -211,13 +194,9 @@ def run_batch(
     worker_failures = 0
 
     if jobs == 1:
-        # inline: one shared store, so the in-process manifest memo and
-        # the cache are both warm across the whole matrix
-        store = (ArtifactStore(cache_dir, max_bytes=gc_bytes)
-                 if use_cache and cache_dir is not None else None)
-        for index, job in enumerate(matrix):
-            results[index] = _execute_job(
-                job, cache_dir, use_cache, gc_bytes, store=store)
+        # inline: the whole matrix is one slice, so the in-process
+        # manifest memo and the cache are both warm across it
+        results.update(enumerate(_execute_chunk(matrix, cache_dir, gc_bytes)))
     else:
         # 4 chunks per worker balances dispatch overhead against load
         # skew from uneven job sizes
@@ -230,8 +209,7 @@ def run_batch(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 (first, block,
-                 pool.submit(_execute_chunk, block, cache_dir, use_cache,
-                             gc_bytes))
+                 pool.submit(_execute_chunk, block, cache_dir, gc_bytes))
                 for first, block in blocks
             ]
             for first, block, future in futures:
@@ -259,8 +237,8 @@ def run_batch(
                 try:
                     with ProcessPoolExecutor(max_workers=1) as pool:
                         results[index] = pool.submit(
-                            _execute_job, job, cache_dir, use_cache,
-                            gc_bytes).result()
+                            _execute_chunk, [job], cache_dir,
+                            gc_bytes).result()[0]
                 except BrokenExecutor:
                     worker_failures += 1
                     results[index] = JobResult(
@@ -271,33 +249,9 @@ def run_batch(
                         job=job, ok=False,
                         error=f"{type(exc).__name__}: {exc}")
 
-    ordered = [results[index] for index in range(len(matrix))]
-    report = BatchReport(
-        results=ordered,
+    return BatchReport(
+        results=[results[index] for index in range(len(matrix))],
         jobs=jobs,
         elapsed_s=time.perf_counter() - start,
         worker_failures=worker_failures,
     )
-    registry = active_registry()
-    if registry is not None:
-        # Pool workers are separate processes, so their registry copies
-        # die with them — fold the batch's numbers in here, from the
-        # results, where they are authoritative either way.
-        wall = registry.histogram(
-            "build.job_wall_ms",
-            buckets=(1, 5, 10, 50, 100, 500, 1_000, 5_000))
-        for result in ordered:
-            wall.observe(result.elapsed_s * 1_000)
-        registry.counter("build.jobs_ok").inc(
-            sum(1 for r in ordered if r.ok))
-        registry.counter("build.jobs_failed").inc(len(report.failed))
-        registry.counter("build.worker_failures").inc(worker_failures)
-        if jobs > 1:
-            # inline stores (jobs == 1) already reported live; only the
-            # workers' slices need folding in
-            store = report.store
-            registry.counter("build.store.hits").inc(store.hits)
-            registry.counter("build.store.misses").inc(store.misses)
-            registry.counter("build.store.puts").inc(store.puts)
-            registry.counter("build.store.evictions").inc(store.evictions)
-    return report

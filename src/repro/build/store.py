@@ -22,8 +22,6 @@ import re
 import tempfile
 from dataclasses import dataclass
 
-from repro.obs.metrics import active_registry
-
 _KEY_RE = re.compile(r"^[0-9a-f]{8,64}$")
 
 
@@ -73,17 +71,6 @@ class ArtifactStore:
         self.root = pathlib.Path(root)
         self.max_bytes = max_bytes
         self.stats = StoreStats()
-        registry = active_registry()
-        if registry is None:
-            self._m_hits = None
-            self._m_misses = None
-            self._m_puts = None
-            self._m_evictions = None
-        else:
-            self._m_hits = registry.counter("build.store.hits")
-            self._m_misses = registry.counter("build.store.misses")
-            self._m_puts = registry.counter("build.store.puts")
-            self._m_evictions = registry.counter("build.store.evictions")
         self._objects = self.root / "objects"
         try:
             self._objects.mkdir(parents=True, exist_ok=True)
@@ -112,16 +99,12 @@ class ArtifactStore:
             payload = path.read_bytes()
         except FileNotFoundError:
             self.stats.misses += 1
-            if self._m_misses is not None:
-                self._m_misses.inc()
             return None
         try:
             os.utime(path)
         except OSError:
             pass  # recency is advisory; the object itself was read fine
         self.stats.hits += 1
-        if self._m_hits is not None:
-            self._m_hits.inc()
         return payload
 
     def put(self, key: str, payload: bytes) -> None:
@@ -142,8 +125,6 @@ class ArtifactStore:
                 pass
             raise
         self.stats.puts += 1
-        if self._m_puts is not None:
-            self._m_puts.inc()
         if self.max_bytes is not None:
             self.gc(self.max_bytes)
 
@@ -197,8 +178,6 @@ class ArtifactStore:
             total -= size
             evicted += 1
         self.stats.evictions += evicted
-        if self._m_evictions is not None:
-            self._m_evictions.inc(evicted)
         return evicted
 
     def clear(self) -> int:

@@ -83,14 +83,9 @@ def cmd_check(args) -> int:
     for violation in violations:
         print(violation)
     print(f"{len(errors)} error(s), {len(warnings)} warning(s)")
-    from repro.exec import CORE_NAME, lowering_cache_stats
-    from repro.obs.metrics import active_registry
+    from repro.exec import CORE_NAME
 
     print(f"execution core: {CORE_NAME} (lowered action IR)")
-    if active_registry() is not None:
-        stats = lowering_cache_stats()
-        print(f"lowering cache: {stats['entries']} entrie(s), "
-              f"{stats['hits']} hit(s), {stats['misses']} miss(es)")
     if errors:
         return 1
     return 1 if warnings and args.strict_warnings else 0
@@ -271,7 +266,7 @@ def cmd_batch(args) -> int:
                   f"writable: {exc}", file=sys.stderr)
             return 1
     report = run_batch(matrix, jobs=args.jobs, cache_dir=cache_dir,
-                       use_cache=not args.no_cache, gc_bytes=args.gc_bytes)
+                       gc_bytes=args.gc_bytes)
     print(render_batch_table(report))
     print(render_cache_summary(report))
     if args.csv:
@@ -436,6 +431,7 @@ def cmd_metrics(args) -> int:
 
     from repro.build import BatchJob, run_batch
     from repro.cosim import CoSimMachine
+    from repro.exec import lowering_cache_stats
     from repro.models import build_model
     from repro.obs import observe
     from repro.runtime import Simulation
@@ -446,6 +442,7 @@ def cmd_metrics(args) -> int:
     except KeyError as exc:
         print(f"metrics: {exc.args[0]}", file=sys.stderr)
         return 1
+    cache_before = lowering_cache_stats()
     with observe() as registry:
         # runtime: the formal suite on the abstract model
         for case in suite:
@@ -453,11 +450,38 @@ def cmd_metrics(args) -> int:
         # co-sim + bus: one case across the default boundary partition
         cosim = CoSimMachine(chaos_build(args.name))
         run_case(suite[0], cosim)
-        cosim.utilization_report()
         # build cache: the same job twice — a cold miss, then a warm hit
         with tempfile.TemporaryDirectory() as tmp:
             job = BatchJob(args.name, "sw-only", ())
-            run_batch([job, job], jobs=1, cache_dir=tmp)
+            report = run_batch([job, job], jobs=1, cache_dir=tmp)
+    cache_after = lowering_cache_stats()
+    # the hooks above record per-event samples only; every count has one
+    # owner, the object that did the work, and is read from it here
+    store = report.store
+    counts = {
+        "build.jobs_ok": len(report.results) - len(report.failed),
+        "build.jobs_failed": len(report.failed),
+        "build.worker_failures": report.worker_failures,
+        "build.store.hits": store.hits,
+        "build.store.misses": store.misses,
+        "build.store.puts": store.puts,
+        "build.store.evictions": store.evictions,
+        "cosim.bus.messages": cosim.bus.stats.messages,
+        "cosim.bus.bytes_moved": cosim.bus.stats.bytes_moved,
+        "cosim.bus.busy_ns": cosim.bus.stats.busy_ns,
+        "cosim.retransmissions": cosim.fault_stats.retransmissions,
+        "cosim.signals_routed": cosim.signals_routed,
+        "exec.lower_cache.hits": cache_after["hits"] - cache_before["hits"],
+        "exec.lower_cache.misses":
+            cache_after["misses"] - cache_before["misses"],
+    }
+    for name, value in counts.items():
+        registry.counter(name).inc(value)
+    for name, value in cosim.utilization_report().items():
+        registry.gauge(f"cosim.occupancy.{name}").set(value)
+    wall = registry.histogram("build.job_wall_ms")
+    for result in report.results:
+        wall.observe(result.elapsed_s * 1_000)
 
     if args.json:
         print(json.dumps(registry.as_dict(), indent=2, sort_keys=True))

@@ -71,18 +71,8 @@ class Bus:
         self.fault_stats = fault_stats if fault_stats is not None \
             else FaultStats()
         registry = active_registry()
-        if registry is None:
-            self._m_messages = None
-            self._m_bytes = None
-            self._m_busy_ns = None
-            self._m_wait = None
-        else:
-            self._m_messages = registry.counter("cosim.bus.messages")
-            self._m_bytes = registry.counter("cosim.bus.bytes_moved")
-            self._m_busy_ns = registry.counter("cosim.bus.busy_ns")
-            self._m_wait = registry.histogram(
-                "cosim.bus.wait_ns",
-                buckets=(0, 100, 1_000, 10_000, 100_000, 1_000_000))
+        self._m_wait = (None if registry is None
+                        else registry.histogram("cosim.bus.wait_ns"))
 
     @property
     def free_at(self) -> int:
@@ -121,10 +111,7 @@ class Bus:
         self.stats.bytes_moved += chosen.payload_bytes
         self.stats.busy_ns += transfer
         self.stats.wait_ns += start - chosen.ready_at
-        if self._m_messages is not None:
-            self._m_messages.inc()
-            self._m_bytes.inc(chosen.payload_bytes)
-            self._m_busy_ns.inc(transfer)
+        if self._m_wait is not None:
             self._m_wait.observe(start - chosen.ready_at)
         if self._config.bus_policy == "round_robin":
             self._rr_last_side = chosen.sender_side

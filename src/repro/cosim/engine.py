@@ -133,27 +133,19 @@ class CoSimMachine(TargetMachine):
             key: ResourceStats(f"hw:{key}")
             for key in self.partition.hardware_classes
         }
-        self.bus_messages_sent = 0
+        self.signals_routed = 0
         registry = active_registry()
         if registry is None:
-            self._m_routed = None
-            self._m_retransmissions = None
             self._m_latency = None
             self._m_service = None
             self._m_sent_ns: dict[int, int] | None = None
         else:
-            ns_buckets = (100, 1_000, 10_000, 100_000,
-                          1_000_000, 10_000_000, 100_000_000)
-            self._m_routed = registry.counter("cosim.signals_routed")
-            self._m_retransmissions = registry.counter("cosim.retransmissions")
             self._m_latency = {
-                side: registry.histogram(
-                    f"cosim.signal_latency_ns.{side}", buckets=ns_buckets)
+                side: registry.histogram(f"cosim.signal_latency_ns.{side}")
                 for side in ("sw", "hw")
             }
             self._m_service = {
-                side: registry.histogram(
-                    f"cosim.service_ns.{side}", buckets=ns_buckets)
+                side: registry.histogram(f"cosim.service_ns.{side}")
                 for side in ("sw", "hw")
             }
             self._m_sent_ns = {}
@@ -190,8 +182,8 @@ class CoSimMachine(TargetMachine):
 
     def _route(self, signal: SignalInstance, ready_ns: int) -> None:
         """Send *signal* towards its receiver, via the bus if it crosses."""
-        if self._m_routed is not None:
-            self._m_routed.inc()
+        self.signals_routed += 1
+        if self._m_sent_ns is not None:
             self._m_sent_ns[signal.sequence] = ready_ns
         sender_side = None
         if signal.sender_handle is not None:
@@ -213,7 +205,6 @@ class CoSimMachine(TargetMachine):
             if name != "target_instance"
         })
         payload = self._codec.pack(message.name, values)
-        self.bus_messages_sent += 1
         self._frame_counter += 1
         frame_spec = self._codec.frames.get(message.name)
         transfer = _Transfer(
@@ -464,8 +455,6 @@ class CoSimMachine(TargetMachine):
                 if not transfer.done:
                     if transfer.attempts <= transfer.max_retries:
                         self.fault_stats.retransmissions += 1
-                        if self._m_retransmissions is not None:
-                            self._m_retransmissions.inc()
                         self._send_attempt(transfer, self.now)
                     else:
                         self._count_lost(transfer)
@@ -572,8 +561,4 @@ class CoSimMachine(TargetMachine):
                   "bus": self.bus.stats.utilization(horizon)}
         for key, stats in self.hw_stats.items():
             report[f"hw:{key}"] = stats.utilization(horizon)
-        registry = active_registry()
-        if registry is not None:
-            for name, value in report.items():
-                registry.gauge(f"cosim.occupancy.{name}").set(value)
         return report

@@ -14,9 +14,9 @@ signal flows and the signal-flow analyzer read the same blocks, so
 every executor and analysis sees literally the same lowered bodies.
 The blocks are shared, so nothing may mutate them.
 
-Hit/miss counters are kept module-level (``repro check`` prints them)
-and mirrored into the active metrics registry when observability is on
-(``exec.lower_cache.hits`` / ``exec.lower_cache.misses``).
+Hit/miss counters are kept module-level and read through
+:func:`lowering_cache_stats` (``repro metrics`` reports them as
+``exec.lower_cache.hits`` / ``exec.lower_cache.misses``).
 """
 
 from __future__ import annotations
@@ -57,21 +57,6 @@ class LoweredComponent:
 _cache: dict[tuple[str, str], LoweredComponent] = {}
 _hits = 0
 _misses = 0
-
-
-def _count(hit: bool) -> None:
-    global _hits, _misses
-    from repro.obs.metrics import active_registry
-
-    registry = active_registry()
-    if hit:
-        _hits += 1
-        if registry is not None:
-            registry.counter("exec.lower_cache.hits").inc()
-    else:
-        _misses += 1
-        if registry is not None:
-            registry.counter("exec.lower_cache.misses").inc()
 
 
 def lowering_cache_stats() -> dict[str, int]:
@@ -132,12 +117,13 @@ def lower_component(model: Model, component: Component) -> LoweredComponent:
     # graph, and only this entry point reaches up for the fingerprint.
     from repro.build.fingerprint import model_fingerprint
 
+    global _hits, _misses
     key = (model_fingerprint(model), component.name)
     cached = _cache.get(key)
     if cached is not None:
-        _count(hit=True)
+        _hits += 1
         return cached
-    _count(hit=False)
+    _misses += 1
     lowered = _lower_component_uncached(model, component, key[0])
     _cache[key] = lowered
     return lowered

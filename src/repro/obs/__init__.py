@@ -2,9 +2,10 @@
 
 * :mod:`~repro.obs.export` — versioned JSONL trace serialization with a
   byte-identical round-trip guarantee
-* :mod:`~repro.obs.metrics` — one registry of counters/gauges/histograms
-  shared by the runtime, the co-simulation and the build cache; hooks
-  are no-ops unless a registry is :func:`observe`-d
+* :mod:`~repro.obs.metrics` — the registry ``repro metrics`` fills:
+  per-event samples from the runtime, the co-simulation and the bus
+  (no-ops unless a registry is :func:`observe`-d), and counts the
+  command reads from the objects that keep them
 * :mod:`~repro.obs.critical` — longest send→consume→transition chain of
   a recorded run
 
@@ -23,7 +24,6 @@ from .export import (
     write_jsonl,
 )
 from .metrics import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -39,7 +39,6 @@ __all__ = [
     "Counter",
     "CriticalPath",
     "CriticalStep",
-    "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
     "MetricsError",

@@ -1,11 +1,13 @@
-"""Metrics registry — counters, gauges and fixed-bucket histograms.
+"""Metrics registry — counters, gauges and histograms of raw samples.
 
-One registry is the single source of measurement truth for the whole
-toolchain: the runtime scheduler (queue depth, dispatch wait), the
-co-simulation engine and bus (signal latency, occupancy, retransmits)
-and the build scheduler/store (hit/miss/evict, per-job wall time) all
-report into the same namespace, so ``repro metrics`` can print one
-coherent table instead of three bespoke ones.
+``repro metrics`` prints one table over the runtime, the co-simulation
+and the build cache.  Each count in it has one owner, the object that
+does the work (``StoreStats``, ``BusStats``, ``FaultStats``, the
+lowering-cache counters, the batch report), and the command reads those
+owners once its runs finish.  Registry hooks exist only for per-event
+samples that nothing else records: the runtime's dispatches, queue
+depth and dispatch wait, the co-simulation's service times and signal
+latencies, and the bus wait.
 
 Instrumented code looks the registry up **once**, at construction time,
 via :func:`active_registry`.  When no registry is active the lookup
@@ -25,7 +27,7 @@ from contextlib import contextmanager
 
 
 class MetricsError(Exception):
-    """Bad metric name, bucket layout, or percentile fraction."""
+    """Bad metric name or percentile fraction."""
 
 
 def percentile_nearest_rank(values, fraction: float) -> float:
@@ -78,45 +80,21 @@ class Gauge:
         self._set = True
 
 
-#: Default histogram bucket upper bounds — wide enough for nanosecond
-#: latencies and small enough for queue depths; callers with a known
-#: range pass their own.
-DEFAULT_BUCKETS: tuple[int, ...] = (
-    1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000,
-)
-
-
 class Histogram:
-    """Fixed-bucket distribution that also retains raw samples.
+    """A distribution that keeps every raw sample.
 
-    The buckets give a cheap shape summary (``bucket_counts[i]`` counts
-    observations ``<= buckets[i]``, with one overflow bucket at the
-    end); the retained samples make :meth:`percentile` *exact* — the
-    shared ceil-based nearest-rank helper over real observations, not a
-    bucket-boundary approximation.
+    Keeping the samples makes :meth:`percentile` *exact*: the shared
+    ceil-based nearest-rank helper over real observations.
     """
 
-    __slots__ = ("name", "buckets", "bucket_counts", "_samples", "total")
+    __slots__ = ("name", "_samples", "total")
 
-    def __init__(self, name: str, buckets: tuple[int, ...] = DEFAULT_BUCKETS):
-        bounds = tuple(buckets)
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise MetricsError(
-                f"histogram {name}: buckets must be strictly increasing, "
-                f"got {buckets!r}")
+    def __init__(self, name: str):
         self.name = name
-        self.buckets = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1)
         self._samples: list[float] = []
         self.total = 0.0
 
     def observe(self, value: float) -> None:
-        index = 0
-        for bound in self.buckets:
-            if value <= bound:
-                break
-            index += 1
-        self.bucket_counts[index] += 1
         self._samples.append(value)
         self.total += value
 
@@ -139,11 +117,6 @@ class Histogram:
 
     def percentile(self, fraction: float) -> float:
         return percentile_nearest_rank(self._samples, fraction)
-
-    def bucket_table(self) -> tuple[tuple[float, int], ...]:
-        """(upper bound, count) pairs; the overflow bound is +inf."""
-        bounds = self.buckets + (float("inf"),)
-        return tuple(zip(bounds, self.bucket_counts))
 
 
 def _number(value: float):
@@ -186,12 +159,11 @@ class MetricsRegistry:
             metric = self._gauges[name] = Gauge(name)
         return metric
 
-    def histogram(self, name: str,
-                  buckets: tuple[int, ...] = DEFAULT_BUCKETS) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         metric = self._histograms.get(name)
         if metric is None:
             self._claim(name, self._histograms)
-            metric = self._histograms[name] = Histogram(name, buckets)
+            metric = self._histograms[name] = Histogram(name)
         return metric
 
     # -- introspection -------------------------------------------------------

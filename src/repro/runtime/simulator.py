@@ -120,11 +120,8 @@ class Simulation(Dispatcher):
             self._on_dispatch = self._observe_dispatch
             self._metric_dispatches = registry.counter("runtime.dispatches")
             self._metric_queue_depth = registry.histogram(
-                "runtime.queue_depth",
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256))
-            self._metric_wait = registry.histogram(
-                "runtime.dispatch_wait_us",
-                buckets=(0, 1, 10, 100, 1_000, 10_000, 100_000, 1_000_000))
+                "runtime.queue_depth")
+            self._metric_wait = registry.histogram("runtime.dispatch_wait_us")
 
     # bound in this class's own namespace so the runtime.instance_lookup
     # span resolves

@@ -66,7 +66,7 @@ class TestRunBatch:
 
     def test_no_cache_runs_without_a_store(self, tmp_path):
         matrix = catalog_matrix(("checksum",))
-        report = run_batch(matrix, jobs=1, use_cache=False)
+        report = run_batch(matrix, jobs=1)
         assert not report.failed
         assert report.store.lookups == 0
 

@@ -219,16 +219,6 @@ class TestLoweringCache:
         assert stats["misses"] == 1
         assert stats["hits"] > 0
 
-    def test_cache_counters_reach_obs_registry(self):
-        from repro.obs.metrics import observe
-
-        clear_lowering_cache()
-        with observe() as registry:
-            Simulation(build_counter_model())
-            Simulation(build_counter_model())
-        assert registry.counter("exec.lower_cache.misses").value == 1
-        assert registry.counter("exec.lower_cache.hits").value == 1
-
 
 class TestExecutionCoreIdentity:
     def test_simulation_reports_the_shared_core(self):

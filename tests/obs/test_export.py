@@ -143,8 +143,8 @@ class TestDisabledOverhead:
         simulation = Simulation(build_model("microwave"))
         assert simulation._metric_dispatches is None
         machine = CoSimMachine(chaos_build("microwave"))
-        assert machine._m_routed is None
-        assert machine.bus._m_messages is None
+        assert machine._m_latency is None
+        assert machine.bus._m_wait is None
 
     def test_abstract_run_trace_identical_with_and_without_registry(self):
         baseline = traced_run("trafficlight")

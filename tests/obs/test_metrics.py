@@ -81,29 +81,15 @@ class TestGauge:
 
 
 class TestHistogram:
-    def test_bucket_counts(self):
-        histogram = Histogram("h", buckets=(10, 100))
-        for value in (1, 10, 11, 1000):
-            histogram.observe(value)
-        assert histogram.bucket_table() == ((10, 2), (100, 1), (float("inf"), 1))
-
     def test_summary_statistics(self):
-        histogram = Histogram("h", buckets=(10,))
+        histogram = Histogram("h")
         for value in range(1, 101):
             histogram.observe(value)
         assert histogram.count == 100
         assert histogram.min == 1
         assert histogram.max == 100
         assert histogram.mean() == 50.5
-        assert histogram.percentile(0.99) == 100  # exact, not bucketed
-
-    def test_rejects_unsorted_buckets(self):
-        with pytest.raises(MetricsError):
-            Histogram("h", buckets=(10, 5))
-        with pytest.raises(MetricsError):
-            Histogram("h", buckets=(5, 5))
-        with pytest.raises(MetricsError):
-            Histogram("h", buckets=())
+        assert histogram.percentile(0.99) == 100
 
 
 class TestRegistry:
