@@ -97,12 +97,10 @@ def lint_model(
     component: str | None = None,
     marks: MarkSet | None = None,
     baseline: frozenset[str] | None = None,
-    include_wellformed: bool = True,
     explore: bool = True,
     schedules: int = 24,
     seed: int = 0,
     max_steps: int = 1_000,
-    scenarios=None,
 ) -> LintReport:
     """Run every checker that speaks the shared findings model."""
     from repro.marks.validate import validate_marks
@@ -115,16 +113,14 @@ def lint_model(
                 else model.component(component))
     findings: list[Finding] = []
 
-    if include_wellformed:
-        for violation in check_model(model):
-            findings.append(Finding(
-                violation.severity, violation.element, violation.message,
-                rule="wellformed"))
+    for violation in check_model(model):
+        findings.append(Finding(
+            violation.severity, violation.element, violation.message,
+            rule="wellformed"))
     if marks is not None:
         findings.extend(validate_marks(marks, model))
 
-    if scenarios is None:
-        scenarios = scenarios_for_model(model.name)
+    scenarios = scenarios_for_model(model.name)
     search = None
     if explore and scenarios:
         search = WitnessSearch(

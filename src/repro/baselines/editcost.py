@@ -97,16 +97,9 @@ def price_repartition(
     )
 
 
-def price_all_single_moves(
-    model: Model, base_hardware: tuple[str, ...] = ()
-) -> list[RepartitionCost]:
-    """Price moving each class across the boundary, one at a time."""
+def price_all_single_moves(model: Model) -> list[RepartitionCost]:
+    """Price moving each class from software into hardware, one at a
+    time, starting from the all-software build."""
     component = model.components[0]
-    costs = []
-    for class_key in sorted(component.class_keys):
-        if class_key in base_hardware:
-            target = tuple(k for k in base_hardware if k != class_key)
-        else:
-            target = tuple(sorted(base_hardware + (class_key,)))
-        costs.append(price_repartition(model, base_hardware, target))
-    return costs
+    return [price_repartition(model, (), (class_key,))
+            for class_key in sorted(component.class_keys)]

@@ -12,11 +12,9 @@
 from .fingerprint import (
     GENERATOR_VERSION,
     artifacts_digest,
-    build_fingerprint,
     canonical_json,
     class_dependency_key,
     manifest_dependency_key,
-    marks_fingerprint,
     model_fingerprint,
     rules_fingerprint,
     shared_dependency_key,
@@ -53,13 +51,11 @@ __all__ = [
     "StoreStats",
     "artifacts_digest",
     "batch_to_csv",
-    "build_fingerprint",
     "canonical_json",
     "catalog_matrix",
     "class_dependency_key",
     "clear_manifest_memo",
     "manifest_dependency_key",
-    "marks_fingerprint",
     "model_fingerprint",
     "render_batch_table",
     "render_cache_summary",

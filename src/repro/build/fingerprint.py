@@ -7,8 +7,7 @@ insertion orders, and equivalently-written mark files — and any single
 mark flip or model edit changes the key.
 
 The cache granularity the incremental compiler needs is finer than one
-key per build, so alongside :func:`build_fingerprint` there are
-per-piece dependency keys:
+key per build, so the store keys each piece by its own dependencies:
 
 * :func:`class_dependency_key` — one class's artifacts.  These depend on
   the whole model structure (actions reference other classes' events and
@@ -32,10 +31,12 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.marks.model import MarkSet
+from repro.marks.model import STANDARD_MARKS, MarkSet
 from repro.mda.rules import RuleSet
 from repro.xuml.model import Model
 from repro.xuml.serialize import model_to_dict
+
+_MARK_NAMES = sorted(d.name for d in STANDARD_MARKS)
 
 #: Bump whenever an emitter's output or a rule predicate's meaning
 #: changes — it invalidates every cached artifact at once.
@@ -64,22 +65,6 @@ def model_fingerprint(model: Model) -> str:
     return digest("model", canonical_json(model_to_dict(model)))
 
 
-def marks_fingerprint(marks: MarkSet) -> str:
-    """Hash of the explicit marks — sorted, typed, order-independent.
-
-    Only explicit marks participate: a mark file that spells out a
-    default and one that omits it describe different *texts* but the
-    same *marking*, and they hash differently on purpose only when the
-    explicit values differ.  (``MarkSet.marks`` is already sorted by
-    ``(path, name)``, so insertion order never matters.)
-    """
-    items = [
-        [m.element_path, m.name, type(m.value).__name__, str(m.value)]
-        for m in marks.marks
-    ]
-    return digest("marks", canonical_json(items))
-
-
 def rules_fingerprint(rules: RuleSet) -> str:
     """Hash of the ordered rule identities (see module docstring)."""
     return digest(
@@ -89,30 +74,12 @@ def rules_fingerprint(rules: RuleSet) -> str:
     )
 
 
-def build_fingerprint(
-    model: Model, marks: MarkSet, rules: RuleSet | None = None,
-    component_name: str | None = None,
-) -> str:
-    """One key naming a whole compilation's inputs."""
-    return digest(
-        "build",
-        model_fingerprint(model),
-        marks_fingerprint(marks),
-        rules_fingerprint(rules or RuleSet.standard()),
-        component_name or "",
-        GENERATOR_VERSION,
-    )
-
-
 def effective_class_marks(
     marks: MarkSet, component_name: str, class_key: str
 ) -> list[list[str]]:
     """The effective (post-default) mark values on one class path."""
     path = f"{component_name}.{class_key}"
-    return [
-        [d.name, str(marks.get(path, d.name))]
-        for d in sorted(marks.definitions, key=lambda d: d.name)
-    ]
+    return [[name, str(marks.get(path, name))] for name in _MARK_NAMES]
 
 
 def class_dependency_key(

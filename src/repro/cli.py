@@ -30,7 +30,7 @@ import argparse
 import pathlib
 import sys
 
-from repro.marks import MarkSet, validate_marks
+from repro.marks import MarkError, MarkSet, validate_marks
 from repro.mda import ModelCompiler
 from repro.xuml import Severity, check_model, model_from_json, model_to_json
 
@@ -116,7 +116,11 @@ def cmd_lint(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-    marks = _load_marks(args.marks) if args.marks else None
+    try:
+        marks = _load_marks(args.marks) if args.marks else None
+    except (MarkError, OSError) as exc:
+        print(f"lint: {args.marks}: {exc}", file=sys.stderr)
+        return 2
 
     reports = []
     for name in args.models:
@@ -158,7 +162,11 @@ def cmd_lint(args) -> int:
 
 def cmd_compile(args) -> int:
     model = _load_model(args.model)
-    marks = _load_marks(args.marks)
+    try:
+        marks = _load_marks(args.marks)
+    except (MarkError, OSError) as exc:
+        print(f"compile: {args.marks}: {exc}", file=sys.stderr)
+        return 1
     mark_problems = validate_marks(marks, model)
     for problem in mark_problems:
         print(f"mark: {problem}", file=sys.stderr)

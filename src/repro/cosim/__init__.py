@@ -33,7 +33,6 @@ from .sweep import (
 )
 from .workload import (
     PacketStimulus,
-    bursty_packets,
     inject_stimulus,
     periodic_packets,
     poisson_packets,
@@ -56,7 +55,6 @@ __all__ = [
     "ResourceStats",
     "US_TO_NS",
     "best_partition",
-    "bursty_packets",
     "inject_stimulus",
     "measure_partition",
     "measurements_to_csv",

@@ -5,7 +5,7 @@ bus never loses a beat.  Real on-chip interconnects drop, corrupt,
 duplicate and delay traffic, and the paper's "measure, then move the
 marks" workflow is only credible if the prototype can be stressed the
 same way silicon will be.  A :class:`FaultPlan` perturbs bus transfers
-with per-message-class rates; every decision is derived from a single
+at one set of rates; every decision is derived from a single
 seed plus the transfer's identity ``(message, sequence, attempt)``, so a
 chaos run is reproducible bit-for-bit — rerunning the same seed replays
 exactly the same faults, which is what makes a failing sweep debuggable.
@@ -31,7 +31,7 @@ class FaultError(Exception):
 
 @dataclass(frozen=True)
 class FaultRates:
-    """Per-transfer fault probabilities for one message class."""
+    """Per-transfer fault probabilities."""
 
     #: probability the frame is lost on the wire
     drop: float = 0.0
@@ -142,27 +142,15 @@ class FaultPlan:
 
     seed: int = 0
     default: FaultRates = field(default_factory=FaultRates)
-    #: message name -> rates overriding the default for that class
-    per_message: dict[str, FaultRates] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.default = self.default.validated()
-        self.per_message = {
-            name: rates.validated()
-            for name, rates in self.per_message.items()
-        }
 
     @classmethod
-    def uniform(cls, seed: int, rate: float,
-                delay_ns: int = 2_000) -> "FaultPlan":
+    def uniform(cls, seed: int, rate: float) -> "FaultPlan":
         """Drop/corrupt at *rate*, duplicate/delay at half of it."""
         return cls(seed, FaultRates(
-            drop=rate, corrupt=rate,
-            duplicate=rate / 2, delay=rate / 2, delay_ns=delay_ns,
-        ))
-
-    def rates_for(self, message_name: str) -> FaultRates:
-        return self.per_message.get(message_name, self.default)
+            drop=rate, corrupt=rate, duplicate=rate / 2, delay=rate / 2))
 
     def _rng(self, message_name: str, sequence: int, attempt: int,
              salt: str = "") -> random.Random:
@@ -174,7 +162,7 @@ class FaultPlan:
     def decide(self, message_name: str, sequence: int,
                attempt: int = 1) -> FaultDecision:
         """The (reproducible) fate of one transfer."""
-        rates = self.rates_for(message_name)
+        rates = self.default
         if not rates.any_nonzero:
             return NO_FAULT
         rng = self._rng(message_name, sequence, attempt)
@@ -190,10 +178,9 @@ class FaultPlan:
         """Flip byte(s) of *payload*, reproducibly, never a no-op."""
         if not payload:
             return payload
-        rates = self.rates_for(message_name)
         rng = self._rng(message_name, sequence, attempt, salt="bytes")
         corrupted = bytearray(payload)
-        for _ in range(min(rates.corrupt_bytes, len(corrupted))):
+        for _ in range(min(self.default.corrupt_bytes, len(corrupted))):
             position = rng.randrange(len(corrupted))
             corrupted[position] ^= rng.randint(1, 255)
         return bytes(corrupted)

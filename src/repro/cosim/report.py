@@ -50,10 +50,10 @@ def measurements_to_csv(measurements: list[PartitionMeasurement]) -> str:
     return buffer.getvalue()
 
 
-def render_fault_stats(stats: FaultStats, label: str = "faults") -> str:
+def render_fault_stats(stats: FaultStats) -> str:
     """One-paragraph summary of a run's fault injection and recovery."""
     lines = [
-        f"{label}: {stats.injected} injected "
+        f"faults: {stats.injected} injected "
         f"(drop {stats.injected_drops}, corrupt {stats.injected_corruptions},"
         f" dup {stats.injected_duplicates}, delay {stats.injected_delays})",
         f"  detected {stats.detected}  retransmissions "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.marks.partition import marks_for_partition
 from repro.mda.compiler import ModelCompiler
@@ -81,28 +81,18 @@ def measure_partition(
     hardware_classes: tuple[str, ...],
     packets: list[PacketStimulus],
     config: CoSimConfig | None = None,
-    populate: Callable[[CoSimMachine], dict] | None = None,
-    horizon_us: int | None = None,
 ) -> PartitionMeasurement:
-    """Compile *model* with the given classes in hardware and measure it.
+    """Compile *model* with the given classes in hardware and measure it
+    on the packet-processor population, run to quiescence."""
+    from repro.models import packetproc
 
-    *populate* builds the instance population on the machine and returns
-    a handle map containing at least ``"M"`` (the stimulus entry point);
-    by default the packet-processor population is used.
-    """
     component = model.components[0]
     marks = marks_for_partition(component, tuple(hardware_classes))
     build = ModelCompiler(model).compile(marks)
     machine = CoSimMachine(build, config)
-
-    if populate is None:
-        from repro.models import packetproc
-        handles = packetproc.populate(machine)
-    else:
-        handles = populate(machine)
-
+    handles = packetproc.populate(machine)
     inject_stimulus(machine, handles["M"], packets)
-    machine.run(horizon_us=horizon_us)
+    machine.run()
 
     samples = packet_timings(machine.trace)
     latencies = [end - start for start, end in samples]
@@ -131,26 +121,19 @@ def sweep_partitions(
     model: Model,
     candidates: Iterable[tuple[str, ...]],
     packets: list[PacketStimulus],
-    config: CoSimConfig | None = None,
-    populate: Callable[[CoSimMachine], dict] | None = None,
 ) -> list[PartitionMeasurement]:
     """Measure every candidate partition under one fixed workload."""
-    return [
-        measure_partition(model, candidate, packets, config, populate)
-        for candidate in candidates
-    ]
+    return [measure_partition(model, candidate, packets)
+            for candidate in candidates]
 
 
 def best_partition(
     measurements: list[PartitionMeasurement],
-    objective: str = "mean_latency_ns",
 ) -> PartitionMeasurement:
-    """The sweep winner under an objective (lower is better, except
-    throughput where higher wins)."""
+    """The sweep winner: the lowest mean latency among the partitions
+    that completed every packet (among all, if none did)."""
     if not measurements:
         raise ValueError("no measurements to choose from")
     complete = [m for m in measurements
                 if m.completed == m.offered_packets] or measurements
-    if objective == "throughput_per_s":
-        return max(complete, key=lambda m: m.throughput_per_s)
-    return min(complete, key=lambda m: getattr(m, objective))
+    return min(complete, key=lambda m: m.mean_latency_ns)

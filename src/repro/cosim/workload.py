@@ -20,12 +20,13 @@ class PacketStimulus:
     length: int
 
 
+#: packet sizes a Poisson stream draws from, in bytes (Ethernet frames)
+MIN_LENGTH = 64
+MAX_LENGTH = 1500
+
+
 def poisson_packets(
-    count: int,
-    rate_per_ms: float,
-    seed: int = 0,
-    min_length: int = 64,
-    max_length: int = 1500,
+    count: int, rate_per_ms: float, seed: int = 0
 ) -> list[PacketStimulus]:
     """*count* packets with exponential inter-arrivals and random sizes."""
     if rate_per_ms <= 0:
@@ -37,38 +38,17 @@ def poisson_packets(
     for index in range(count):
         time_us += rng.expovariate(1.0 / mean_gap_us)
         packets.append(PacketStimulus(
-            int(time_us), index + 1, rng.randint(min_length, max_length)))
+            int(time_us), index + 1, rng.randint(MIN_LENGTH, MAX_LENGTH)))
     return packets
 
 
 def periodic_packets(
-    count: int, period_us: int, length: int = 256, start_us: int = 0
+    count: int, period_us: int, length: int = 256
 ) -> list[PacketStimulus]:
-    """A constant-bit-rate stream."""
+    """A constant-bit-rate stream starting at time zero."""
     return [
-        PacketStimulus(start_us + i * period_us, i + 1, length)
-        for i in range(count)
+        PacketStimulus(i * period_us, i + 1, length) for i in range(count)
     ]
-
-
-def bursty_packets(
-    count: int,
-    burst_size: int,
-    burst_gap_us: int,
-    seed: int = 0,
-    length: int = 512,
-) -> list[PacketStimulus]:
-    """Bursts of back-to-back packets separated by idle gaps."""
-    rng = random.Random(seed)
-    packets = []
-    time_us = 0
-    index = 0
-    while index < count:
-        for _ in range(min(burst_size, count - index)):
-            packets.append(PacketStimulus(time_us, index + 1, length))
-            index += 1
-        time_us += burst_gap_us + rng.randint(0, burst_gap_us // 4 or 1)
-    return packets
 
 
 def inject_stimulus(machine, mac_handle: int,

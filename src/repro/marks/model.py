@@ -9,8 +9,10 @@ kept in a :class:`MarkSet` that lives entirely outside the
 :class:`~repro.xuml.model.Model`; element paths are the
 ``"Component.KeyLetters"`` strings of :mod:`repro.xuml.model`.  The mark
 *vocabulary* is declared by :class:`MarkDefinition` so that mark files
-can be validated; the standard vocabulary of this model compiler is
-:data:`STANDARD_MARKS`, headed by the paper's own example, ``isHardware``.
+can be validated.  This module holds the one vocabulary of this model
+compiler, :data:`STANDARD_MARKS`, headed by the paper's own example,
+``isHardware``.  A mark exists only if a mapping reads it, and marks
+attach to classes only.
 """
 
 from __future__ import annotations
@@ -68,23 +70,21 @@ RELIABILITY_MARKS: tuple[MarkDefinition, ...] = (
                    "failure in the fault report"),
 )
 
-#: The model compiler's mark vocabulary.
+#: The model compiler's mark vocabulary.  Each mark has a reader in a
+#: mapping: ``isHardware`` selects the VHDL rule, ``clock_mhz`` sets the
+#: generated entity's clock, ``processor = systemc`` selects the SystemC
+#: rule, and the reliability marks choose a boundary message's framing.
 STANDARD_MARKS: tuple[MarkDefinition, ...] = (
     MarkDefinition("isHardware", bool, False,
                    "map this class onto the hardware partition (VHDL)"),
     MarkDefinition("clock_mhz", int, 100,
                    "clock frequency of the hardware block"),
     MarkDefinition("processor", str, "cpu0",
-                   "which processor runs this software class"),
-    MarkDefinition("priority", int, 0,
-                   "dispatch priority in the software architecture"),
-    MarkDefinition("queue_depth", int, 16,
-                   "event queue depth reserved for this class"),
-    MarkDefinition("bus", str, "ahb0",
-                   "bus segment carrying this class's cross-partition signals"),
-    MarkDefinition("unroll_loops", bool, False,
-                   "hardware mapping hint: unroll bounded loops"),
+                   "which processor runs this software class "
+                   "(systemc selects the SystemC mapping)"),
 ) + RELIABILITY_MARKS
+
+_DEFINITIONS: dict[str, MarkDefinition] = {d.name: d for d in STANDARD_MARKS}
 
 #: CRC kinds the reliability framing understands.
 CRC_KINDS: tuple[str, ...] = ("none", "crc8", "crc16")
@@ -105,19 +105,15 @@ class Mark:
 class MarkSet:
     """A collection of marks, at most one value per (element, mark name)."""
 
-    def __init__(self, definitions: tuple[MarkDefinition, ...] = STANDARD_MARKS):
-        self._definitions = {d.name: d for d in definitions}
+    def __init__(self):
         self._marks: dict[tuple[str, str], Mark] = {}
 
     # -- vocabulary ----------------------------------------------------------
 
-    @property
-    def definitions(self) -> tuple[MarkDefinition, ...]:
-        return tuple(self._definitions.values())
-
-    def definition(self, name: str) -> MarkDefinition:
+    @staticmethod
+    def definition(name: str) -> MarkDefinition:
         try:
-            return self._definitions[name]
+            return _DEFINITIONS[name]
         except KeyError:
             raise MarkError(f"unknown mark name {name!r}") from None
 
@@ -161,7 +157,7 @@ class MarkSet:
         return len(self._marks)
 
     def copy(self) -> "MarkSet":
-        duplicate = MarkSet(self.definitions)
+        duplicate = MarkSet()
         duplicate._marks = dict(self._marks)
         return duplicate
 
@@ -174,22 +170,24 @@ class MarkSet:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def loads(
-        cls, text: str, definitions: tuple[MarkDefinition, ...] = STANDARD_MARKS
-    ) -> "MarkSet":
-        """Parse a marking file: ``Component.KL markName = value`` lines."""
-        marks = cls(definitions)
+    def loads(cls, text: str) -> "MarkSet":
+        """Parse a marking file: ``Component.KL markName = value`` lines.
+
+        Every error names its line: ``line N: ...``.
+        """
+        marks = cls()
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             head, equals, raw_value = stripped.partition("=")
-            if not equals:
-                raise MarkError(f"line {lineno}: expected 'path name = value'")
             parts = head.split()
-            if len(parts) != 2:
-                raise MarkError(f"line {lineno}: expected 'path name = value'")
-            element_path, name = parts
-            definition = marks.definition(name)
-            marks.set(element_path, name, definition.coerce(raw_value))
+            try:
+                if not equals or len(parts) != 2:
+                    raise MarkError("expected 'path name = value'")
+                element_path, name = parts
+                value = marks.definition(name).coerce(raw_value.strip())
+                marks.set(element_path, name, value)
+            except MarkError as exc:
+                raise MarkError(f"line {lineno}: {exc}") from None
         return marks

@@ -14,14 +14,6 @@ from repro.xuml.model import Model
 from .model import CRC_KINDS, MarkError, MarkSet
 
 
-#: Marks that make sense as component-wide defaults (software
-#: architecture knobs).  Everything else in the vocabulary targets one
-#: class — ``isHardware`` on a component, say, moves nothing into
-#: hardware, and silently accepting it hides a dead sticky note.
-COMPONENT_MARKS: frozenset[str] = frozenset(
-    {"bus", "processor", "priority", "queue_depth"})
-
-
 def validate_marks(
     marks: MarkSet, model: Model, strict: bool = False
 ) -> list[MarkViolation]:
@@ -31,22 +23,15 @@ def validate_marks(
     known_components = {component.name for component in model.components}
 
     for mark in marks.marks:
-        if mark.element_path in known_paths:
-            pass  # class-level: every mark in the vocabulary applies
-        elif mark.element_path in known_components:
-            # component-level marks are allowed only as architecture
-            # defaults (e.g. the default bus); a class-only mark here
-            # used to be swallowed silently and do nothing
-            if mark.name not in COMPONENT_MARKS:
-                violations.append(MarkViolation(
-                    mark.element_path, mark.name,
-                    f"{mark.name} targets a class, not a component — "
-                    f"attach it to one of the component's classes "
-                    f"(component-level marks: "
-                    f"{'/'.join(sorted(COMPONENT_MARKS))})",
-                ))
-                continue
-        else:
+        if mark.element_path in known_components:
+            # marks attach to classes; no mapping reads a component path
+            violations.append(MarkViolation(
+                mark.element_path, mark.name,
+                f"{mark.name} targets a class, not a component — "
+                f"attach it to one of the component's classes",
+            ))
+            continue
+        if mark.element_path not in known_paths:
             violations.append(MarkViolation(
                 mark.element_path, mark.name,
                 "element does not exist in the model",
@@ -58,12 +43,6 @@ def validate_marks(
                 violations.append(MarkViolation(
                     mark.element_path, mark.name,
                     f"clock of {mark.value} MHz is outside 1..10000",
-                ))
-        if mark.name == "queue_depth" and isinstance(mark.value, int):
-            if mark.value < 1:
-                violations.append(MarkViolation(
-                    mark.element_path, mark.name,
-                    "queue depth must be at least 1",
                 ))
         if mark.name == "clock_mhz" and not marks.get(mark.element_path, "isHardware"):
             violations.append(MarkViolation(

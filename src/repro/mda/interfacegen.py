@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.marks.model import CRC_KINDS, MarkError, MarkSet
+from repro.marks.model import CRC_KINDS, MarkSet
 from repro.marks.partition import Partition
 from repro.xuml.datatypes import bit_width
 
@@ -100,14 +100,10 @@ def protection_from_marks(
     if marks is None:
         return Protection()
     path = f"{component_name}.{class_key}"
-    try:
-        crc = str(marks.get(path, "crc"))
-        retries = int(marks.get(path, "maxRetries"))
-        backoff = int(marks.get(path, "retryBackoffNs"))
-        critical = bool(marks.get(path, "isCritical"))
-    except MarkError:
-        # a custom vocabulary without reliability marks: no protection
-        return Protection()
+    crc = str(marks.get(path, "crc"))
+    retries = int(marks.get(path, "maxRetries"))
+    backoff = int(marks.get(path, "retryBackoffNs"))
+    critical = bool(marks.get(path, "isCritical"))
     if crc not in CRC_KINDS:
         raise InterfaceError(
             f"{path}: crc mark {crc!r} is not one of {'/'.join(CRC_KINDS)}")

@@ -98,14 +98,6 @@ def vhdl_type_of(dtype) -> str:
     return mapping[dtype]
 
 
-def indent(text: str, levels: int = 1, width: int = 4) -> str:
-    """Indent every non-empty line of *text*."""
-    pad = " " * (levels * width)
-    return "\n".join(
-        pad + line if line.strip() else line for line in text.splitlines()
-    )
-
-
 def banner(title: str, comment: str) -> str:
     """A generated-file banner with the given line-comment leader."""
     rule = comment + " " + "-" * 68

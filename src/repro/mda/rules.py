@@ -8,7 +8,9 @@ a target language; a :class:`RuleSet` resolves each class to exactly one
 rule, most-specific first.  The stock rule set is the paper's example:
 ``isHardware`` selects the VHDL mapping, everything else gets the C
 mapping.  New targets (say, SystemC) are added by prepending a rule — no
-model change, no mark-vocabulary change beyond the new mark.
+model change.  Rules read marks but declare none: the vocabulary lives in
+one place, :data:`repro.marks.model.STANDARD_MARKS`, and a mark is added
+there only together with the mapping that reads it.
 """
 
 from __future__ import annotations

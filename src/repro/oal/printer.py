@@ -19,10 +19,10 @@ _PRECEDENCE = {
 _UNARY_PRECEDENCE = 3      # 'not' sits between 'and' and comparisons
 
 
-def print_activity(block: ast.Block, indent: int = 0) -> str:
+def print_activity(block: ast.Block) -> str:
     """Render a block as canonical OAL text."""
     lines: list[str] = []
-    _print_block(block, lines, indent)
+    _print_block(block, lines, 0)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

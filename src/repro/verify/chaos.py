@@ -20,7 +20,6 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-from repro.cosim.config import CoSimConfig
 from repro.cosim.engine import CoSimMachine
 from repro.cosim.faults import FaultPlan, FaultStats
 from repro.marks.model import MarkSet
@@ -51,16 +50,16 @@ def default_hardware_for(model: Model) -> tuple[str, ...]:
     return (component.class_keys[0],)
 
 
-def reliability_marks(component: Component, hardware: tuple[str, ...],
-                      crc: str = "crc16", max_retries: int = 3,
-                      backoff_ns: int = 2_000) -> MarkSet:
-    """Partition marks plus full protection on every receiver class."""
+def reliability_marks(component: Component,
+                      hardware: tuple[str, ...]) -> MarkSet:
+    """Partition marks plus full protection on every receiver class:
+    CRC-16 framing, three retries from a 2 µs backoff, and critical."""
     marks = marks_for_partition(component, tuple(hardware))
     for key in component.class_keys:
         path = f"{component.name}.{key}"
-        marks.set(path, "crc", crc)
-        marks.set(path, "maxRetries", max_retries)
-        marks.set(path, "retryBackoffNs", backoff_ns)
+        marks.set(path, "crc", "crc16")
+        marks.set(path, "maxRetries", 3)
+        marks.set(path, "retryBackoffNs", 2_000)
         marks.set(path, "isCritical", True)
     return marks
 
@@ -177,16 +176,13 @@ def case_seed(seed: int, rate: float, case_name: str) -> int:
 
 
 def chaos_build(model_name: str, hardware: tuple[str, ...] | None = None,
-                protected: bool = True, crc: str = "crc16",
-                max_retries: int = 3, backoff_ns: int = 2_000) -> Build:
+                protected: bool = True) -> Build:
     """Compile one catalog model with or without reliability marks."""
     model = build_model(model_name)
     component = model.components[0]
     hardware = tuple(hardware) if hardware else default_hardware_for(model)
     if protected:
-        marks = reliability_marks(component, hardware, crc=crc,
-                                  max_retries=max_retries,
-                                  backoff_ns=backoff_ns)
+        marks = reliability_marks(component, hardware)
     else:
         marks = marks_for_partition(component, hardware)
     return ModelCompiler(model).compile(marks)
@@ -194,8 +190,7 @@ def chaos_build(model_name: str, hardware: tuple[str, ...] | None = None,
 
 def chaos_sweep(model_name: str, hardware: tuple[str, ...] | None = None,
                 rates: tuple[float, ...] = DEFAULT_RATES, seed: int = 7,
-                protected: bool = True,
-                config: CoSimConfig | None = None) -> ChaosReport:
+                protected: bool = True) -> ChaosReport:
     """Replay the model's formal suite at each fault rate."""
     model = build_model(model_name)
     hardware = tuple(hardware) if hardware else default_hardware_for(model)
@@ -210,7 +205,7 @@ def chaos_sweep(model_name: str, hardware: tuple[str, ...] | None = None,
             if rate > 0:
                 plan = FaultPlan.uniform(
                     case_seed(seed, rate, case.name), rate)
-            machine = CoSimMachine(build, config, plan)
+            machine = CoSimMachine(build, fault_plan=plan)
             result = run_case(case, machine)
             records = machine.trace.records()
             makespan = records[-1][0] if records else 0

@@ -104,8 +104,8 @@ def suite_to_dict(cases: list[TestCase]) -> dict:
     }
 
 
-def suite_to_json(cases: list[TestCase], indent: int = 2) -> str:
-    return json.dumps(suite_to_dict(cases), indent=indent)
+def suite_to_json(cases: list[TestCase]) -> str:
+    return json.dumps(suite_to_dict(cases), indent=2)
 
 
 def suite_from_dict(data: dict) -> list[TestCase]:

@@ -69,8 +69,8 @@ def model_to_dict(model: Model) -> dict:
     }
 
 
-def model_to_json(model: Model, indent: int = 2) -> str:
-    return json.dumps(model_to_dict(model), indent=indent, sort_keys=False)
+def model_to_json(model: Model) -> str:
+    return json.dumps(model_to_dict(model), indent=2, sort_keys=False)
 
 
 def _component_to_dict(component: Component) -> dict:

@@ -4,7 +4,9 @@ A wrong-stable hash serves stale artifacts; a wrong-unstable hash
 destroys the cache.  These tests pin both directions: identical inputs
 hash identically across rebuild, insertion order, equivalent mark files
 and *process restarts* (a subprocess with a different hash seed), and
-any single mark flip or model edit changes the key.
+any single mark flip or model edit changes the key.  Marks reach the
+store only through :func:`class_dependency_key`, so that is the key
+these tests pin.
 """
 
 import os
@@ -12,15 +14,21 @@ import subprocess
 import sys
 
 from repro.build import (
-    build_fingerprint,
     class_dependency_key,
-    marks_fingerprint,
     model_fingerprint,
     rules_fingerprint,
 )
 from repro.marks import MarkSet, marks_for_partition
 from repro.mda.rules import RuleSet
 from repro.models import build_model
+
+
+def class_key(marks, model_name="microwave", klass="MO", target="c"):
+    """The store key of one class's artifacts under *marks*."""
+    model = build_model(model_name)
+    return class_dependency_key(
+        model_fingerprint(model), rules_fingerprint(RuleSet.standard()),
+        model.components[0].name, klass, target, marks)
 
 
 def test_model_fingerprint_stable_across_rebuilds():
@@ -34,47 +42,39 @@ def test_model_fingerprint_distinguishes_models():
     assert len(fps) == 3
 
 
-def test_marks_fingerprint_ignores_insertion_order():
+def test_class_key_ignores_mark_insertion_order():
     a = MarkSet()
     a.set("control.MO", "isHardware", True)
-    a.set("control.PT", "clock_mhz", 150)
+    a.set("control.MO", "clock_mhz", 150)
     b = MarkSet()
-    b.set("control.PT", "clock_mhz", 150)
+    b.set("control.MO", "clock_mhz", 150)
     b.set("control.MO", "isHardware", True)
-    assert marks_fingerprint(a) == marks_fingerprint(b)
+    assert class_key(a, target="vhdl") == class_key(b, target="vhdl")
 
 
-def test_marks_fingerprint_equivalent_mark_files():
+def test_class_key_equivalent_mark_files():
     # same marking, different comments / line order / spacing
     text_a = ("# partition decision\n"
               "control.MO isHardware = true\n"
-              "control.PT clock_mhz = 150\n")
-    text_b = ("control.PT clock_mhz =   150\n"
+              "control.MO clock_mhz = 150\n")
+    text_b = ("control.MO clock_mhz =   150\n"
               "\n"
               "# reviewed 2026-08-05\n"
               "control.MO isHardware = yes\n")
-    assert marks_fingerprint(MarkSet.loads(text_a)) == \
-        marks_fingerprint(MarkSet.loads(text_b))
+    assert class_key(MarkSet.loads(text_a), target="vhdl") == \
+        class_key(MarkSet.loads(text_b), target="vhdl")
 
 
 def test_any_single_mark_flip_changes_the_key():
     component = build_model("microwave").components[0]
     base = marks_for_partition(component, ("PT",))
-    base_fp = marks_fingerprint(base)
     for key in component.class_keys:
         flipped = base.copy()
         path = f"{component.name}.{key}"
         flipped.set(path, "isHardware",
                     not flipped.get(path, "isHardware"))
-        assert marks_fingerprint(flipped) != base_fp, key
-
-
-def test_value_type_participates_in_the_hash():
-    a = MarkSet()
-    a.set("control.MO", "isHardware", True)
-    b = MarkSet()
-    b.set("control.MO", "processor", "True")
-    assert marks_fingerprint(a) != marks_fingerprint(b)
+        assert class_key(flipped, klass=key) != \
+            class_key(base, klass=key), key
 
 
 def test_rules_fingerprint_tracks_rule_order():
@@ -83,17 +83,21 @@ def test_rules_fingerprint_tracks_rule_order():
     assert rules_fingerprint(standard) != rules_fingerprint(reversed_rules)
 
 
-def test_build_fingerprint_stable_across_process_restarts():
+def test_class_key_stable_across_process_restarts():
     """The same inputs hash identically in a fresh interpreter with a
     different PYTHONHASHSEED — nothing leaks dict/set iteration order."""
     script = (
-        "from repro.build import build_fingerprint\n"
+        "from repro.build import (class_dependency_key, model_fingerprint,\n"
+        "                         rules_fingerprint)\n"
         "from repro.marks import marks_for_partition\n"
+        "from repro.mda.rules import RuleSet\n"
         "from repro.models import build_model\n"
         "model = build_model('elevator')\n"
         "component = model.components[0]\n"
         "marks = marks_for_partition(component, ('E',))\n"
-        "print(build_fingerprint(model, marks))\n"
+        "print(class_dependency_key(\n"
+        "    model_fingerprint(model), rules_fingerprint(RuleSet.standard()),\n"
+        "    component.name, 'E', 'vhdl', marks))\n"
     )
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = "12345"
@@ -104,9 +108,9 @@ def test_build_fingerprint_stable_across_process_restarts():
             os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
     )
     model = build_model("elevator")
-    component = model.components[0]
-    marks = marks_for_partition(component, ("E",))
-    assert out.stdout.strip() == build_fingerprint(model, marks)
+    marks = marks_for_partition(model.components[0], ("E",))
+    assert out.stdout.strip() == class_key(
+        marks, model_name="elevator", klass="E", target="vhdl")
 
 
 class TestClassDependencyKeys:

@@ -80,6 +80,25 @@ class TestCompile:
                      "-o", str(tmp_path / "gen")]) == 1
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,code", [("compile", 1), ("lint", 2)])
+    @pytest.mark.parametrize("text,reason", [
+        ("# partition\ncontrol.MO isHardwar = true\n",
+         "line 2: unknown mark name 'isHardwar'\n"),
+        (None, "[Errno 2] No such file or directory"),
+    ])
+    def test_bad_marking_file_is_one_error_line(
+            self, model_file, tmp_path, capsys, command, code, text, reason):
+        marks = tmp_path / "hw.mks"
+        if text is not None:
+            marks.write_text(text)
+        extra = (["-o", str(tmp_path / "gen")] if command == "compile"
+                 else ["--no-witness"])
+        assert main([command, str(model_file), "--marks", str(marks)]
+                    + extra) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: {marks}: {reason}")
+        assert err.count("\n") == 1
+
 
 class TestVerifyAndSweep:
     def test_verify_catalog_model(self, capsys):

@@ -91,15 +91,22 @@ class TestMarkingFiles:
         assert marks.get("c.MO", "isHardware") is expected
 
     def test_bad_boolean_rejected(self):
-        with pytest.raises(MarkError):
+        with pytest.raises(MarkError, match=r"^line 1: mark isHardware: "
+                                            r"'maybe' is not a boolean$"):
             MarkSet.loads("c.MO isHardware = maybe")
 
     def test_bad_integer_rejected(self):
-        with pytest.raises(MarkError):
+        with pytest.raises(MarkError, match=r"^line 1: mark clock_mhz: "
+                                            r"'fast' is not an integer$"):
             MarkSet.loads("c.MO clock_mhz = fast")
 
+    def test_unknown_mark_name_names_its_line(self):
+        with pytest.raises(MarkError,
+                           match=r"^line 3: unknown mark name 'isHardwar'$"):
+            MarkSet.loads("# partition\n\nc.MO isHardwar = true\n")
+
     def test_malformed_line_rejected(self):
-        with pytest.raises(MarkError):
+        with pytest.raises(MarkError, match=r"^line 1: expected"):
             MarkSet.loads("c.MO isHardware true")
         with pytest.raises(MarkError):
             MarkSet.loads("c.MO extra words isHardware = true")

@@ -6,6 +6,7 @@ from repro.marks import (
     ChangeKind,
     MarkError,
     MarkSet,
+    STANDARD_MARKS,
     diff_marks,
     partition_change_cost,
     validate_marks,
@@ -31,11 +32,6 @@ class TestValidation:
         violations = validate_marks(marks, model)
         assert any("does not exist" in str(v) for v in violations)
 
-    def test_component_level_marks_allowed(self, model):
-        marks = MarkSet()
-        marks.set("control", "bus", "axi0")
-        assert validate_marks(marks, model) == []
-
     def test_clock_range_checked(self, model):
         marks = MarkSet()
         marks.set("control.MO", "isHardware", True)
@@ -49,11 +45,14 @@ class TestValidation:
         violations = validate_marks(marks, model)
         assert any("only applies" in str(v) for v in violations)
 
-    def test_queue_depth_positive(self, model):
+    def test_component_processor_mark_reported(self, model):
+        # No mapping reads a component path, so this would select nothing.
         marks = MarkSet()
-        marks.set("control.MO", "queue_depth", 0)
+        marks.set("control", "processor", "systemc")
         violations = validate_marks(marks, model)
-        assert any("at least 1" in str(v) for v in violations)
+        assert [(v.element_path, v.mark_name) for v in violations] == \
+            [("control", "processor")]
+        assert "targets a class" in violations[0].message
 
     def test_strict_raises(self, model):
         marks = MarkSet()
@@ -63,9 +62,8 @@ class TestValidation:
 
 
 class TestComponentLevelMarks:
-    """Class-only marks on a component path used to be swallowed by a
-    silent ``pass``: accepted, validated against nothing, and doing
-    nothing.  They are structured diagnostics now."""
+    """Marks attach to classes.  No mapping reads a component path, so a
+    mark there would be accepted and do nothing; it is reported."""
 
     def test_class_only_mark_on_component_reported(self, model):
         marks = MarkSet()
@@ -80,7 +78,6 @@ class TestComponentLevelMarks:
     @pytest.mark.parametrize("name,value", [
         ("isHardware", True),
         ("clock_mhz", 200),
-        ("unroll_loops", True),
         ("crc", "crc16"),
         ("maxRetries", 3),
         ("retryBackoffNs", 1000),
@@ -94,17 +91,15 @@ class TestComponentLevelMarks:
         assert any(v.mark_name == name and "targets a class" in v.message
                    for v in violations)
 
-    @pytest.mark.parametrize("name,value", [
-        ("bus", "axi0"),
-        ("processor", "cpu1"),
-        ("priority", 2),
-        ("queue_depth", 8),
-    ])
-    def test_architecture_defaults_stay_component_valid(
-            self, model, name, value):
+    def test_every_mark_on_a_component_is_reported(self, model):
         marks = MarkSet()
-        marks.set("control", name, value)
-        assert validate_marks(marks, model) == []
+        for definition in STANDARD_MARKS:
+            marks.set("control", definition.name, definition.default)
+        violations = validate_marks(marks, model)
+        assert sorted(v.mark_name for v in violations) == \
+            sorted(d.name for d in STANDARD_MARKS)
+        assert all(v.element_path == "control"
+                   and "targets a class" in v.message for v in violations)
 
     def test_same_mark_on_a_class_is_still_fine(self, model):
         marks = MarkSet()
