@@ -30,6 +30,7 @@ The engine's own heap holds only bus and retransmission events.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, replace
 
 from repro.mda.archrt import ArchError, TargetMachine
@@ -124,9 +125,18 @@ class CoSimMachine(TargetMachine):
         # bus and retry events; signals wait in self.pool
         self._heap: list[tuple[int, int, int, object]] = []
         self._heap_seq = 0
+        # each class's side ("sw" or "hw"), resolved once
+        self._side = {
+            key: self.partition.side_of(key)
+            for key in (*self.partition.hardware_classes,
+                        *self.partition.software_classes)
+        }
         self._cpu_scheduler = KernelScheduler()
         self._cpu_free_at = 0
         self._hw_free_at: dict[int, int] = {}
+        # an instant whose every started service left its resource busy
+        # past it: nothing more can start there (see _start_services)
+        self._settled_at: int | None = None
         self._emit_buffer: list[tuple[SignalInstance, int]] | None = None
         self.cpu_stats = ResourceStats("cpu")
         self.hw_stats: dict[str, ResourceStats] = {
@@ -149,16 +159,6 @@ class CoSimMachine(TargetMachine):
                 for side in ("sw", "hw")
             }
             self._m_sent_ns = {}
-
-    # -- sides ------------------------------------------------------------------
-
-    def side_of_class(self, class_key: str) -> str:
-        return self.partition.side_of(class_key)
-
-    def _resource_free_at(self, handle: int, class_key: str) -> int:
-        if self.side_of_class(class_key) == "sw":
-            return self._cpu_free_at
-        return self._hw_free_at.get(handle, 0)
 
     # -- signal plumbing: timed routing into the pool -------------------------------
 
@@ -187,9 +187,8 @@ class CoSimMachine(TargetMachine):
             self._m_sent_ns[signal.sequence] = ready_ns
         sender_side = None
         if signal.sender_handle is not None:
-            sender_side = self.side_of_class(
-                self.class_of(signal.sender_handle))
-        receiver_side = self.side_of_class(signal.class_key)
+            sender_side = self._side[self.class_of(signal.sender_handle)]
+        receiver_side = self._side[signal.class_key]
         crosses = sender_side is not None and sender_side != receiver_side
         if not crosses:
             if self._receivable(signal):
@@ -394,6 +393,7 @@ class CoSimMachine(TargetMachine):
         """Run through model time *horizon_us* or, without one, to
         quiescence within :data:`QUIESCENCE_BUDGET_US`.  Returns the
         dispatch count."""
+        self._settled_at = None   # the caller may have added work since
         if horizon_us is not None:
             return super().run_until(horizon_us, max_steps)
         budget_us = self.now // US_TO_NS + QUIESCENCE_BUDGET_US
@@ -407,29 +407,40 @@ class CoSimMachine(TargetMachine):
 
     def step(self) -> bool:
         """One instant: False when nothing was dispatched at ``now``."""
+        self._settled_at = None
         return self._dispatch_now() > 0
 
     def _dispatch_now(self) -> int:
+        if self._settled_at == self.now:
+            return 0
         self._drain_heap()
         return self._start_services()
 
     def _next_time(self) -> int | None:
-        times = []
-        if self._heap:
-            times.append(self._heap[0][0])
+        """The earliest of the heap, the bus, the next delayed signal and
+        the free time of every resource with a signal waiting."""
+        best = self._heap[0][0] if self._heap else math.inf
         bus_next = self.bus.next_ready_time()
-        if bus_next is not None:
-            times.append(bus_next)
-        due = self.pool.next_due_time()
-        if due is not None:
-            times.append(due)
-        for handle in self.pool.ready_handles():
-            times.append(
-                self._resource_free_at(handle,
-                                       self._instances[handle].class_key))
-        if self.pool.has_ready_creation():
-            times.append(self._cpu_free_at)
-        return min(times) if times else None
+        if bus_next is not None and bus_next < best:
+            best = bus_next
+        pool = self.pool
+        due = pool.next_due_time()
+        if due is not None and due < best:
+            best = due
+        side = self._side
+        instances = self._instances
+        hw_free_at = self._hw_free_at
+        cpu_waits = pool.has_ready_creation()
+        for handle in pool.ready_handles():
+            if side[instances[handle].class_key] == "sw":
+                cpu_waits = True
+            else:
+                free_at = hw_free_at.get(handle, 0)
+                if free_at < best:
+                    best = free_at
+        if cpu_waits and self._cpu_free_at < best:
+            best = self._cpu_free_at
+        return None if best == math.inf else best
 
     def _drain_heap(self) -> None:
         # local signals due by now reach their queues before anything the
@@ -469,43 +480,69 @@ class CoSimMachine(TargetMachine):
             self.pool.push_ready(signal)
 
     def _start_services(self) -> int:
+        """One pass over the ready instances: start every free hardware
+        bank, then give a free CPU its kernel-order software source.
+
+        The instant is settled when every service it started left its
+        resource busy past ``now``.  The routed signals of such services
+        arrive later too, so the loop's next call at this ``now`` has
+        nothing to start and returns at once.  A zero-cost service, or a
+        hardware creation (which occupies neither the CPU nor a bank),
+        leaves the instant open.
+        """
+        now = self.now
+        pool = self.pool
+        instances = self._instances
+        side = self._side
+        hw_free_at = self._hw_free_at
+        cpu_free = self._cpu_free_at <= now
+        software: list[int] = []
         started = 0
-        # hardware instances are independent resources: start any that can
-        for handle in self.pool.ready_handles():
-            instance = self._instances.get(handle)   # None: deleted just now
-            if instance is None or self.side_of_class(instance.class_key) != "hw":
+        settled = True
+        for handle in pool.ready_handles():
+            instance = instances.get(handle)   # None: deleted just now
+            if instance is None:
                 continue
-            if self._hw_free_at.get(handle, 0) <= self.now:
-                self._service(handle, instance.class_key,
-                              self.pool.pop_for(handle))
+            class_key = instance.class_key
+            if side[class_key] == "sw":
+                if cpu_free:
+                    software.append(handle)
+            elif hw_free_at.get(handle, 0) <= now:
+                # hardware instances are independent resources
+                self._service(handle, class_key, pool.pop_for(handle))
                 started += 1
+                settled = settled and hw_free_at[handle] > now
         # the single CPU: at most one software dispatch per pass
-        if self._cpu_free_at <= self.now:
-            source = self._choose_software()
-            if source is not None:
-                signal = self.pool.pop(source)
-                handle = None if source == CREATION else source
-                self._service(handle, signal.class_key, signal)
-                started += 1
+        if started and software:   # a hardware action may have deleted some
+            software = [h for h in software if h in instances]
+        if cpu_free and (software or pool.has_ready_creation()):
+            source = self._choose_software(software)
+            signal = pool.pop(source)
+            self._service(None if source == CREATION else source,
+                          signal.class_key, signal)
+            started += 1
+            settled = settled and self._cpu_free_at > now
+        if started and settled:
+            self._settled_at = now
         return started
 
-    def _choose_software(self) -> int | None:
-        """The CPU's next source: kernel order over software signals.
+    def _choose_software(self, software: list[int]) -> int:
+        """The CPU's next source: kernel order over the ready *software*
+        instances and a software creation.
 
         Hardware creation events are dispatched by the CPU-side
         configuration master too (instance banks are provisioned by
         software), but only when no software signal is pending.
         """
-        source = self._cpu_scheduler.choose(self.pool, self._on_software)
-        if source is None and self.pool.has_ready_creation():
-            return CREATION
-        return source
-
-    def _on_software(self, signal: SignalInstance) -> bool:
-        return self.side_of_class(signal.class_key) == "sw"
+        pool = self.pool
+        if pool.has_ready_creation() and \
+                self._side[pool.peek(CREATION).class_key] == "sw":
+            software.append(CREATION)
+        source = self._cpu_scheduler.choose(pool, software)
+        return CREATION if source is None else source
 
     def _service(self, handle, class_key: str, signal: SignalInstance) -> None:
-        side = self.side_of_class(class_key)
+        side = self._side[class_key]
         ops_before = self.ops_executed
         self._emit_buffer = []
         start = self.now

@@ -142,18 +142,16 @@ class KernelScheduler(Scheduler):
     """``kernel_next()`` of the generated C: every self-directed head in
     send order, then every other head (creations included) in send order.
 
-    *serves*, when given, restricts the choice to heads it accepts: the
-    co-simulation's CPU serves software instances only.
+    *sources*, when given, restricts the choice to those ready sources:
+    the co-simulation's CPU passes its software sources only.
     """
 
     name = "kernel"
 
-    def choose(self, pool: EventPool, serves=None) -> int | None:
+    def choose(self, pool: EventPool, sources=None) -> int | None:
         best = None
-        for source in self._sources(pool):
+        for source in self._sources(pool) if sources is None else sources:
             head = pool.peek(source)
-            if serves is not None and not serves(head):
-                continue
             key = (not head.is_self_directed, head.sequence)
             if best is None or key < best[0]:
                 best = (key, source)

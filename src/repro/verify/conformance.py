@@ -30,19 +30,28 @@ def standard_targets(model: Model) -> list:
     The C executor runs the model compiled all-software, the VHDL one
     all-hardware -- each architecture then executes *every* class, which
     is the strongest conformance statement a single executor can make.
-    Both builds read the model's one cached lowering, so rebuilding the
-    executors for every case repeats only table building and emission.
+    Each call compiles both builds; :func:`check_conformance` compiles
+    them once per model and builds fresh executors for every case.
+    """
+    return _target_factory(model)()
+
+
+def _target_factory(model: Model):
+    """Compile *model*'s two standard builds and return a function that
+    makes fresh executors over them.
+
+    The executors read only the builds' manifests, which do not depend
+    on anything a run changes, so every case can share them.
     """
     component = model.components[0]
-    sw_marks = marks_for_partition(component, ())
-    hw_marks = marks_for_partition(component, tuple(component.class_keys))
     compiler = ModelCompiler(model)
-    sw_build = compiler.compile(sw_marks)
-    hw_build = compiler.compile(hw_marks)
-    return [
+    sw_manifest = compiler.compile(marks_for_partition(component, ())).manifest
+    hw_manifest = compiler.compile(
+        marks_for_partition(component, tuple(component.class_keys))).manifest
+    return lambda: [
         Simulation(model),
-        CSoftwareMachine(sw_build.manifest),
-        VHardwareMachine(hw_build.manifest),
+        CSoftwareMachine(sw_manifest),
+        VHardwareMachine(hw_manifest),
     ]
 
 
@@ -107,8 +116,9 @@ def check_conformance(
     """Run *cases* on all standard targets of *model*."""
     report = ConformanceReport(model.name)
     names: tuple[str, ...] = ()
+    fresh_targets = _target_factory(model)
     for case in cases:
-        targets = standard_targets(model)  # fresh platforms per case
+        targets = fresh_targets()  # fresh platforms per case
         names = tuple(target.name for target in targets)
         conformance = CaseConformance(case.name)
         for target in targets:

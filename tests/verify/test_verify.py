@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.mda import ModelCompiler
 from repro.mda.csim import CSoftwareMachine
 from repro.mda.vsim import VHardwareMachine
-from repro.models import build_microwave_model
+from repro.models import build_microwave_model, build_model
 from repro.runtime import Simulation
+from repro.verify import conformance
 from repro.verify import (
     TestCase,
     check_conformance,
@@ -13,6 +15,10 @@ from repro.verify import (
     standard_targets,
     suite_for,
 )
+
+
+CATALOG_NAMES = ("microwave", "trafficlight", "packetproc", "elevator",
+                 "checksum")
 
 
 @pytest.fixture
@@ -146,9 +152,49 @@ class TestConformanceReport:
         assert not report.conformant
         assert report.pass_rate() == 0.0
 
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_compiles_twice_per_model(self, model, monkeypatch, count):
+        compile_calls = []
+        compile_ = ModelCompiler.compile
+
+        def counting(compiler, marks):
+            compile_calls.append(marks)
+            return compile_(compiler, marks)
+
+        monkeypatch.setattr(ModelCompiler, "compile", counting)
+        report = check_conformance(model, [cook_case()] * count)
+        assert len(report.cases) == count
+        assert len(compile_calls) == 2
+
+    def test_every_case_runs_on_fresh_executors(self, model, monkeypatch):
+        seen = []
+        run = conformance.run_case
+
+        def recording(case, target):
+            seen.append((target, len(target.trace)))
+            return run(case, target)
+
+        monkeypatch.setattr(conformance, "run_case", recording)
+        check_conformance(model, [cook_case()] * 3)
+        assert len({id(target) for target, _ in seen}) == len(seen) == 9
+        assert all(records == 0 for _, records in seen)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_report_matches_per_case_targets(self, name):
+        # each case on the executors of its own standard_targets() call,
+        # as every case was run before the builds were shared
+        model = build_model(name)
+        cases = suite_for(name)
+        report = check_conformance(model, cases)
+        for case, row in zip(cases, report.cases, strict=True):
+            targets = standard_targets(model)
+            assert row.results == [run_case(case, t) for t in targets]
+            summaries = {t.trace.behavioural_summary() == targets[0].trace
+                         .behavioural_summary() for t in targets}
+            assert row.summaries_equal == (summaries == {True})
+
     def test_all_catalog_suites_exist(self):
-        for name in ("microwave", "trafficlight", "packetproc",
-                     "elevator", "checksum"):
+        for name in CATALOG_NAMES:
             assert suite_for(name)
 
     def test_unknown_suite_raises(self):
