@@ -16,16 +16,27 @@ import hashlib
 
 import pytest
 
-from repro.cosim import CoSimConfig, CoSimMachine, inject_stimulus, poisson_packets
+from repro.cosim import (
+    CoSimConfig,
+    CoSimMachine,
+    inject_stimulus,
+    poisson_packets,
+)
 from repro.cosim.sweep import packet_timings
 from repro.marks import marks_for_partition
 from repro.mda import ModelCompiler
-from repro.models import build_checksum_model, build_packetproc_model, packetproc
+from repro.models import (
+    build_checksum_model,
+    build_packetproc_model,
+    packetproc,
+)
 from repro.obs.export import dump_jsonl
 
 E4_DIGESTS = {
-    (): "bc2f8ec282caf4cf0d48135435b076e280cf1c0e2650100bf4eeaec8bcf65779",
-    ("CE",): "27b4f9fc3143bbce565d383b23bc22a431098112a110cd7e2a6c1e1ce3ccf6d2",
+    ():
+        "bc2f8ec282caf4cf0d48135435b076e280cf1c0e2650100bf4eeaec8bcf65779",
+    ("CE",):
+        "27b4f9fc3143bbce565d383b23bc22a431098112a110cd7e2a6c1e1ce3ccf6d2",
     ("CE", "D"):
         "507ea656a67bf96bd1f9e979de63bbe683ed70b338bc32df6a45e13c8deaa5b4",
     ("CE", "CL", "D"):
@@ -33,8 +44,10 @@ E4_DIGESTS = {
 }
 
 ZERO_COST_DIGESTS = {
-    (): "11803fa158cca6b696711b398dc7a54145f35842fa0f9553f172b5e9d7edc8f6",
-    ("CE",): "61c1a8dc4356b6e8e6d931304dd36fedecb406ad754d251f3426ee6d74d3d4f2",
+    ():
+        "11803fa158cca6b696711b398dc7a54145f35842fa0f9553f172b5e9d7edc8f6",
+    ("CE",):
+        "61c1a8dc4356b6e8e6d931304dd36fedecb406ad754d251f3426ee6d74d3d4f2",
     ("CE", "D"):
         "0bba875602e74dc7a1a83538276da3fe0eaa7f6395d0710f88faa552cd7f9cd6",
 }
@@ -42,10 +55,12 @@ ZERO_COST_DIGESTS = {
 #: checksum with three creation events, per hardware set:
 #: (makespan ns, digest)
 CREATION_DIGESTS = {
-    (): (10540,
-         "7dc9905c3af34670bd589b91568f4342fc17b3487b120c5fe8070b827f3a696a"),
-    ("J",): (9235,
-             "e3ad1c386c5ae82d3d49c3e91d92e985a3850b96cdcfdf38c993db1de8854d13"),
+    (): (
+        10540,
+        "7dc9905c3af34670bd589b91568f4342fc17b3487b120c5fe8070b827f3a696a"),
+    ("J",): (
+        9235,
+        "e3ad1c386c5ae82d3d49c3e91d92e985a3850b96cdcfdf38c993db1de8854d13"),
     ("J", "AC"): (
         2065,
         "4cdfd14397fb075fdaa81ef621bd4f467d5e0417aafc7fb229fae9d62072cbe8"),
