@@ -92,7 +92,8 @@ def main() -> None:
         lines = build.artifacts[path].count("\n")
         print(f"  {path:32s} {lines:4d} lines")
     findings = build.lint()
-    print(f"structural lint findings: {len(findings)} (must be 0)")
+    print(f"lint findings (gcc for C, structural for VHDL): "
+          f"{len(findings)} (must be 0)")
 
     # 4. the halves fit together because the interface was generated:
     c_codec = InterfaceCodec.from_artifact(build.artifacts["board_interface.h"])

@@ -2,8 +2,9 @@
 
 Before this module existed the toolchain had three finding shapes:
 :class:`~repro.xuml.wellformed.Violation` (model well-formedness),
-:class:`~repro.mda.clint.LintFinding` (structural checks on generated
-text) and :class:`~repro.marks.validate.MarkViolation` (marking files).
+:class:`LintFinding` (checks on generated text: the compiler's errors
+for C, structural checks for VHDL) and
+:class:`~repro.marks.validate.MarkViolation` (marking files).
 Three shapes meant three sort orders, three ``__str__`` conventions and
 no uniform JSON export — which the whole-model analyzer cannot live
 with, because its report mixes findings from every layer.
@@ -94,33 +95,6 @@ class Finding:
             payload["witness"] = self.witness.to_json()
         return payload
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "Finding":
-        """Rebuild a plain :class:`Finding` from :meth:`to_json` output.
-
-        Witnesses come back as their JSON dicts (good enough for report
-        tooling; replay goes through :mod:`repro.analysis.witness`).
-        """
-        return cls(
-            severity=Severity(payload["severity"]),
-            element=payload["element"],
-            message=payload["message"],
-            rule=payload.get("rule", ""),
-            line=payload.get("line"),
-            witness=payload.get("witness"),
-        )
-
-    def with_severity(self, severity: Severity, witness=None) -> "Finding":
-        """A copy at a different severity, optionally carrying a witness."""
-        return Finding(
-            severity=severity,
-            element=self.element,
-            message=self.message,
-            rule=self.rule,
-            line=self.line,
-            witness=self.witness if witness is None else witness,
-        )
-
 
 def sorted_findings(findings) -> list:
     """Deterministic report order: worst first, then the stable key."""
@@ -140,8 +114,9 @@ class Violation(Finding):
 class LintFinding(Finding):
     """One problem in a generated artifact (path, line, message).
 
-    The structural C/VHDL lints predate severities — every structural
-    finding blocks the build, so they are all :attr:`Severity.ERROR`.
+    The artifact checks predate severities — every finding (a compiler
+    error in C, a structural fault in VHDL) blocks the build, so they
+    are all :attr:`Severity.ERROR`.
     """
 
     def __init__(self, path: str, line: int, message: str):

@@ -143,12 +143,6 @@ class MarkSet:
     def is_explicit(self, element_path: str, name: str) -> bool:
         return (element_path, name) in self._marks
 
-    def marks_on(self, element_path: str) -> tuple[Mark, ...]:
-        return tuple(
-            mark for (path, _), mark in sorted(self._marks.items())
-            if path == element_path
-        )
-
     @property
     def marks(self) -> tuple[Mark, ...]:
         return tuple(mark for _, mark in sorted(self._marks.items()))

@@ -6,13 +6,14 @@
   halves generated from one spec, byte-compatible by construction
 * :class:`CSoftwareMachine` / :class:`VHardwareMachine` — the generated
   architectures, executed (manifest-driven)
-* :func:`lint_c` / :func:`lint_vhdl` — structural checks on emitted text
+* :meth:`Build.lint` — gcc compiles the emitted C (g++ the SystemC
+  modules) and :func:`lint_vhdl` checks the VHDL structurally
 """
 
+from repro.analysis.findings import LintFinding
 from repro.exec.ir import ir_op_counts, lower_block, walk_ir_statements
 from .archrt import ArchError, TargetMachine
 from .cgen import CGenerator
-from .clint import LintFinding, lint_c
 from .compiler import Build, ModelCompiler
 from .csim import CSoftwareMachine
 from .interfacegen import (
@@ -81,7 +82,6 @@ __all__ = [
     "crc16_ccitt",
     "dtype_tag",
     "ir_op_counts",
-    "lint_c",
     "lint_vhdl",
     "lower_block",
     "snake_case",

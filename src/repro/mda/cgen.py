@@ -40,7 +40,8 @@ class CGenerator:
 
     def __init__(self, manifest: ComponentManifest):
         self._manifest = manifest
-        self._temp_counter = 0
+        #: keys of the classes whose header the current source needs
+        self._uses: set[str] = set()
 
     # -- public entry points -------------------------------------------------
 
@@ -86,9 +87,10 @@ class CGenerator:
         lines.append("instance_handle_t rt_create(class_id_t cls);")
         lines.append("void rt_delete(instance_handle_t inst);")
         lines.append("instance_set_t rt_instances_of(class_id_t cls);")
-        lines.append("instance_set_t rt_navigate(instance_handle_t from,")
-        lines.append("                           int assoc, class_id_t to_cls,")
-        lines.append("                           const char *phrase);")
+        lines.append("instance_set_t rt_single(instance_handle_t inst);")
+        lines.append("instance_set_t rt_navigate_set(instance_set_t from,")
+        lines.append("                               int assoc, class_id_t to_cls,")
+        lines.append("                               const char *phrase);")
         lines.append("void rt_relate(instance_handle_t a, instance_handle_t b,")
         lines.append("               int assoc, const char *phrase);")
         lines.append("void rt_unrelate(instance_handle_t a, instance_handle_t b,")
@@ -100,7 +102,10 @@ class CGenerator:
         lines.append("                          uint64_t delay, const void *params);")
         lines.append("double rt_bridge(const char *entity, const char *op,")
         lines.append("                 const void *args);")
+        lines.append("instance_set_t rt_set_empty(void);")
+        lines.append("void rt_set_add(instance_set_t *set, instance_handle_t inst);")
         lines.append("void rt_set_free(instance_set_t set);")
+        lines.append("void rt_cant_happen(instance_handle_t inst, int event_id);")
         lines.append("")
         lines.append("#endif")
         return "\n".join(lines) + "\n"
@@ -164,16 +169,18 @@ class CGenerator:
         return "\n".join(lines) + "\n"
 
     def emit_class_source(self, klass: ClassManifest) -> str:
-        m = self._manifest
-        kl = c_ident(klass.key)
-        lines = [banner(f"class {klass.name} ({klass.key}) behaviour", "//")]
-        lines.append(f'#include "{c_ident(m.name)}_{kl}.h"')
-        lines.append(f'#include "{c_ident(m.name)}_arch_rt.h"')
-        lines.append("")
-
+        """The class's behaviour; it includes the header of every class
+        whose events, data or operations its actions use."""
+        comp = c_ident(self._manifest.name)
+        self._uses = set()
+        lines = []
+        # an entry action runs only when a transition or creation enters
+        # its state; the C of a state nothing enters would be dead code
+        entered = {*klass.transitions.values(), *klass.creations.values()}
         for state_name, _number in klass.states:
-            lines.append(self._emit_entry_action(klass, state_name))
-            lines.append("")
+            if state_name in entered:
+                lines.append(self._emit_entry_action(klass, state_name))
+                lines.append("")
 
         for op_name in sorted(klass.operations):
             lines.append(self._emit_operation(klass, op_name))
@@ -181,7 +188,12 @@ class CGenerator:
 
         if klass.states:
             lines.append(self._emit_dispatch(klass))
-        return "\n".join(lines) + "\n"
+        includes = [f'#include "{comp}_{c_ident(klass.key)}.h"',
+                    f'#include "{comp}_arch_rt.h"']
+        includes += [f'#include "{comp}_{c_ident(key)}.h"'
+                     for key in sorted(self._uses - {klass.key})]
+        head = [banner(f"class {klass.name} ({klass.key}) behaviour", "//")]
+        return "\n".join(head + includes + [""] + lines) + "\n"
 
     def emit_kernel_source(self) -> str:
         m = self._manifest
@@ -204,6 +216,9 @@ class CGenerator:
         lines.append("    unsigned char params[64];")
         lines.append("    struct queued_event *next;")
         lines.append("} queued_event_t;")
+        lines.append("")
+        lines.append("/* the architecture routes an event to its class's dispatch */")
+        lines.append("void kernel_dispatch_to_class(queued_event_t *ev);")
         lines.append("")
         lines.append("static queued_event_t *self_queue_head;")
         lines.append("static queued_event_t *other_queue_head;")
@@ -242,13 +257,15 @@ class CGenerator:
     def _emit_entry_action(self, klass: ClassManifest, state_name: str) -> str:
         kl = c_ident(klass.key)
         ir = klass.activities.get(state_name, [])
-        params = self._entering_params(klass, state_name)
-        body = self._print_block(klass, ir, params, indent=1)
+        params = entering_params(klass, state_name)
+        printer = CPrinter(self._manifest, klass, dict(params), False,
+                            self._uses)
+        body = printer.body(ir, indent=1)
         lines = [f"/* entry action of state {state_name} */"]
         lines.append(f"static void {kl}_enter_{c_ident(state_name)}"
                      f"(instance_handle_t self_inst, const void *event_params)")
         lines.append("{")
-        if params:
+        if printer.params_read:
             struct = f"{kl}_entry_{c_ident(state_name)}_view"
             lines.append("    /* parameters shared by every entering event */")
             lines.append("    struct {")
@@ -265,20 +282,6 @@ class CGenerator:
         lines.append("}")
         return "\n".join(lines)
 
-    def _entering_params(self, klass: ClassManifest, state_name: str):
-        """Parameters every event entering *state_name* shares (ordered)."""
-        labels = sorted(
-            {ev for (_s, ev), to in klass.transitions.items() if to == state_name}
-            | {ev for ev, to in klass.creations.items() if to == state_name}
-        )
-        if not labels:
-            return []
-        shared = list(klass.events[labels[0]].params)
-        for label in labels[1:]:
-            theirs = dict(klass.events[label].params)
-            shared = [(n, t) for n, t in shared if theirs.get(n) == t]
-        return shared
-
     def _emit_operation(self, klass: ClassManifest, op_name: str) -> str:
         m = self._manifest
         kl = c_ident(klass.key)
@@ -290,13 +293,15 @@ class CGenerator:
             f"{c_type_of(tag_to_dtype(ptag, m.enums))} {c_ident(pname)}"
             for pname, ptag in op.params
         ]
-        params = list(op.params)
-        body = self._print_block(klass, op.ir, params, indent=1,
-                                 params_are_args=True)
+        printer = CPrinter(m, klass, dict(op.params), True, self._uses)
+        body = printer.body(op.ir, indent=1)
         lines = [f"{ret} {kl}_op_{c_ident(op_name)}({', '.join(args) or 'void'})"]
         lines.append("{")
         if op.instance_based:
             lines.append("    (void)self_inst;")
+        for pname, _ptag in op.params:
+            if pname not in printer.params_read:
+                lines.append(f"    (void){c_ident(pname)};")
         if body.strip():
             lines.append(body)
         lines.append("}")
@@ -310,6 +315,20 @@ class CGenerator:
                      f"{kl}_event_t event, const void *params)")
         lines.append("{")
         lines.append(f"    {kl}_data_t *self_data = {kl}_data(inst);")
+        if klass.creations:
+            lines.append("    /* a creation event: the architecture has just "
+                         "created inst */")
+            lines.append("    switch (event) {")
+            for label, to_state in sorted(klass.creations.items()):
+                lines.append(f"    case {km}_EV_{c_macro(label)}:")
+                lines.append(f"        self_data->state = "
+                             f"{km}_STATE_{c_macro(to_state)};")
+                lines.append(f"        {kl}_enter_{c_ident(to_state)}"
+                             f"(inst, params);")
+                lines.append("        return;")
+            lines.append("    default:")
+            lines.append("        break;")
+            lines.append("    }")
         lines.append("    switch (self_data->state) {")
         for state_name, _num in klass.states:
             lines.append(f"    case {km}_STATE_{c_macro(state_name)}:")
@@ -344,72 +363,85 @@ class CGenerator:
         lines.append("}")
         return "\n".join(lines)
 
-    # -- IR printing ---------------------------------------------------------------
 
-    def _print_block(self, klass: ClassManifest, block: list, params,
-                     indent: int, params_are_args: bool = False) -> str:
-        printer = _CPrinter(self._manifest, klass, dict(params), params_are_args)
-        printer.scan_var_classes(block)
-        lines: list[str] = []
-        declared: set[str] = set()
-        printer.collect_locals(block, declared, lines, indent)
-        printer.print_block(block, lines, indent)
-        return "\n".join(lines)
+def entering_params(klass: ClassManifest, state_name: str):
+    """Parameters every event entering *state_name* shares (ordered)."""
+    labels = sorted(
+        {ev for (_s, ev), to in klass.transitions.items() if to == state_name}
+        | {ev for ev, to in klass.creations.items() if to == state_name}
+    )
+    if not labels:
+        return []
+    shared = list(klass.events[labels[0]].params)
+    for label in labels[1:]:
+        theirs = dict(klass.events[label].params)
+        shared = [(n, t) for n, t in shared if theirs.get(n) == t]
+    return shared
 
 
-class _CPrinter:
-    def __init__(self, manifest, klass, params, params_are_args):
+_HANDLE = "instance_handle_t"
+_SET = "instance_set_t"
+_ARITHMETIC = ("+", "-", "*", "/", "%")
+
+
+class CPrinter:
+    """Prints one block of action IR as C statements."""
+
+    def __init__(self, manifest, klass, params, params_are_args, uses):
         self._m = manifest
         self._klass = klass
         self._params = params
         self._params_are_args = params_are_args
+        self._uses = uses
         self._tmp = 0
         self._var_classes: dict[str, str] = {}
+        #: local name -> C type, in order of first assignment
+        self._locals: dict[str, str] = {}
+        self._reads: set[str] = set()
+        self.params_read: set[str] = set()
         self._selected_class: str | None = None
         self._filter_class: str = klass.key
 
-    def scan_var_classes(self, block: list) -> None:
-        """Record which class each instance-valued local refers to."""
+    def body(self, block: list, indent: int) -> str:
+        """The block as C: its locals declared first, then its statements."""
+        self._scan_locals(block)
+        statements: list[str] = []
+        self.print_block(block, statements, indent)
+        pad = self._pad(indent)
+        lines = []
+        # an enum starts at its first enumerator: C++ takes no int for it
+        inits = {f"{c_ident(name)}_t": f"{c_macro(name)}_{c_macro(values[0])}"
+                 for name, values in self._m.enums.items()}
+        inits.update({_HANDLE: "RT_NULL_HANDLE", _SET: "{0, 0}"})
+        for name, ctype in self._locals.items():
+            init = inits.get(ctype, "0")
+            lines.append(f"{pad}{ctype} {c_ident(name)} = {init};")
+        lines += [f"{pad}(void){c_ident(name)};"
+                  for name in self._locals if name not in self._reads]
+        return "\n".join(lines + statements)
+
+    def _scan_locals(self, block: list) -> None:
+        """Type each local as the analyzer does, from its first binding,
+        and record which class each instance-valued local refers to."""
         for stmt in walk_ir_statements(block):
-            tag = stmt[0]
-            if tag == "create" or tag == "select_extent":
-                self._var_classes[stmt[1]] = stmt[2] if tag == "create" else stmt[3]
+            tag, name = stmt[0], stmt[1] if len(stmt) > 1 else None
+            if tag == "assign_var":
+                self._locals.setdefault(name, self.ctype(stmt[2]))
+            elif tag == "create" or tag == "select_extent":
+                self._var_classes[name] = stmt[2] if tag == "create" else stmt[3]
+                many = tag == "select_extent" and stmt[2]
+                self._locals.setdefault(name, _SET if many else _HANDLE)
             elif tag == "select_related":
-                self._var_classes[stmt[1]] = stmt[4][-1][0]
+                self._var_classes[name] = stmt[4][-1][0]
+                self._locals.setdefault(name, _SET if stmt[2] else _HANDLE)
             elif tag == "foreach":
                 iterable = stmt[2]
                 if iterable[0] == "var" and iterable[1] in self._var_classes:
-                    self._var_classes[stmt[1]] = self._var_classes[iterable[1]]
+                    self._var_classes[name] = self._var_classes[iterable[1]]
+                self._locals.setdefault(name, _HANDLE)
 
     def _pad(self, indent: int) -> str:
         return "    " * indent
-
-    # locals are declared up-front, C89-style, typed from the IR shape
-    def collect_locals(self, block: list, declared: set, lines, indent) -> None:
-        for stmt in walk_ir_statements(block):
-            tag = stmt[0]
-            if tag == "assign_var" and stmt[1] not in declared:
-                declared.add(stmt[1])
-                lines.append(f"{self._pad(indent)}double {c_ident(stmt[1])} = 0; "
-                             "/* inferred scalar */")
-            elif tag == "create" and stmt[1] not in declared:
-                declared.add(stmt[1])
-                lines.append(f"{self._pad(indent)}instance_handle_t "
-                             f"{c_ident(stmt[1])} = RT_NULL_HANDLE;")
-            elif tag in ("select_extent", "select_related"):
-                if stmt[1] in declared:
-                    continue
-                declared.add(stmt[1])
-                if stmt[2]:  # many
-                    lines.append(f"{self._pad(indent)}instance_set_t "
-                                 f"{c_ident(stmt[1])} = {{0, 0}};")
-                else:
-                    lines.append(f"{self._pad(indent)}instance_handle_t "
-                                 f"{c_ident(stmt[1])} = RT_NULL_HANDLE;")
-            elif tag == "foreach" and stmt[1] not in declared:
-                declared.add(stmt[1])
-                lines.append(f"{self._pad(indent)}instance_handle_t "
-                             f"{c_ident(stmt[1])} = RT_NULL_HANDLE;")
 
     def print_block(self, block: list, lines: list, indent: int) -> None:
         for stmt in block:
@@ -421,8 +453,7 @@ class _CPrinter:
         if tag == "assign_var":
             lines.append(f"{pad}{c_ident(stmt[1])} = {self.expr(stmt[2])};")
         elif tag == "assign_attr":
-            target = self.instance_data(stmt[1])
-            lines.append(f"{pad}{target}->{c_ident(stmt[2])} = "
+            lines.append(f"{pad}{self.attribute(stmt[1], stmt[2])} = "
                          f"{self.expr(stmt[3])};")
         elif tag == "create":
             lines.append(f"{pad}{c_ident(stmt[1])} = "
@@ -551,6 +582,7 @@ class _CPrinter:
             stmt[1], stmt[2], stmt[3], stmt[4], stmt[5])
         kl = c_ident(class_key)
         km = c_macro(class_key)
+        self._uses.add(class_key)
         delay_c = self.expr(delay) if delay is not None else "0"
         if args:
             tmp = f"ev_{self._next_tmp()}"
@@ -584,11 +616,12 @@ class _CPrinter:
 
     # -- expressions ------------------------------------------------------------
 
-    def instance_data(self, expr_ir: list) -> str:
-        """C lvalue base for attribute access on an instance expression."""
-        handle = self.expr(expr_ir)
-        class_key = self._class_of_expr(expr_ir)
-        return f"{c_ident(class_key)}_data({handle})"
+    def attribute(self, target_ir: list, attr: str) -> str:
+        """C lvalue of attribute *attr* of an instance expression."""
+        handle = self.expr(target_ir)
+        class_key = self._class_of_expr(target_ir)
+        self._uses.add(class_key)
+        return f"{c_ident(class_key)}_data({handle})->{c_ident(attr)}"
 
     def _class_of_expr(self, expr_ir: list) -> str:
         """Class whose data struct an instance-valued expression denotes."""
@@ -619,6 +652,54 @@ class _CPrinter:
                     return tag
         return "integer"
 
+    def _tag_type(self, tag: str) -> str:
+        return c_type_of(tag_to_dtype(tag, self._m.enums))
+
+    def _operation(self, ir: list):
+        owner = ir[1] if ir[0] == "classop" else self._instop_owner(ir[2])
+        return owner, self._m.classes[owner].operations[ir[2]]
+
+    def ctype(self, ir: list) -> str:
+        """The C type of an expression, typed as the OAL analyzer does."""
+        tag = ir[0]
+        if tag == "int":
+            return "int32_t"
+        if tag in ("real", "bridge"):   # rt_bridge returns double
+            return "double"
+        if tag == "str":
+            return "const char *"
+        if tag == "bool":
+            return "bool"
+        if tag == "enum":
+            return f"{c_ident(ir[1])}_t"
+        if tag in ("self", "selected"):
+            return _HANDLE
+        if tag == "var":
+            return self._locals.get(ir[1], "double")
+        if tag == "param":
+            return self._tag_type(self._params[ir[1]])
+        if tag == "attr":
+            owner = self._class_of_expr(ir[1])
+            return self._tag_type(self._attr_tag(owner, ir[2]))
+        if tag == "un":
+            if ir[1] == "-":
+                return self.ctype(ir[2])
+            return "int32_t" if ir[1] == "cardinality" else "bool"
+        if tag == "bin":
+            if ir[1] not in _ARITHMETIC:
+                return "bool"
+            if ir[1] == "%":
+                return "int32_t"
+            operands = {self.ctype(ir[2]), self.ctype(ir[3])}
+            for wide in ("double", "uint64_t"):
+                if wide in operands:
+                    return wide
+            return "int32_t"
+        if tag in ("classop", "instop"):
+            returns = self._operation(ir)[1].returns
+            return "void" if returns is None else self._tag_type(returns)
+        raise ValueError(f"cannot type IR expression {tag!r}")
+
     def expr(self, ir: list) -> str:
         tag = ir[0]
         if tag == "int":
@@ -637,15 +718,15 @@ class _CPrinter:
         if tag == "selected":
             return "selected"
         if tag == "var":
+            self._reads.add(ir[1])
             return c_ident(ir[1])
         if tag == "param":
+            self.params_read.add(ir[1])
             if self._params_are_args:
                 return c_ident(ir[1])
             return f"params_view->{c_ident(ir[1])}"
         if tag == "attr":
-            base = ir[1]
-            owner_data = self._attr_owner_data(base)
-            return f"{owner_data}->{c_ident(ir[2])}"
+            return self.attribute(ir[1], ir[2])
         if tag == "un":
             op = ir[1]
             operand = self.expr(ir[2])
@@ -653,37 +734,36 @@ class _CPrinter:
                 return f"(-{operand})"
             if op == "not":
                 return f"(!{operand})"
-            if op == "cardinality":
-                return f"rt_cardinality({operand})"
-            if op == "empty":
-                return f"(rt_cardinality({operand}) == 0)"
-            if op == "not_empty":
-                return f"(rt_cardinality({operand}) != 0)"
-            raise ValueError(f"unknown unary {op!r}")
+            # a set counts its items; a reference counts 1 unless null
+            is_set = self.ctype(ir[2]) == _SET
+            if op == "cardinality" and is_set:
+                return f"((int32_t){operand}.count)"
+            compare = {"cardinality": "!=", "not_empty": "!=", "empty": "=="}
+            if op not in compare:
+                raise ValueError(f"unknown unary {op!r}")
+            none = "0" if is_set else "RT_NULL_HANDLE"
+            count = f"{operand}.count" if is_set else operand
+            return f"({count} {compare[op]} {none})"
         if tag == "bin":
             return (f"({self.expr(ir[2])} {_BIN_C[ir[1]]} "
                     f"{self.expr(ir[3])})")
         if tag == "bridge":
-            args = ", ".join(self.expr(value) for _n, value in ir[3]) or "0"
-            return f'rt_bridge("{ir[1]}", "{ir[2]}", ({args}))'
-        if tag == "classop":
-            kl = c_ident(ir[1])
-            args = ", ".join(self.expr(value) for _n, value in ir[3])
-            return f"{kl}_op_{c_ident(ir[2])}({args})"
-        if tag == "instop":
+            # the arguments travel as one struct compound literal
+            args = "0"
+            if ir[3]:
+                fields = " ".join(f"{self.ctype(value)} {c_ident(name)};"
+                                  for name, value in ir[3])
+                values = ", ".join(self.expr(value) for _n, value in ir[3])
+                args = f"&(struct {{ {fields} }}){{{values}}}"
+            return f'rt_bridge("{ir[1]}", "{ir[2]}", {args})'
+        if tag in ("classop", "instop"):
             # instance operations: owner class is the target's class
-            args = [self.expr(ir[1])]
+            owner, _op = self._operation(ir)
+            self._uses.add(owner)
+            args = [self.expr(ir[1])] if tag == "instop" else []
             args += [self.expr(value) for _n, value in ir[3]]
-            owner = self._instop_owner(ir[2])
             return f"{c_ident(owner)}_op_{c_ident(ir[2])}({', '.join(args)})"
         raise ValueError(f"cannot print IR expression {tag!r}")
-
-    def _attr_owner_data(self, base_ir: list) -> str:
-        if base_ir[0] == "self":
-            return f"{c_ident(self._klass.key)}_data(self_inst)"
-        handle = self.expr(base_ir)
-        owner = self._class_of_expr(base_ir)
-        return f"{c_ident(owner)}_data({handle})"
 
     def _instop_owner(self, op_name: str) -> str:
         for key, manifest in self._m.classes.items():

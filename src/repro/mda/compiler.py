@@ -26,20 +26,24 @@ bundle from its store, so cached builds are byte-identical.
 from __future__ import annotations
 
 import os
+import pathlib
+import re
+import subprocess
 import tempfile
 from dataclasses import dataclass, field
 
+from repro.analysis.findings import LintFinding
 from repro.marks.model import MarkSet
 from repro.marks.partition import Partition, derive_partition
 from repro.xuml.component import Component
 from repro.xuml.model import Model
 
 from .cgen import CGenerator
-from .clint import LintFinding, lint_c
 from .interfacegen import InterfaceSpec, build_interface_spec
 from .manifest import ComponentManifest, build_manifest
 from .naming import c_ident, vhdl_ident
 from .rules import RuleSet
+from .syscgen import SYSTEMC_STUB, SystemCGenerator
 from .vhdlgen import VhdlGenerator
 from .vlint import lint_vhdl
 
@@ -89,13 +93,21 @@ def emit_types_artifacts(
 def emit_c_runtime_artifacts(
     manifest: ComponentManifest, component_name: str
 ) -> dict[str, str]:
-    """The single-task software architecture (when any class is software)."""
+    """The single-task software architecture (when any class is software
+    or SystemC).
+
+    Every class's header belongs to it, wherever the class is mapped: a
+    software class may signal, read or call any class of the component.
+    """
     comp = c_ident(component_name)
     cgen = CGenerator(manifest)
-    return {
+    artifacts = {
         f"{comp}_arch_rt.h": cgen.emit_arch_header(),
         f"{comp}_kernel.c": cgen.emit_kernel_source(),
     }
+    for key, klass in manifest.classes.items():
+        artifacts[f"{comp}_{c_ident(key)}.h"] = cgen.emit_class_header(klass)
+    return artifacts
 
 
 def emit_vhdl_runtime_artifacts(
@@ -121,19 +133,12 @@ def emit_class_artifacts(
                 VhdlGenerator(manifest).emit_entity(klass, clock_mhz=clock)),
         }
     if target == "systemc":
-        from .syscgen import SystemCGenerator
-
         return {
             f"{c_ident(klass.name)}_sc.h": (
                 SystemCGenerator(manifest).emit_module(klass)),
         }
-    comp = c_ident(component_name)
-    kl = c_ident(class_key)
-    cgen = CGenerator(manifest)
-    return {
-        f"{comp}_{kl}.h": cgen.emit_class_header(klass),
-        f"{comp}_{kl}.c": cgen.emit_class_source(klass),
-    }
+    source = CGenerator(manifest).emit_class_source(klass)
+    return {f"{c_ident(component_name)}_{c_ident(class_key)}.c": source}
 
 
 def emit_interface_artifacts(
@@ -176,24 +181,23 @@ class Build:
         return sum(text.count("\n") for text in self.artifacts.values())
 
     def lines_for_class(self, class_key: str) -> int:
-        """Generated lines attributable to one class's artifacts."""
+        """Generated lines of one class's implementation (its ``.c`` or
+        ``.vhd``); its C header is emitted wherever the class is mapped."""
         needle_c = c_ident(class_key)
         needle_v = vhdl_ident(self.manifest.classes[class_key].name)
         total = 0
         for path, text in self.artifacts.items():
-            stem = path.rsplit(".", 1)[0]
-            if stem.endswith(f"_{needle_c}") or stem == needle_v:
+            stem, suffix = path.rsplit(".", 1)
+            if suffix != "h" and (stem.endswith(f"_{needle_c}")
+                                  or stem == needle_v):
                 total += text.count("\n")
         return total
 
     def lint(self) -> list[LintFinding]:
-        """Run the structural checkers over every artifact."""
-        findings: list[LintFinding] = []
-        for path, text in self.artifacts.items():
-            if path.endswith((".c", ".h")):
-                findings.extend(lint_c(path, text))
-            elif path.endswith(".vhd"):
-                findings.extend(lint_vhdl(path, text))
+        """Check every artifact: C through gcc, VHDL structurally."""
+        findings = check_c(self.c_artifacts)
+        for path, text in self.vhdl_artifacts.items():
+            findings.extend(lint_vhdl(path, text))
         return findings
 
     def write_to(self, directory) -> list[str]:
@@ -203,8 +207,6 @@ class Build:
         place, so an interrupted export never leaves a partial artifact
         — readers see either the old text or the new, never a torn file.
         """
-        import pathlib
-
         root = pathlib.Path(directory)
         root.mkdir(parents=True, exist_ok=True)
         written = []
@@ -223,6 +225,65 @@ class Build:
                 raise
             written.append(str(target))
         return written
+
+
+#: the one C check: warnings are errors, and -c (not -fsyntax-only)
+#: because only code generation reports -Wimplicit-fallthrough
+_GCC = ("gcc", "-std=c99", "-pedantic-errors", "-Wall", "-Wextra", "-Werror",
+       "-c")
+#: SystemC modules are C++, checked against :data:`SYSTEMC_STUB`
+_GXX = ("g++", "-std=c++17", "-pedantic-errors", "-Wall", "-Wextra",
+       "-Werror", "-c", "-I.")
+
+_COMPILER_ERROR = re.compile(
+    r"^([^:\n]+):(\d+):\d+: (?:fatal )?error: (.*)$", re.MULTILINE)
+
+
+def check_c(artifacts: dict[str, str]) -> list[LintFinding]:
+    """Compile the C (and SystemC) *artifacts*; the errors as findings.
+
+    One gcc process compiles every ``.c`` file and a unit that includes
+    every header twice, so a header whose guard does not hold redefines
+    its typedefs (an error in C99).  A missing compiler is a finding
+    too: unchecked text must never read as a pass.
+    """
+    modules = sorted(p for p in artifacts if p.endswith("_sc.h"))
+    headers = sorted(p for p in artifacts
+                     if p.endswith(".h") and p not in modules)
+    units = sorted(p for p in artifacts if p.endswith(".c"))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        for path, text in artifacts.items():
+            (root / path).write_text(text)
+        findings = _compile(_GCC, root, "include_guards_check.c", headers,
+                            units)
+        if modules:
+            (root / "systemc.h").write_text(SYSTEMC_STUB)
+            findings += _compile(_GXX, root, "systemc_check.cpp", modules, [])
+    return findings
+
+
+def _compile(command, root: pathlib.Path, unit: str, headers: list[str],
+             units: list[str]) -> list[LintFinding]:
+    """Run *command* once over *units* and a *unit* including *headers*
+    twice; every error it reports as a finding."""
+    includes = "".join(f'#include "{header}"\n' for header in headers)
+    # the typedef keeps the unit non-empty, which ISO C requires
+    (root / unit).write_text(
+        includes + includes + "typedef int include_guards_check_t;\n")
+    try:
+        result = subprocess.run([*command, unit, *units], cwd=root,
+                                capture_output=True, text=True)
+    except OSError as exc:
+        return [LintFinding(command[0], 0,
+                            f"not checked: cannot run {command[0]} ({exc})")]
+    findings = [LintFinding(path, int(line), message) for path, line, message
+                in _COMPILER_ERROR.findall(result.stderr)]
+    if result.returncode and not findings:
+        findings.append(LintFinding(
+            command[0], 0, f"{command[0]} exited {result.returncode}: "
+            f"{result.stderr.strip() or 'no diagnostics'}"))
+    return findings
 
 
 class ModelCompiler:
@@ -262,7 +323,7 @@ class ModelCompiler:
         artifacts: dict[str, str] = {}
         artifacts.update(self._shared_bundle(
             "c-types", emit_types_artifacts, manifest))
-        if plan.software:
+        if plan.software or plan.systemc:
             artifacts.update(self._shared_bundle(
                 "c-runtime", emit_c_runtime_artifacts, manifest))
             for key in plan.software:

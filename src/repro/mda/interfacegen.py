@@ -180,23 +180,6 @@ class InterfaceSpec:
             f"no boundary message for {receiver_class}.{event_label}"
         )
 
-    def has_message(self, receiver_class: str, event_label: str) -> bool:
-        try:
-            self.message_for(receiver_class, event_label)
-            return True
-        except InterfaceError:
-            return False
-
-    def layout_digest(self) -> tuple:
-        """A hashable digest of every id/offset/width in the spec."""
-        return tuple(
-            (m.message_id, m.name, m.payload_bytes,
-             tuple((f.name, f.dtype_tag, f.offset_bits, f.width_bits)
-                   for f in m.fields),
-             (m.protection.crc, m.frame_bytes))
-            for m in self.messages
-        )
-
     # -- emission -----------------------------------------------------------
 
     def emit_c_header(self) -> str:

@@ -9,12 +9,14 @@ they change" — as a working extension: no model edits, no new metamodel,
 one new rule prepended to the rule set.
 
 Each class maps to an ``SC_MODULE`` with a clocked ``SC_METHOD``, the
-state table as nested switches, attributes as member data, and events as
-a typed payload union — the same manifest the C and VHDL emitters print.
+state table as nested switches, attributes as member data, and entry
+actions printed by the C mapping's statement printer — the same manifest
+the C and VHDL emitters print.
 """
 
 from __future__ import annotations
 
+from .cgen import CPrinter, entering_params
 from .manifest import ClassManifest, ComponentManifest, tag_to_dtype
 from .naming import banner, c_ident, c_macro, c_type_of
 from .rules import MappingRule
@@ -32,15 +34,42 @@ SYSTEMC_RULE = MappingRule(
     "classes marked processor=systemc map to an SC_MODULE",
 )
 
-_BIN_CPP = {
-    "and": "&&", "or": "||", "==": "==", "!=": "!=",
-    "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-    "+": "+", "-": "-", "*": "*", "/": "/", "%": "%",
-}
+#: Just what the emitted modules use of ``<systemc.h>``, so a C++
+#: compiler can check them where SystemC is not installed.  Each macro
+#: expands as SystemC's own does, to a declaration the module needs.
+SYSTEMC_STUB = """\
+#ifndef SYSTEMC_H
+#define SYSTEMC_H
+template <class T> struct sc_in {
+    T read() const;
+    const sc_in &pos() const;
+};
+template <class T> struct sc_fifo_in { bool nb_read(T &value); };
+template <class T> struct sc_fifo_out { bool nb_write(const T &value); };
+template <int W> struct sc_bv { };
+struct sc_sensitive {
+    template <class E> sc_sensitive &operator<<(const E &event);
+};
+struct sc_module_name { sc_module_name(const char *name); };
+struct sc_module { sc_sensitive sensitive; };
+void sc_report_error(const char *id, const char *message);
+#define SC_MODULE(name) struct name : sc_module
+#define SC_CTOR(name) \\
+    typedef name SC_CURRENT_USER_MODULE; \\
+    explicit name(sc_module_name)
+#define SC_METHOD(func) (void)&SC_CURRENT_USER_MODULE::func
+#define SC_REPORT_ERROR(id, message) sc_report_error(id, message)
+#endif
+"""
 
 
 class SystemCGenerator:
-    """Emits SystemC (C++) modules from the build manifest."""
+    """Emits SystemC (C++) modules from the build manifest.
+
+    Action bodies are the C mapping's statements, calling the same
+    architecture runtime API, except that the module's own attributes
+    are its member data.
+    """
 
     def __init__(self, manifest: ComponentManifest):
         self._manifest = manifest
@@ -48,6 +77,13 @@ class SystemCGenerator:
     def emit_module(self, klass: ClassManifest) -> str:
         m = self._manifest
         name = c_ident(klass.name)
+        uses: set[str] = set()
+        actions: list[str] = []
+        for state_name, _number in klass.states:
+            actions.append(f"    void enter_{c_ident(state_name)}() {{")
+            actions.extend(self._action_lines(klass, state_name, uses))
+            actions.append("    }")
+            actions.append("")
         lines = [banner(f"class {klass.name} ({klass.key}) — SystemC "
                         "mapping", "//")]
         guard = f"{c_macro(m.name)}_{c_macro(klass.key)}_SC_H"
@@ -55,7 +91,9 @@ class SystemCGenerator:
         lines.append(f"#define {guard}")
         lines.append("")
         lines.append("#include <systemc.h>")
-        lines.append(f'#include "{c_ident(m.name)}_types.h"')
+        lines.append(f'#include "{c_ident(m.name)}_arch_rt.h"')
+        lines += [f'#include "{c_ident(m.name)}_{c_ident(key)}.h"'
+                  for key in sorted(uses)]
         lines.append("")
         lines.append(f"SC_MODULE({name}) {{")
         lines.append("    sc_in<bool> clk;")
@@ -64,6 +102,12 @@ class SystemCGenerator:
         lines.append("    sc_fifo_in<sc_bv<256> > ev_payload;")
         lines.append("    sc_fifo_out<int> out_msg_id;")
         lines.append("")
+        lines.append("    /* the instance this module realizes, and the "
+                     "parameters of the")
+        lines.append("     * event it consumes (decoded from ev_payload by "
+                     "the architecture) */")
+        lines.append("    instance_handle_t self_inst;")
+        lines.append("    const void *event_params;")
         if klass.states:
             lines.append("    enum state_t {")
             for state_name, number in klass.states:
@@ -91,7 +135,18 @@ class SystemCGenerator:
         lines.append("        }")
         lines.append("        int event;")
         lines.append("        if (!ev_id.nb_read(event)) return;")
-        lines.append("        switch (current_state) {")
+        if klass.states:
+            lines += self._step_switch(klass)
+        lines.append("    }")
+        lines.append("")
+        lines += actions
+        lines.append("};")
+        lines.append("")
+        lines.append("#endif")
+        return "\n".join(lines) + "\n"
+
+    def _step_switch(self, klass: ClassManifest) -> list[str]:
+        lines = ["        switch (current_state) {"]
         for state_name, _number in klass.states:
             lines.append(f"        case ST_{c_macro(state_name)}:")
             lines.append("            switch (event) {")
@@ -116,129 +171,41 @@ class SystemCGenerator:
             lines.append("            }")
             lines.append("            break;")
         lines.append("        }")
-        lines.append("    }")
-        lines.append("")
-        for state_name, _number in klass.states:
-            lines.append(f"    void enter_{c_ident(state_name)}() {{")
-            body = self._action_lines(klass, state_name)
-            for line in body:
-                lines.append("        " + line)
-            lines.append("    }")
-            lines.append("")
-        lines.append("};")
-        lines.append("")
-        lines.append("#endif")
-        return "\n".join(lines) + "\n"
+        return lines
 
-    def _action_lines(self, klass: ClassManifest, state: str) -> list[str]:
-        printer = _SysCPrinter(self._manifest, klass)
-        lines: list[str] = []
-        printer.print_block(klass.activities.get(state, []), lines, 0)
-        return lines or ["/* no actions */"]
+    def _action_lines(self, klass: ClassManifest, state: str,
+                      uses: set[str]) -> list[str]:
+        params = entering_params(klass, state)
+        printer = _SysCPrinter(self._manifest, klass, dict(params), False,
+                               uses)
+        body = printer.body(klass.activities.get(state, []), indent=2)
+        lines = []
+        if printer.params_read:
+            lines.append("        struct params_t {")
+            for pname, ptag in params:
+                ctype = c_type_of(tag_to_dtype(ptag, self._manifest.enums))
+                lines.append(f"            {ctype} {c_ident(pname)};")
+            lines.append("        };")
+            lines.append("        const params_t *params_view =")
+            lines.append("            static_cast<const params_t *>"
+                         "(event_params);")
+        return lines + (body.splitlines() or ["        /* no actions */"])
 
 
-class _SysCPrinter:
-    """Prints action IR as SystemC-flavoured C++ statements."""
+class _SysCPrinter(CPrinter):
+    """The C statement printer, for C++ inside the module."""
 
-    def __init__(self, manifest: ComponentManifest, klass: ClassManifest):
-        self._m = manifest
-        self._klass = klass
-
-    def _pad(self, indent: int) -> str:
-        return "    " * indent
-
-    def print_block(self, block: list, lines: list, indent: int) -> None:
-        for stmt in block:
-            self.print_stmt(stmt, lines, indent)
-
-    def print_stmt(self, stmt: list, lines: list, indent: int) -> None:
-        pad = self._pad(indent)
-        tag = stmt[0]
-        if tag == "assign_var":
-            lines.append(f"{pad}auto {c_ident(stmt[1])} = "
-                         f"{self.expr(stmt[2])};")
-        elif tag == "assign_attr":
-            if stmt[1][0] == "self":
-                lines.append(f"{pad}{c_ident(stmt[2])} = "
-                             f"{self.expr(stmt[3])};")
-            else:
-                lines.append(f"{pad}rt_attr_write({self.expr(stmt[1])}, "
-                             f"\"{stmt[2]}\", {self.expr(stmt[3])});")
-        elif tag == "generate":
-            target = self.expr(stmt[4]) if stmt[4] is not None else "0"
-            delay = self.expr(stmt[5]) if stmt[5] is not None else "0"
-            lines.append(f"{pad}rt_generate(CLASS_{c_macro(stmt[2])}, "
-                         f"/*{stmt[1]}*/ 0, {target}, {delay});")
-        elif tag == "if":
-            first = True
-            for cond, body in stmt[1]:
-                keyword = "if" if first else "} else if"
-                lines.append(f"{pad}{keyword} ({self.expr(cond)}) {{")
-                self.print_block(body, lines, indent + 1)
-                first = False
-            if stmt[2] is not None:
-                lines.append(f"{pad}}} else {{")
-                self.print_block(stmt[2], lines, indent + 1)
-            lines.append(f"{pad}}}")
-        elif tag == "while":
-            lines.append(f"{pad}while ({self.expr(stmt[1])}) {{")
-            self.print_block(stmt[2], lines, indent + 1)
-            lines.append(f"{pad}}}")
-        elif tag in ("create", "delete", "select_extent", "select_related",
-                     "relate", "unrelate", "foreach"):
-            lines.append(f"{pad}/* population op via architecture: "
-                         f"{tag} */")
-        elif tag == "break":
-            lines.append(f"{pad}break;")
-        elif tag == "continue":
-            lines.append(f"{pad}continue;")
-        elif tag == "return":
-            value = self.expr(stmt[1]) if stmt[1] is not None else ""
-            lines.append(f"{pad}return {value};".replace(" ;", ";"))
-        elif tag == "exprstmt":
-            lines.append(f"{pad}(void)({self.expr(stmt[1])});")
-        else:
-            raise ValueError(f"cannot print IR statement {tag!r}")
+    def attribute(self, target_ir: list, attr: str) -> str:
+        if target_ir[0] == "self":      # member data
+            return c_ident(attr)
+        return super().attribute(target_ir, attr)
 
     def expr(self, ir: list) -> str:
-        tag = ir[0]
-        if tag == "int":
-            return str(ir[1])
-        if tag == "real":
-            return repr(float(ir[1]))
-        if tag == "str":
-            return f"\"{ir[1]}\""
-        if tag == "bool":
-            return "true" if ir[1] else "false"
-        if tag == "enum":
-            return f"{c_macro(ir[1])}_{c_macro(ir[2])}"
-        if tag == "self":
-            return "this_handle"
-        if tag == "selected":
-            return "selected"
-        if tag == "var":
-            return c_ident(ir[1])
-        if tag == "param":
-            return f"params.{c_ident(ir[1])}"
-        if tag == "attr":
-            if ir[1][0] == "self":
-                return c_ident(ir[2])
-            return f"rt_attr_read({self.expr(ir[1])}, \"{ir[2]}\")"
-        if tag == "un":
-            op = ir[1]
-            operand = self.expr(ir[2])
-            if op == "-":
-                return f"(-{operand})"
-            if op == "not":
-                return f"(!{operand})"
-            return f"rt_{op}({operand})"
-        if tag == "bin":
-            return (f"({self.expr(ir[2])} {_BIN_CPP[ir[1]]} "
-                    f"{self.expr(ir[3])})")
-        if tag == "bridge":
-            args = ", ".join(self.expr(v) for _n, v in ir[3])
-            return f"rt_bridge_{c_ident(ir[1])}_{c_ident(ir[2])}({args})"
-        if tag in ("classop", "instop"):
-            args = ", ".join(self.expr(v) for _n, v in ir[3])
-            return f"op_{c_ident(ir[2])}({args})"
-        raise ValueError(f"cannot print IR expression {tag!r}")
+        if ir[0] == "bridge" and ir[3]:
+            # C++ has no compound literals: a lambda builds the arguments
+            fields = " ".join(f"{self.ctype(value)} {c_ident(name)};"
+                              for name, value in ir[3])
+            values = ", ".join(self.expr(value) for _n, value in ir[3])
+            return (f"[&] {{ struct {{ {fields} }} args = {{{values}}}; "
+                    f'return rt_bridge("{ir[1]}", "{ir[2]}", &args); }}()')
+        return super().expr(ir)

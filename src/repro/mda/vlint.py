@@ -1,16 +1,17 @@
 """Structural checker for generated VHDL.
 
-Companion of :mod:`repro.mda.clint` for the hardware half: verifies
-entity/architecture/package/process/case/if/loop block pairing, that the
-architecture names an existing entity, and that every ``case`` has an
-``end case``.  Like the C lint, it guards the emitters, not synthesis.
+The hardware half of :meth:`repro.mda.Build.lint` (gcc checks the C
+half): verifies entity/architecture/package/process/case/if/loop block
+pairing, that the architecture names an existing entity, and that every
+``case`` has an ``end case``.  No VHDL simulator is available, so this
+guards the emitters, not synthesis.
 """
 
 from __future__ import annotations
 
 import re
 
-from .clint import LintFinding
+from repro.analysis.findings import LintFinding
 
 _OPENERS = {
     "entity": re.compile(r"^\s*entity\s+(\w+)\s+is\b", re.IGNORECASE),

@@ -62,15 +62,6 @@ class Model:
             )
         return self.component(component_name).klass(key_letters)
 
-    def class_path(self, klass: ModelClass) -> str:
-        """The path of *klass* within this model."""
-        for component in self._components.values():
-            if component.has_class(klass.key_letters) and (
-                component.klass(klass.key_letters) is klass
-            ):
-                return f"{component.name}.{klass.key_letters}"
-        raise UnknownElementError(f"class {klass.key_letters} is not in model {self.name}")
-
     def all_classes(self) -> tuple[ModelClass, ...]:
         return tuple(
             klass

@@ -46,14 +46,6 @@ class TestMarkSet:
         assert marks.get("c.MO", "isHardware") is False
         assert marks.clear("c.MO", "isHardware") is False
 
-    def test_marks_on_element(self):
-        marks = MarkSet()
-        marks.set("c.MO", "isHardware", True)
-        marks.set("c.MO", "clock_mhz", 50)
-        marks.set("c.PT", "isHardware", False)
-        on_mo = marks.marks_on("c.MO")
-        assert {m.name for m in on_mo} == {"isHardware", "clock_mhz"}
-
     def test_copy_is_independent(self):
         marks = MarkSet()
         marks.set("c.MO", "isHardware", True)

@@ -2,9 +2,10 @@
 
 A broad net over the emitters: for each catalog model and every
 single-class partition (plus all-hw / all-sw), the build must lint
-clean, its interface halves must carry identical layout tables, and the
-manifest the generators printed from must still execute (spot-checked by
-booting a C-architecture machine over it).
+clean (its C compiles under gcc with -Werror), its interface halves
+must carry identical layout tables, and the manifest the generators
+printed from must still execute (spot-checked by booting a
+C-architecture machine over it).
 """
 
 import pytest
@@ -29,6 +30,15 @@ def test_every_partition_builds_clean(name):
         build = compiler.compile(marks_for_partition(component, hardware))
         findings = build.lint()
         assert findings == [], (name, hardware, findings[:3])
+
+        # gcc accepts a header whose guard is never defined if it
+        # declares nothing, so the guards are checked on the text
+        for path, text in build.artifacts.items():
+            if path.endswith(".h"):
+                lines = text.splitlines()
+                guard = next(line for line in lines
+                             if line.startswith("#ifndef")).split()[1]
+                assert f"#define {guard}" in lines, (name, hardware, path)
 
         # interface halves always agree, even for empty boundaries
         c_codec = InterfaceCodec.from_artifact(

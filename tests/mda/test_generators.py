@@ -198,4 +198,4 @@ class TestCompilerAssembly:
         build = ModelCompiler(model).compile(
             marks_for_partition(component, ("CE",)))
         assert build.lines_for_class("CE") > 20    # the VHDL entity
-        assert build.lines_for_class("M") > 40     # header + source
+        assert build.lines_for_class("M") > 40     # the C source

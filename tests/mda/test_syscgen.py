@@ -14,9 +14,13 @@ from repro.mda import (
     SYSTEMC_RULE,
     SystemCGenerator,
     build_manifest,
-    lint_c,
 )
-from repro.models import build_microwave_model, build_packetproc_model
+from repro.models import (
+    CATALOG,
+    all_models,
+    build_microwave_model,
+    build_packetproc_model,
+)
 
 
 def systemc_rules() -> RuleSet:
@@ -66,10 +70,13 @@ class TestEmission:
         assert "remaining_seconds = (remaining_seconds - 1);" in module_text
 
     def test_structurally_clean(self, module_text):
-        # braces balanced, cases terminated — reuse the C lint
-        findings = [f for f in lint_c("mo_sc.h", module_text)
-                    if "include guard" not in f.message]
-        assert findings == []
+        # g++ compiles the module against a stub <systemc.h>
+        model = build_microwave_model()
+        marks = MarkSet()
+        marks.set("control.MO", "processor", "systemc")
+        build = ModelCompiler(model, rules=systemc_rules()).compile(marks)
+        assert build.artifacts["microwave_oven_sc.h"] == module_text
+        assert build.lint() == []
 
 
 class TestCompilerIntegration:
@@ -98,3 +105,16 @@ class TestCompilerIntegration:
         retargeted = compiler.compile(marked)
         assert "crypto_engine_sc.h" in retargeted.artifacts
         assert "crypto_engine_sc.h" not in plain.artifacts
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in CATALOG])
+def test_every_class_compiles_as_systemc(name):
+    model = all_models()[name]
+    component = model.components[0]
+    marks = MarkSet()
+    for key in component.class_keys:
+        marks.set(f"{component.name}.{key}", "processor", "systemc")
+    build = ModelCompiler(model, rules=systemc_rules()).compile(marks)
+    assert sum(p.endswith("_sc.h") for p in build.artifacts) == len(
+        component.class_keys)
+    assert build.lint() == []

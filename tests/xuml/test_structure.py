@@ -139,11 +139,6 @@ class TestModel:
         with pytest.raises(UnknownElementError):
             model.resolve_class("nope.MO")
 
-    def test_class_path_roundtrip(self):
-        model = self.build()
-        klass = model.resolve_class("control.MO")
-        assert model.class_path(klass) == "control.MO"
-
     def test_duplicate_component_rejected(self):
         model = self.build()
         with pytest.raises(DuplicateElementError):
