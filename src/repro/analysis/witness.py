@@ -207,16 +207,16 @@ class ReplayScheduler(Scheduler):
         self.diverged = False
 
     def choose(self, pool):
-        sources = self._sources(pool)
-        if not sources:
-            return None
         if self._index < len(self._choices):
+            sources = self._sources(pool)
+            if not sources:
+                return None
             choice = self._choices[self._index]
             self._index += 1
             if choice in sources:
                 return choice
             self.diverged = True
-        return min(sources, key=lambda s: self._head_sequence(pool, s))
+        return pool.oldest_source()
 
 
 # --------------------------------------------------------------------------

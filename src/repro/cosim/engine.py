@@ -424,9 +424,8 @@ class CoSimMachine(TargetMachine):
         if bus_next is not None and bus_next < best:
             best = bus_next
         pool = self.pool
-        due = pool.next_due_time()
-        if due is not None and due < best:
-            best = due
+        if pool.due_at < best:
+            best = pool.due_at
         side = self._side
         instances = self._instances
         hw_free_at = self._hw_free_at

@@ -41,7 +41,10 @@ class LoweredComponent:
     ``derived`` by ``(class_key, attribute_name)``.  ``event_parameters``
     holds, per activity, the parameter names its analysis declared
     visible — the dispatch loop uses it to project a signal's payload
-    into the frame.
+    into the frame.  ``classes`` and the state tables ``responses``,
+    ``creations`` and ``accepts`` are the abstract runtime's dispatch
+    tables (see :meth:`repro.runtime.dispatcher.Dispatcher._load_tables`),
+    built here once so every simulation of one model shares them.
     """
 
     fingerprint: str
@@ -51,6 +54,10 @@ class LoweredComponent:
         default_factory=dict)
     operations: dict[tuple[str, str], list] = field(default_factory=dict)
     derived: dict[tuple[str, str], list] = field(default_factory=dict)
+    classes: dict[str, tuple[dict, str | None]] = field(default_factory=dict)
+    responses: dict[tuple[str, str, str], object] = field(default_factory=dict)
+    creations: dict[tuple[str, str], str] = field(default_factory=dict)
+    accepts: dict[tuple[str, str], bool] = field(default_factory=dict)
 
 
 #: (model fingerprint, component name) -> LoweredComponent
@@ -81,7 +88,21 @@ def _lower_component_uncached(
     lowered = LoweredComponent(fingerprint, component.name)
     for klass in component.classes:
         key = klass.key_letters
-        for state in klass.statemachine.states:
+        machine = klass.statemachine
+        lowered.classes[key] = (
+            {a.name: a.initial_value for a in klass.attributes
+             if a.derived is None},
+            machine.initial_state if klass.is_active else None)
+        lowered.responses.update(
+            ((key, state, e.label), machine.response_to(state, e.label))
+            for state in machine.state_names for e in klass.events)
+        lowered.responses.update(((key, t.from_state, t.event_label),
+                                  t.to_state) for t in machine.transitions)
+        lowered.accepts.update(((key, e.label), e.creation)
+                               for e in klass.events)
+        lowered.creations.update(((key, c.event_label), c.to_state)
+                                 for c in machine.creation_transitions)
+        for state in machine.states:
             block = parse_activity(state.activity)
             analysis = analyze_activity(block, model, component, klass, state)
             lowered.activities[(key, state.name)] = lower_block(

@@ -60,25 +60,33 @@ class TargetMachine(Dispatcher):
         self.manifest = manifest
         self.executor = IRExecutor(self, error=ArchError,
                                    selection_error=ArchError)
-        self._load_tables(
-            {
-                key: ({name: default
-                       for name, _tag, default in klass.attributes},
-                      klass.initial_state if klass.is_active else None)
-                for key, klass in manifest.classes.items()
-            },
-            [
-                Association(number, _manifest_end(one), _manifest_end(other),
-                            link)
-                for number, (one, other, link)
-                in manifest.associations.items()
-            ],
-            {
-                (key, name): ir
-                for key, klass in manifest.classes.items()
-                for name, ir in klass.derived.items()
-            },
-        )
+        classes, derived, operations = {}, {}, {}
+        responses, creations, accepts = {}, {}, {}
+        for key, klass in manifest.classes.items():
+            classes[key] = (
+                {name: default for name, _tag, default in klass.attributes},
+                klass.initial_state if klass.is_active else None)
+            derived.update(((key, name), ir)
+                           for name, ir in klass.derived.items())
+            operations.update(((key, name), operation.ir)
+                              for name, operation in klass.operations.items())
+            responses.update(((key, state, label),
+                              EventResponse(klass.response(state, label)))
+                             for state, _number in klass.states
+                             for label in klass.events)
+            responses.update(((key, state, label), to_state)
+                             for (state, label), to_state
+                             in klass.transitions.items())
+            creations.update(((key, label), state)
+                             for label, state in klass.creations.items())
+            accepts.update(((key, label), event.creation)
+                           for label, event in klass.events.items())
+        associations = [
+            Association(number, _manifest_end(one), _manifest_end(other), link)
+            for number, (one, other, link) in manifest.associations.items()
+        ]
+        self._load_tables(classes, associations, derived, operations,
+                          responses, creations, accepts)
 
     def _klass(self, class_key: str) -> ClassManifest:
         try:
@@ -86,21 +94,11 @@ class TargetMachine(Dispatcher):
         except KeyError:
             raise ArchError(f"manifest has no class {class_key!r}") from None
 
-    # -- dispatch hooks -------------------------------------------------------------
-
-    def _check_event(self, class_key: str, label: str, creation: bool) -> None:
+    def _unlisted_send(self, class_key: str, label: str, creation: bool):
+        """A send the accept map lacks: the generated runtime checks
+        nothing at a plain send, and a creation against the manifest."""
         if creation and not self._klass(class_key).events[label].creation:
             raise ArchError(f"{class_key}.{label} is not a creation event")
-
-    def _transition(self, signal: SignalInstance, state: str):
-        klass = self._klass(signal.class_key)
-        to_state = klass.transitions.get((state, signal.label))
-        if to_state is None:
-            return EventResponse(klass.response(state, signal.label))
-        return to_state
-
-    def _creation_state(self, signal: SignalInstance) -> str:
-        return self._klass(signal.class_key).creations[signal.label]
 
     def _run_state_activity(self, instance: Instance, state: str,
                             signal: SignalInstance) -> None:
@@ -112,16 +110,3 @@ class TargetMachine(Dispatcher):
     # bound in this class's own namespace so the mda.archrt_dispatch span
     # resolves on every architecture runtime
     dispatch = Dispatcher.dispatch
-
-    # -- operations ------------------------------------------------------
-
-    def call_operation(self, class_key: str, name: str, self_handle, kwargs):
-        klass = self._klass(class_key)
-        operation = klass.operations[name]
-        return self.executor.run(operation.ir, self_handle, kwargs)
-
-    def call_class_operation(self, class_key: str, name: str, kwargs: dict):
-        return self.call_operation(class_key, name, None, kwargs)
-
-    def call_instance_operation(self, handle: int, name: str, kwargs: dict):
-        return self.call_operation(self.class_of(handle), name, handle, kwargs)

@@ -664,8 +664,11 @@ class CPrinter:
         tag = ir[0]
         if tag == "int":
             return "int32_t"
-        if tag in ("real", "bridge"):   # rt_bridge returns double
+        if tag == "real":
             return "double"
+        if tag == "bridge":     # rt_bridge's double converts to the result
+            returns = self._m.externals[ir[1]][ir[2]]
+            return "double" if returns is None else self._tag_type(returns)
         if tag == "str":
             return "const char *"
         if tag == "bool":

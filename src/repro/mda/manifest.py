@@ -109,7 +109,8 @@ class ComponentManifest:
     #: Rn -> ((class, phrase, mult), (class, phrase, mult), link or None)
     associations: dict[str, tuple]
     classes: dict[str, ClassManifest]
-    externals: dict[str, tuple[str, ...]]      # EE -> bridge names
+    #: EE -> bridge name -> declared return tag (None: returns nothing)
+    externals: dict[str, dict[str, str | None]]
 
     def klass(self, key: str) -> ClassManifest:
         return self.classes[key]
@@ -152,16 +153,12 @@ def build_manifest(model: Model, component: Component) -> ComponentManifest:
             (t.from_state, t.event_label): t.to_state
             for t in machine.transitions
         }
-        non_transitions: dict[tuple[str, str], str] = {}
-        for state in machine.states:
-            for event in klass.events:
-                if (state.name, event.label) in transitions:
-                    continue
-                response = machine.response_to(state.name, event.label)
-                if response is EventResponse.IGNORE:
-                    non_transitions[(state.name, event.label)] = "ignore"
-                elif response is EventResponse.CANT_HAPPEN:
-                    non_transitions[(state.name, event.label)] = "cant_happen"
+        # the non-transition rows of the lowering's response table
+        non_transitions = {
+            (state, label): response.value
+            for (owner, state, label), response in lowered.responses.items()
+            if owner == key and isinstance(response, EventResponse)
+        }
 
         classes[klass.key_letters] = ClassManifest(
             key=klass.key_letters,
@@ -208,7 +205,10 @@ def build_manifest(model: Model, component: Component) -> ComponentManifest:
         associations=associations,
         classes=classes,
         externals={
-            ee.key_letters: tuple(b.name for b in ee.bridges)
+            ee.key_letters: {
+                b.name: None if b.returns is None else dtype_tag(b.returns)
+                for b in ee.bridges
+            }
             for ee in component.externals
         },
     )

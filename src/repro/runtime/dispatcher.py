@@ -11,13 +11,14 @@ emits the same trace records in the same order by construction.
 
 It is also the one instance-and-link store: a handle -> :class:`Instance`
 map, per-class extents and one :class:`LinkStore`.  Each executor hands
-it its tables once, from its constructor (:meth:`Dispatcher._load_tables`):
-per class its attribute defaults and initial state, the associations,
-and the derived-attribute IR.  Executors differ only in
+it its tables once, as data, from its constructor
+(:meth:`Dispatcher._load_tables`): per class its attribute defaults and
+initial state, the associations, the derived-attribute IR and the state
+tables, so a send checks its label and a dispatch finds its transition
+with one dict lookup each.  Executors differ only in
 
-* **tables** -- read from the model (the abstract runtime) or from the
-  build manifest (csim, vsim and the co-simulation), plus the state
-  tables the ``_transition`` and ``_creation_state`` hooks consult;
+* **tables** -- built with the lowering (the abstract runtime) or read
+  from the build manifest (csim, vsim and the co-simulation);
 * **source policy** -- which ready source dispatches next: a
   :class:`~repro.runtime.scheduler.Scheduler` for the step-driven
   executors, the per-edge snapshot for vsim, the timed resources for the
@@ -98,10 +99,10 @@ class Dispatcher:
     instance-and-link store.
 
     A subclass calls :meth:`_load_tables` once from its constructor and
-    provides the state-table hooks: ``_check_event``, ``_transition``
-    (the destination state, or the :class:`EventResponse` that drops the
-    signal), ``_creation_state`` and ``_run_state_activity``, which runs
-    the activity through :meth:`_run_to_completion`.  A step-driven
+    provides ``_run_state_activity``, which runs the activity through
+    :meth:`_run_to_completion`, and ``_unlisted_send``, its own check of
+    a send the accept table lacks (it raises the executor's error for an
+    unknown class or label, or lets the send through).  A step-driven
     subclass also sets ``scheduler``, the
     :class:`~repro.runtime.scheduler.Scheduler` that picks each step's
     source; an executor whose instant is not one ``step`` overrides
@@ -157,16 +158,28 @@ class Dispatcher:
 
     # -- the store ---------------------------------------------------------------
 
-    def _load_tables(self, classes: dict, associations, derived: dict) -> None:
+    def _load_tables(self, classes: dict, associations, derived: dict,
+                     operations: dict, responses: dict, creations: dict,
+                     accepts: dict) -> None:
         """Adopt this executor's tables and start an empty store.
 
         *classes* maps each class key to (attribute defaults, initial
         state or None for a passive class); *associations* are
         :class:`~repro.xuml.association.Association` objects; *derived*
-        maps (class key, attribute) to the attribute's lowered IR.
+        and *operations* map (class key, name) to lowered IR.  The state
+        tables: *responses* maps (class key, state, label) to the
+        destination state or the :class:`EventResponse` that drops the
+        signal (an unlisted triple can't happen), *creations* maps (class
+        key, label) to a created instance's state, and *accepts* maps each
+        declared (class key, label) to whether it creates.  Tables may be
+        shared between executors and are never mutated.
         """
         self._classes = classes
         self._derived = derived
+        self._operations = operations
+        self._responses = responses
+        self._creations = creations
+        self._accepts = accepts
         self._instances: dict[int, Instance] = {}
         #: class key -> handle -> instance, in creation (= handle) order
         self._extents: dict[str, dict[int, Instance]] = {
@@ -228,11 +241,11 @@ class Dispatcher:
         return self.instance(handle).current_state
 
     def read_attribute(self, handle: int, name: str):
-        instance = self.instance(handle)
         try:
-            return instance.attributes[name]
+            return self._instances[handle].attributes[name]
         except KeyError:
             pass
+        instance = self.instance(handle)
         ir = self._derived.get((instance.class_key, name))
         if ir is None:
             raise self.error(
@@ -240,7 +253,7 @@ class Dispatcher:
         return self.executor.run(ir, handle, {})
 
     def write_attribute(self, handle: int, name: str, value) -> None:
-        instance = self.instance(handle)
+        instance = self._instances.get(handle) or self.instance(handle)
         if name not in instance.attributes:
             raise self.error(
                 f"{instance.class_key}#{handle} has no attribute {name!r}")
@@ -267,20 +280,12 @@ class Dispatcher:
 
     # -- signals ---------------------------------------------------------------
 
-    def _stamp(self) -> int:
-        sequence = self._next_sequence
-        self._next_sequence += 1
-        return sequence
-
-    @property
-    def _current_activity(self) -> int:
-        return self._activity_stack[-1] if self._activity_stack else 0
-
     def send_signal(self, target: int, class_key: str, label: str,
                     params: dict | None = None, sender: int | None = None,
                     delay: int = 0) -> SignalInstance:
         """Queue (or, with delay, schedule) a signal to a live instance."""
-        self._check_event(class_key, label, creation=False)
+        if (class_key, label) not in self._accepts:
+            self._unlisted_send(class_key, label, False)
         return self._send(target, class_key, label, params, sender, delay,
                           False)
 
@@ -288,21 +293,22 @@ class Dispatcher:
                       params: dict | None = None, sender: int | None = None,
                       delay: int = 0) -> SignalInstance:
         """Queue a creation event: the instance is born when it dispatches."""
-        self._check_event(class_key, label, creation=True)
+        if not self._accepts.get((class_key, label)):
+            self._unlisted_send(class_key, label, True)
         return self._send(None, class_key, label, params, sender, delay,
                           True)
 
     def _send(self, target, class_key, label, params, sender, delay,
               is_creation):
+        sequence = self._next_sequence
+        self._next_sequence = sequence + 1
+        activity_id = self._activity_stack[-1] if self._activity_stack else 0
         signal = SignalInstance(
-            sequence=self._stamp(), label=label, class_key=class_key,
-            params=dict(params or {}), target_handle=target,
-            sender_handle=sender, activity_id=self._current_activity,
-            sent_at=self.now, is_creation=is_creation,
-        )
+            sequence, label, class_key, dict(params or {}), target, sender,
+            activity_id, self.now, is_creation)
         self.trace.record(
             self.now, TraceKind.SIGNAL_SENT,
-            signal.sequence, label, target, sender, signal.activity_id, delay,
+            sequence, label, target, sender, activity_id, delay,
         )
         self._enqueue(signal, delay)
         return signal
@@ -327,7 +333,15 @@ class Dispatcher:
             lambda s: s.target_handle == handle and s.label == label
         )
 
-    # -- bridges ------------------------------------------------------------------
+    # -- operations and bridges ---------------------------------------------------
+
+    def call_class_operation(self, class_key: str, name: str, kwargs: dict):
+        return self.executor.run(self._operations[class_key, name], None,
+                                 kwargs)
+
+    def call_instance_operation(self, handle: int, name: str, kwargs: dict):
+        return self.executor.run(
+            self._operations[self.class_of(handle), name], handle, kwargs)
 
     def call_bridge(self, self_handle, entity, operation, kwargs: dict):
         """Trace a bridge call and run its implementation from ``bridges``."""
@@ -343,9 +357,13 @@ class Dispatcher:
 
     def dispatch(self, signal: SignalInstance) -> None:
         """Consume *signal* by the profile's rules, tracing every outcome."""
+        class_key, label = signal.class_key, signal.label
         if signal.is_creation:
-            to_state = self._creation_state(signal)
-            handle = self.create_instance(signal.class_key)
+            to_state = self._creations.get((class_key, label))
+            if to_state is None:
+                raise self.error(
+                    f"no creation transition for {class_key}.{label}")
+            handle = self.create_instance(class_key)
             target = self._instances[handle]
             from_state = None
         else:
@@ -355,13 +373,12 @@ class Dispatcher:
                 # the receiver died while the signal was in flight
                 self._drop(signal, "target deleted")
                 return
-            if target.class_key != signal.class_key:
-                raise self.error(
-                    f"signal {signal.class_key}.{signal.label} addressed "
-                    f"to #{handle}, a live {target.class_key}"
-                )
+            if target.class_key != class_key:
+                raise self.error(f"signal {class_key}.{label} addressed "
+                                 f"to #{handle}, a live {target.class_key}")
             from_state = target.current_state
-            to_state = self._transition(signal, from_state)
+            to_state = self._responses.get((class_key, from_state, label),
+                                           EventResponse.CANT_HAPPEN)
             if to_state is EventResponse.IGNORE:
                 self._drop(signal, "ignored")
                 return
@@ -369,21 +386,17 @@ class Dispatcher:
                 self.cant_happen_count += 1
                 if self.cant_happen_policy == "error":
                     raise self.cant_happen_error(
-                        f"event {signal.label} can't happen in state "
-                        f"{from_state} of {signal.class_key}#{handle}"
-                    )
+                        f"event {label} can't happen in state "
+                        f"{from_state} of {class_key}#{handle}")
                 self._drop(signal, "cant_happen")
                 return
-        self.trace.record(
-            self.now, TraceKind.SIGNAL_CONSUMED,
-            signal.sequence, signal.label, handle, signal.sender_handle,
-            signal.activity_id,
-        )
+        record = self.trace.record
+        record(self.now, TraceKind.SIGNAL_CONSUMED,
+               signal.sequence, label, handle, signal.sender_handle,
+               signal.activity_id)
         target.current_state = to_state
-        self.trace.record(
-            self.now, TraceKind.TRANSITION,
-            handle, signal.class_key, from_state, to_state, signal.label,
-        )
+        record(self.now, TraceKind.TRANSITION,
+               handle, class_key, from_state, to_state, label)
         self._run_state_activity(target, to_state, signal)
 
     def _drop(self, signal: SignalInstance, reason: str) -> None:
@@ -413,7 +426,8 @@ class Dispatcher:
 
     def step(self) -> bool:
         """Dispatch one ready signal.  Returns False when nothing is ready."""
-        self.pool.release_due(self.now)
+        if self.pool.due_at <= self.now:
+            self.pool.release_due(self.now)
         source = self.scheduler.choose(self.pool)
         if source is None:
             return False

@@ -15,6 +15,7 @@ when simulated time reaches their due time.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 CREATION = -1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SignalInstance:
     """One in-flight signal.
 
@@ -32,6 +33,8 @@ class SignalInstance:
     not exist yet).  ``activity_id`` identifies the activity execution
     that sent the signal (0 for environment injections), which is what
     the causality checker uses.
+    Slotted, not frozen (a frozen ``__init__`` pays per field), and never
+    changed once sent; equality and hash ignore ``params``.
     """
 
     sequence: int
@@ -105,6 +108,8 @@ class EventPool:
         self._queues: dict[int, InstanceQueue] = {}
         self._creations: deque[SignalInstance] = deque()
         self._delayed: list[tuple[int, int, SignalInstance]] = []  # (due, seq, sig)
+        #: earliest due time of a delayed event (inf: none), read per step
+        self.due_at = math.inf
 
     # -- feeding ------------------------------------------------------------
 
@@ -120,6 +125,7 @@ class EventPool:
 
     def push_delayed(self, signal: SignalInstance, due_time: int) -> None:
         heapq.heappush(self._delayed, (due_time, signal.sequence, signal))
+        self.due_at = self._delayed[0][0]
 
     def release_due(self, now: int) -> int:
         """Move delayed events whose time has come into the ready queues."""
@@ -128,6 +134,7 @@ class EventPool:
             _, _, signal = heapq.heappop(self._delayed)
             self.push_ready(signal)
             released += 1
+        self.due_at = self._delayed[0][0] if self._delayed else math.inf
         return released
 
     def cancel_delayed(self, predicate) -> int:
@@ -137,6 +144,7 @@ class EventPool:
         if removed:
             self._delayed = kept
             heapq.heapify(self._delayed)
+            self.due_at = self._delayed[0][0] if self._delayed else math.inf
         return removed
 
     def drop_instance(self, handle: int) -> int:
@@ -166,8 +174,19 @@ class EventPool:
             del self._queues[handle]
         return signal
 
-    def peek_for(self, handle: int) -> SignalInstance:
-        return self._queues[handle].peek()
+    def oldest_source(self) -> int | None:
+        """The ready source whose head was sent first, or None: one pass,
+        skipping empty queues; ties go to the lower handle, then CREATION."""
+        best, oldest = None, math.inf
+        for handle, queue in self._queues.items():
+            events = queue._self_events or queue._other_events
+            if events:
+                sequence = events[0].sequence
+                if sequence < oldest or (sequence == oldest and handle < best):
+                    best, oldest = handle, sequence
+        if self._creations and self._creations[0].sequence < oldest:
+            return CREATION
+        return best
 
     def pop_creation(self) -> SignalInstance:
         return self._creations.popleft()
@@ -176,7 +195,7 @@ class EventPool:
         """Head event of *source*: an instance handle or CREATION."""
         if source == CREATION:
             return self._creations[0]
-        return self.peek_for(source)
+        return self._queues[source].peek()
 
     def pop(self, source: int) -> SignalInstance:
         """Remove and return the head event of *source*."""
@@ -186,9 +205,7 @@ class EventPool:
 
     def next_due_time(self) -> int | None:
         """Earliest due time among delayed events, or None."""
-        if not self._delayed:
-            return None
-        return self._delayed[0][0]
+        return None if self.due_at == math.inf else self.due_at
 
     @property
     def ready_count(self) -> int:

@@ -41,6 +41,8 @@ class LinkStore:
             }
             for association in self._associations.values()
         }
+        #: (number, from class, to class, phrase) -> link table, once checked
+        self._routes: dict[tuple, dict[int, set[int]]] = {}
 
     # -- mutation ---------------------------------------------------------------
 
@@ -104,14 +106,17 @@ class LinkStore:
                  to_class: str, phrase: str | None = None) -> tuple[int, ...]:
         """Handles of *to_class* instances linked to *from_handle*.
 
-        Results are sorted for determinism.
+        Results are sorted for determinism.  A route is checked once.
         """
-        association = self._association(number)
-        to_end = self._end(association, to_class, phrase)
-        if association.opposite(to_end).class_key != from_class:
-            raise self._error(
-                f"{number}: no {to_class} end reached from {from_class}")
-        table = self._links[number][to_end.phrase]
+        route = (number, from_class, to_class, phrase)
+        table = self._routes.get(route)
+        if table is None:
+            association = self._association(number)
+            to_end = self._end(association, to_class, phrase)
+            if association.opposite(to_end).class_key != from_class:
+                raise self._error(
+                    f"{number}: no {to_class} end reached from {from_class}")
+            table = self._routes[route] = self._links[number][to_end.phrase]
         return tuple(sorted(table.get(from_handle, ())))
 
     def integrity_violations(self, extents) -> list[str]:

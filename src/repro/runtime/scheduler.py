@@ -47,9 +47,6 @@ class Scheduler:
             sources.append(CREATION)
         return sources
 
-    def _head_sequence(self, pool: EventPool, source: int) -> int:
-        return pool.peek(source).sequence
-
 
 class SynchronousScheduler(Scheduler):
     """Strict global send order — one task, one queue."""
@@ -57,10 +54,7 @@ class SynchronousScheduler(Scheduler):
     name = "synchronous"
 
     def choose(self, pool: EventPool) -> int | None:
-        sources = self._sources(pool)
-        if not sources:
-            return None
-        return min(sources, key=lambda s: self._head_sequence(pool, s))
+        return pool.oldest_source()
 
 
 class RoundRobinScheduler(Scheduler):
@@ -134,7 +128,7 @@ class PriorityScheduler(Scheduler):
             return None
         return min(
             sources,
-            key=lambda s: (-self._priority_of(pool, s), self._head_sequence(pool, s)),
+            key=lambda s: (-self._priority_of(pool, s), pool.peek(s).sequence),
         )
 
 

@@ -12,9 +12,9 @@ completion (possibly generating further signals, creating and deleting
 instances, starting timers) before any other signal is consumed.  That
 life cycle is :class:`~repro.runtime.dispatcher.Dispatcher`, shared with
 the architecture runtimes, with the standard bridges and the one
-instance-and-link store; this class adds the tables read from the model,
-its state machines, declared-bridge checks and the pluggable
-:class:`Scheduler`.
+instance-and-link store; this class adds the tables built with the
+model's lowering, the model's own check of a send those tables lack,
+declared-bridge checks and the pluggable :class:`Scheduler`.
 
 For the E6 ablation the simulator also supports ``eager_dispatch=True``,
 which *breaks* run-to-completion on purpose by delivering generated
@@ -25,12 +25,11 @@ prevent.
 
 from __future__ import annotations
 
-from repro.exec import IRExecutor, LoweredComponent, lower_component
+from repro.exec import IRExecutor, lower_component
 from repro.obs.metrics import active_registry
 from repro.oal.errors import OALRuntimeError
 from repro.xuml.component import Component
 from repro.xuml.model import Model
-from repro.xuml.statemachine import EventResponse
 
 from .dispatcher import Dispatcher
 from .errors import SelectionError, SimulationError
@@ -91,20 +90,11 @@ class Simulation(Dispatcher):
         # One lowering per model content (fingerprint-cached), one shared
         # evaluator: the abstract runtime executes literally the same IR
         # through literally the same code as csim and vsim.
-        self._lowered: LoweredComponent = lower_component(model, self.component)
-        self._load_tables(
-            {
-                klass.key_letters: (
-                    {a.name: a.initial_value for a in klass.attributes
-                     if a.derived is None},
-                    klass.statemachine.initial_state
-                    if klass.is_active else None,
-                )
-                for klass in self.component.classes
-            },
-            self.component.associations,
-            self._lowered.derived,
-        )
+        self._lowered = lowered = lower_component(model, self.component)
+        self._load_tables(lowered.classes, self.component.associations,
+                          lowered.derived, lowered.operations,
+                          lowered.responses, lowered.creations,
+                          lowered.accepts)
         self.executor = IRExecutor(
             self, error=OALRuntimeError, selection_error=SelectionError
         )
@@ -130,7 +120,8 @@ class Simulation(Dispatcher):
 
     # -- signals ---------------------------------------------------------------------
 
-    def _check_event(self, class_key: str, label: str, creation: bool) -> None:
+    def _unlisted_send(self, class_key: str, label: str, creation: bool):
+        """A send the accept map lacks: the model raises its own error."""
         event = self.component.klass(class_key).event(label)  # validates
         if creation and not event.creation:
             raise SimulationError(f"{class_key}.{label} is not a creation event")
@@ -143,20 +134,11 @@ class Simulation(Dispatcher):
         else:
             Dispatcher._enqueue(self, signal, delay)
 
-    # -- bridges and operations ----------------------------------------------------------
+    # -- bridges -------------------------------------------------------------------------
 
     def call_bridge(self, self_handle, entity: str, operation: str, kwargs: dict):
         self.component.external(entity).bridge(operation)  # validates
         return super().call_bridge(self_handle, entity, operation, kwargs)
-
-    def call_instance_operation(self, handle: int, name: str, kwargs: dict):
-        class_key = self.class_of(handle)
-        ir = self._lowered.operations[(class_key, name)]
-        return self.executor.run(ir, handle, kwargs)
-
-    def call_class_operation(self, class_key: str, name: str, kwargs: dict):
-        ir = self._lowered.operations[(class_key, name)]
-        return self.executor.run(ir, None, kwargs)
 
     # -- dispatch -----------------------------------------------------------------------
 
@@ -167,22 +149,6 @@ class Simulation(Dispatcher):
         self._metric_dispatches.inc()
         self._metric_queue_depth.observe(self.pool.ready_count)
         self._metric_wait.observe(self.now - self.pool.peek(source).sent_at)
-
-    def _transition(self, signal: SignalInstance, state: str):
-        machine = self.component.klass(signal.class_key).statemachine
-        response = machine.response_to(state, signal.label)
-        if response is EventResponse.TRANSITION:
-            return machine.transition_for(state, signal.label).to_state
-        return response
-
-    def _creation_state(self, signal: SignalInstance) -> str:
-        klass = self.component.klass(signal.class_key)
-        creation = klass.statemachine.creation_transition_for(signal.label)
-        if creation is None:
-            raise SimulationError(
-                f"no creation transition for {signal.class_key}.{signal.label}"
-            )
-        return creation.to_state
 
     def _run_state_activity(
         self, instance: Instance, state_name: str, signal: SignalInstance

@@ -4,7 +4,11 @@ import pytest
 
 from repro.marks import marks_for_partition
 from repro.mda import CGenerator, ModelCompiler, VhdlGenerator, build_manifest
-from repro.models import build_microwave_model, build_packetproc_model
+from repro.models import (
+    build_microwave_model,
+    build_packetproc_model,
+    build_trafficlight_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +72,19 @@ class TestCGenerator:
         manifest = build_manifest(model, model.components[0])
         text = CGenerator(manifest).emit_class_source(manifest.klass("ST"))
         assert "fr_data(rec)->packets" in text
+
+    def test_bridge_result_local_takes_declared_return_type(self):
+        # TIM::timer_start and timer_cancel are declared to return an
+        # integer: the locals holding their results are int32_t
+        model = build_trafficlight_model()
+        manifest = build_manifest(model, model.components[0])
+        assert manifest.externals["TIM"] == {
+            "timer_start": "integer", "timer_cancel": "integer"}
+        assert manifest.externals["LOG"] == {"info": None}
+        text = CGenerator(manifest).emit_class_source(manifest.klass("TC"))
+        assert "    int32_t started = 0;" in text
+        assert "    int32_t cancelled = 0;" in text
+        assert "double started" not in text
 
 
 class TestVhdlGenerator:

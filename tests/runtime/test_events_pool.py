@@ -1,6 +1,6 @@
 """Unit tests for signal instances and the event pool."""
 
-from repro.runtime import EventPool, InstanceQueue, SignalInstance
+from repro.runtime import CREATION, EventPool, InstanceQueue, SignalInstance
 
 
 def signal(seq, target=1, sender=None, creation=False, label="EV"):
@@ -96,3 +96,74 @@ class TestEventPool:
         assert pool.ready_count == 0 and pool.delayed_count == 0
         pool.push_delayed(signal(1), 10)
         assert not (pool.ready_count == 0 and pool.delayed_count == 0)
+
+    def test_due_at_tracks_the_earliest_delayed_event(self):
+        pool = EventPool()
+        assert pool.due_at == float("inf")
+        pool.push_delayed(signal(1), 30)
+        pool.push_delayed(signal(2, target=2), 10)
+        assert pool.due_at == 10
+        pool.release_due(10)
+        assert pool.due_at == 30
+        pool.cancel_delayed(lambda s: s.sequence == 1)
+        assert pool.due_at == float("inf")
+
+    def test_oldest_source_scans_ready_queues_and_creations(self):
+        pool = EventPool()
+        assert pool.oldest_source() is None
+        pool.push_ready(signal(5, target=3))
+        pool.push_ready(signal(4, target=7))
+        assert pool.oldest_source() == 7
+        pool.push_ready(signal(2, creation=True))
+        assert pool.oldest_source() == CREATION
+        pool.pop_creation()
+        pool.pop_for(7)
+        assert pool.oldest_source() == 3
+
+    def test_oldest_source_ties_go_to_the_lowest_handle(self):
+        # sends are stamped uniquely, but a hand-built pool may tie: the
+        # rule is min() over the sorted handles, then CREATION
+        pool = EventPool()
+        pool.push_ready(signal(1, target=9))
+        pool.push_ready(signal(1, target=2))
+        pool.push_ready(signal(1, creation=True))
+        assert pool.oldest_source() == 2
+
+
+class TestSignalInstance:
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = SignalInstance(
+            sequence=3, label="EV", class_key="W", params={"x": 1},
+            target_handle=4, sender_handle=5, activity_id=6, sent_at=7,
+            is_creation=False)
+        by_position = SignalInstance(3, "EV", "W", {"x": 1}, 4, 5, 6, 7,
+                                     False)
+        assert by_keyword == by_position
+        assert (by_position.sequence, by_position.sent_at,
+                by_position.activity_id) == (3, 7, 6)
+
+    def test_defaults(self):
+        bare = SignalInstance(sequence=1, label="EV", class_key="W")
+        assert bare.params == {}
+        assert (bare.target_handle, bare.sender_handle) == (None, None)
+        assert (bare.activity_id, bare.sent_at, bare.is_creation) \
+            == (0, 0, False)
+
+    def test_equality_and_hash_ignore_params(self):
+        one = signal(1)
+        other = SignalInstance(
+            sequence=1, label="EV", class_key="W", params={"x": 99},
+            target_handle=1)
+        assert one == other and hash(one) == hash(other)
+        assert len({one, other}) == 1
+        assert one != signal(2)
+        assert one != signal(1, target=2)
+
+    def test_is_self_directed(self):
+        assert signal(1, target=3, sender=3).is_self_directed
+        assert not signal(1, target=3, sender=4).is_self_directed
+        assert not signal(1, target=3).is_self_directed
+        assert not signal(1, creation=True).is_self_directed
+
+    def test_slotted(self):
+        assert not hasattr(signal(1), "__dict__")
