@@ -162,7 +162,7 @@ def _edges_from_ir(sender_class: str, source: str, block: list) -> list[SignalEd
 
     IR generate layout: ``["generate", label, class_key, args,
     target|None, delay|None, line]`` — a ``None`` target is a creation
-    event, a ``["self"]`` target is a self-send, and the trailing
+    event, a ``["self", T]`` target is a self-send, and the trailing
     element is the source line the lowering preserved for exactly this
     walk.
     """
@@ -173,7 +173,7 @@ def _edges_from_ir(sender_class: str, source: str, block: list) -> list[SignalEd
             sender_state=source,
             event_label=stmt[1],
             receiver_class=stmt[2],
-            to_self=stmt[4] == ["self"],
+            to_self=stmt[4] is not None and stmt[4][0] == "self",
             is_creation=stmt[4] is None,
             delayed=stmt[5] is not None,
             in_loop=in_loop,

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from repro.oal.analyzer import analyze_activity
 from repro.oal.parser import parse_activity
 from repro.xuml.component import Component
+from repro.xuml.datatypes import dtype_tag
+from repro.xuml.klass import derived_operation
 from repro.xuml.model import Model
 
 from .codegen import clear_compiled_blocks
@@ -39,19 +41,21 @@ class LoweredComponent:
     Keys mirror what the executors look up: ``activities`` by
     ``(class_key, state_name)``, ``operations`` by ``(class_key, name)``,
     ``derived`` by ``(class_key, attribute_name)``.  ``event_parameters``
-    holds, per activity, the parameter names its analysis declared
-    visible — the dispatch loop uses it to project a signal's payload
-    into the frame.  ``classes`` and the state tables ``responses``,
-    ``creations`` and ``accepts`` are the abstract runtime's dispatch
-    tables (see :meth:`repro.runtime.dispatcher.Dispatcher._load_tables`),
-    built here once so every simulation of one model shares them.
+    holds, per activity, the ``(name, type tag)`` pairs of the event
+    parameters its analysis declared visible (those every entering event
+    carries with one type); the C and SystemC printers declare an entry
+    action's parameter view from them.  ``classes`` and the state tables
+    ``responses``, ``creations`` and ``accepts`` are the abstract
+    runtime's dispatch tables (see
+    :meth:`repro.runtime.dispatcher.Dispatcher._load_tables`), built here
+    once so every simulation of one model shares them.
     """
 
     fingerprint: str
     component_name: str
     activities: dict[tuple[str, str], list] = field(default_factory=dict)
-    event_parameters: dict[tuple[str, str], tuple[str, ...]] = field(
-        default_factory=dict)
+    event_parameters: dict[tuple[str, str], tuple[tuple[str, str], ...]] = (
+        field(default_factory=dict))
     operations: dict[tuple[str, str], list] = field(default_factory=dict)
     derived: dict[tuple[str, str], list] = field(default_factory=dict)
     classes: dict[str, tuple[dict, str | None]] = field(default_factory=dict)
@@ -83,8 +87,6 @@ def clear_lowering_cache() -> None:
 def _lower_component_uncached(
     model: Model, component: Component, fingerprint: str
 ) -> LoweredComponent:
-    from repro.xuml.klass import Operation
-
     lowered = LoweredComponent(fingerprint, component.name)
     for klass in component.classes:
         key = klass.key_letters
@@ -108,7 +110,8 @@ def _lower_component_uncached(
             lowered.activities[(key, state.name)] = lower_block(
                 block, analysis, component)
             lowered.event_parameters[(key, state.name)] = tuple(
-                analysis.event_parameters)
+                (name, dtype_tag(dtype))
+                for name, dtype in analysis.event_parameters.items())
         for operation in klass.operations:
             block = parse_activity(operation.body)
             analysis = analyze_activity(
@@ -118,12 +121,7 @@ def _lower_component_uncached(
         for attribute in klass.attributes:
             if attribute.derived is None:
                 continue
-            pseudo = Operation(
-                f"derived_{attribute.name}",
-                f"return {attribute.derived};",
-                instance_based=True,
-                returns=attribute.dtype,
-            )
+            pseudo = derived_operation(attribute)
             block = parse_activity(pseudo.body)
             analysis = analyze_activity(
                 block, model, component, klass, None, operation=pseudo)

@@ -13,19 +13,24 @@ divergence — consistency by construction, applied to the toolchain
 itself.
 
 IR nodes are plain lists (tag first), so a build manifest is trivially
-serializable:
+serializable.  Every expression ends with its analyzed type tag ``T``:
+the OAL analyzer's type of that expression in the
+:func:`repro.xuml.datatypes.dtype_tag` form (``integer``, ``enum:Mode``,
+``inst_ref:B``, ``inst_ref_set:B``), or ``None`` for a call that returns
+nothing.  The type checker runs once, in the analyzer; a printer reads a
+type or a class from ``expr[-1]`` and never works it out again.
 
 Expressions::
 
-    ["int", i]  ["real", x]  ["str", s]  ["bool", b]
-    ["enum", type_name, enumerator, code]
-    ["self"]  ["selected"]  ["var", name]  ["param", name]
-    ["attr", target, attr_name]
-    ["un", op, operand]          op in - not cardinality empty not_empty
-    ["bin", op, left, right]
-    ["bridge", entity, operation, [[name, expr], ...]]
-    ["classop", class_key, operation, [[name, expr], ...]]
-    ["instop", target, operation, [[name, expr], ...]]
+    ["int", i, T]  ["real", x, T]  ["str", s, T]  ["bool", b, T]
+    ["enum", type_name, enumerator, code, T]
+    ["self", T]  ["selected", T]  ["var", name, T]  ["param", name, T]
+    ["attr", target, attr_name, T]
+    ["un", op, operand, T]       op in - not cardinality empty not_empty
+    ["bin", op, left, right, T]
+    ["bridge", entity, operation, [[name, expr], ...], T]
+    ["classop", class_key, operation, [[name, expr], ...], T]
+    ["instop", target, operation, [[name, expr], ...], T]
 
 Statements::
 
@@ -45,10 +50,11 @@ Statements::
     ["return", expr|None]
     ["exprstmt", expr]
 
+The evaluator and every executor address elements positionally from the
+front, so they ignore the type tag, and untyped IR still executes.
 ``generate`` carries the source line as its (trailing) last element so
 the signal-flow analyzer can report send sites without a second walk
-over the AST; emitters and the evaluator address elements positionally
-from the front and ignore it.
+over the AST.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from __future__ import annotations
 from repro.oal import ast
 from repro.oal.analyzer import AnalyzedActivity
 from repro.xuml.component import Component
+from repro.xuml.datatypes import dtype_tag
 
 
 def lower_block(
@@ -145,6 +152,13 @@ class _Lowerer:
     # -- expressions -----------------------------------------------------------
 
     def expr(self, expr: ast.Expr) -> list:
+        """The expression's node, its analyzed type tag appended."""
+        dtype = self._analysis.expr_types[id(expr)]
+        node = self._node(expr)
+        node.append(None if dtype is None else dtype_tag(dtype))
+        return node
+
+    def _node(self, expr: ast.Expr) -> list:
         if isinstance(expr, ast.IntLit):
             return ["int", expr.value]
         if isinstance(expr, ast.RealLit):

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from repro.exec.ir import walk_ir_statements
 
-from .manifest import ClassManifest, ComponentManifest
+from .manifest import ClassManifest, ComponentManifest, tag_to_dtype
 from .naming import banner, c_ident, c_macro, c_type_of
-from .manifest import tag_to_dtype
 
 _BIN_C = {
     "and": "&&", "or": "||", "==": "==", "!=": "!=",
@@ -257,9 +256,8 @@ class CGenerator:
     def _emit_entry_action(self, klass: ClassManifest, state_name: str) -> str:
         kl = c_ident(klass.key)
         ir = klass.activities.get(state_name, [])
-        params = entering_params(klass, state_name)
-        printer = CPrinter(self._manifest, klass, dict(params), False,
-                            self._uses)
+        params = klass.event_parameters[state_name]
+        printer = CPrinter(self._manifest, False, self._uses)
         body = printer.body(ir, indent=1)
         lines = [f"/* entry action of state {state_name} */"]
         lines.append(f"static void {kl}_enter_{c_ident(state_name)}"
@@ -293,7 +291,7 @@ class CGenerator:
             f"{c_type_of(tag_to_dtype(ptag, m.enums))} {c_ident(pname)}"
             for pname, ptag in op.params
         ]
-        printer = CPrinter(m, klass, dict(op.params), True, self._uses)
+        printer = CPrinter(m, True, self._uses)
         body = printer.body(op.ir, indent=1)
         lines = [f"{ret} {kl}_op_{c_ident(op_name)}({', '.join(args) or 'void'})"]
         lines.append("{")
@@ -364,43 +362,31 @@ class CGenerator:
         return "\n".join(lines)
 
 
-def entering_params(klass: ClassManifest, state_name: str):
-    """Parameters every event entering *state_name* shares (ordered)."""
-    labels = sorted(
-        {ev for (_s, ev), to in klass.transitions.items() if to == state_name}
-        | {ev for ev, to in klass.creations.items() if to == state_name}
-    )
-    if not labels:
-        return []
-    shared = list(klass.events[labels[0]].params)
-    for label in labels[1:]:
-        theirs = dict(klass.events[label].params)
-        shared = [(n, t) for n, t in shared if theirs.get(n) == t]
-    return shared
-
-
 _HANDLE = "instance_handle_t"
 _SET = "instance_set_t"
-_ARITHMETIC = ("+", "-", "*", "/", "%")
+
+
+def _instance_class(ir: list) -> str:
+    """The class of an instance expression, from its ``inst_ref:`` tag."""
+    return ir[-1].partition(":")[2]
 
 
 class CPrinter:
-    """Prints one block of action IR as C statements."""
+    """Prints one block of action IR as C statements.
 
-    def __init__(self, manifest, klass, params, params_are_args, uses):
+    Every type and class it prints is read from the analyzed type tag
+    that ends each IR expression; the printer infers none of its own.
+    """
+
+    def __init__(self, manifest, params_are_args, uses):
         self._m = manifest
-        self._klass = klass
-        self._params = params
         self._params_are_args = params_are_args
         self._uses = uses
         self._tmp = 0
-        self._var_classes: dict[str, str] = {}
         #: local name -> C type, in order of first assignment
         self._locals: dict[str, str] = {}
         self._reads: set[str] = set()
         self.params_read: set[str] = set()
-        self._selected_class: str | None = None
-        self._filter_class: str = klass.key
 
     def body(self, block: list, indent: int) -> str:
         """The block as C: its locals declared first, then its statements."""
@@ -421,24 +407,16 @@ class CPrinter:
         return "\n".join(lines + statements)
 
     def _scan_locals(self, block: list) -> None:
-        """Type each local as the analyzer does, from its first binding,
-        and record which class each instance-valued local refers to."""
+        """Type each local from its first binding, as the analyzer does."""
         for stmt in walk_ir_statements(block):
-            tag, name = stmt[0], stmt[1] if len(stmt) > 1 else None
+            tag = stmt[0]
             if tag == "assign_var":
-                self._locals.setdefault(name, self.ctype(stmt[2]))
-            elif tag == "create" or tag == "select_extent":
-                self._var_classes[name] = stmt[2] if tag == "create" else stmt[3]
-                many = tag == "select_extent" and stmt[2]
-                self._locals.setdefault(name, _SET if many else _HANDLE)
-            elif tag == "select_related":
-                self._var_classes[name] = stmt[4][-1][0]
-                self._locals.setdefault(name, _SET if stmt[2] else _HANDLE)
+                self._locals.setdefault(stmt[1], self.ctype(stmt[2]))
+            elif tag in ("create", "select_extent", "select_related"):
+                many = tag != "create" and stmt[2]
+                self._locals.setdefault(stmt[1], _SET if many else _HANDLE)
             elif tag == "foreach":
-                iterable = stmt[2]
-                if iterable[0] == "var" and iterable[1] in self._var_classes:
-                    self._var_classes[name] = self._var_classes[iterable[1]]
-                self._locals.setdefault(name, _HANDLE)
+                self._locals.setdefault(stmt[1], _HANDLE)
 
     def _pad(self, indent: int) -> str:
         return "    " * indent
@@ -515,7 +493,6 @@ class CPrinter:
     def _print_select_extent(self, stmt, lines, indent) -> None:
         pad = self._pad(indent)
         var, many, class_key, where = stmt[1], stmt[2], stmt[3], stmt[4]
-        self._filter_class = class_key
         if where is None and many:
             lines.append(f"{pad}{c_ident(var)} = "
                          f"rt_instances_of(CLASS_{c_macro(class_key)});")
@@ -531,7 +508,6 @@ class CPrinter:
     def _print_select_related(self, stmt, lines, indent) -> None:
         pad = self._pad(indent)
         var, many, start, hops, where = stmt[1], stmt[2], stmt[3], stmt[4], stmt[5]
-        self._filter_class = hops[-1][0]
         tmp = f"nav_{self._next_tmp()}"
         lines.append(f"{pad}{{")
         inner = self._pad(indent + 1)
@@ -563,12 +539,7 @@ class CPrinter:
                      f"{loop} < {tmp}.count; ++{loop}) {{")
         body = self._pad(indent + 1)
         lines.append(f"{body}instance_handle_t selected = {tmp}.items[{loop}];")
-        outer_selected = self._selected_class
-        self._selected_class = self._filter_class
-        try:
-            lines.append(f"{body}if (!({self.expr(where)})) continue;")
-        finally:
-            self._selected_class = outer_selected
+        lines.append(f"{body}if (!({self.expr(where)})) continue;")
         if many:
             lines.append(f"{body}rt_set_add(&{c_ident(var)}, selected);")
         else:
@@ -618,90 +589,14 @@ class CPrinter:
 
     def attribute(self, target_ir: list, attr: str) -> str:
         """C lvalue of attribute *attr* of an instance expression."""
-        handle = self.expr(target_ir)
-        class_key = self._class_of_expr(target_ir)
+        class_key = _instance_class(target_ir)
         self._uses.add(class_key)
+        handle = self.expr(target_ir)
         return f"{c_ident(class_key)}_data({handle})->{c_ident(attr)}"
 
-    def _class_of_expr(self, expr_ir: list) -> str:
-        """Class whose data struct an instance-valued expression denotes."""
-        tag = expr_ir[0]
-        if tag == "self":
-            return self._klass.key
-        if tag == "selected" and self._selected_class is not None:
-            return self._selected_class
-        if tag == "var":
-            return self._var_classes.get(expr_ir[1], self._klass.key)
-        if tag == "param":
-            ptag = dict(self._params).get(expr_ir[1], "")
-            if isinstance(ptag, str) and ptag.startswith("inst_ref:"):
-                return ptag.split(":", 1)[1]
-            return self._klass.key
-        if tag == "attr":
-            owner = self._class_of_expr(expr_ir[1])
-            attr_tag = self._attr_tag(owner, expr_ir[2])
-            if attr_tag.startswith("inst_ref:"):
-                return attr_tag.split(":", 1)[1]
-        return self._klass.key
-
-    def _attr_tag(self, class_key: str, attr: str) -> str:
-        manifest = self._m.classes.get(class_key)
-        if manifest is not None:
-            for name, tag, _default in manifest.attributes:
-                if name == attr:
-                    return tag
-        return "integer"
-
-    def _tag_type(self, tag: str) -> str:
-        return c_type_of(tag_to_dtype(tag, self._m.enums))
-
-    def _operation(self, ir: list):
-        owner = ir[1] if ir[0] == "classop" else self._instop_owner(ir[2])
-        return owner, self._m.classes[owner].operations[ir[2]]
-
     def ctype(self, ir: list) -> str:
-        """The C type of an expression, typed as the OAL analyzer does."""
-        tag = ir[0]
-        if tag == "int":
-            return "int32_t"
-        if tag == "real":
-            return "double"
-        if tag == "bridge":     # rt_bridge's double converts to the result
-            returns = self._m.externals[ir[1]][ir[2]]
-            return "double" if returns is None else self._tag_type(returns)
-        if tag == "str":
-            return "const char *"
-        if tag == "bool":
-            return "bool"
-        if tag == "enum":
-            return f"{c_ident(ir[1])}_t"
-        if tag in ("self", "selected"):
-            return _HANDLE
-        if tag == "var":
-            return self._locals.get(ir[1], "double")
-        if tag == "param":
-            return self._tag_type(self._params[ir[1]])
-        if tag == "attr":
-            owner = self._class_of_expr(ir[1])
-            return self._tag_type(self._attr_tag(owner, ir[2]))
-        if tag == "un":
-            if ir[1] == "-":
-                return self.ctype(ir[2])
-            return "int32_t" if ir[1] == "cardinality" else "bool"
-        if tag == "bin":
-            if ir[1] not in _ARITHMETIC:
-                return "bool"
-            if ir[1] == "%":
-                return "int32_t"
-            operands = {self.ctype(ir[2]), self.ctype(ir[3])}
-            for wide in ("double", "uint64_t"):
-                if wide in operands:
-                    return wide
-            return "int32_t"
-        if tag in ("classop", "instop"):
-            returns = self._operation(ir)[1].returns
-            return "void" if returns is None else self._tag_type(returns)
-        raise ValueError(f"cannot type IR expression {tag!r}")
+        """The C type of an expression: its analyzed type's."""
+        return c_type_of(tag_to_dtype(ir[-1], self._m.enums))
 
     def expr(self, ir: list) -> str:
         tag = ir[0]
@@ -760,16 +655,10 @@ class CPrinter:
                 args = f"&(struct {{ {fields} }}){{{values}}}"
             return f'rt_bridge("{ir[1]}", "{ir[2]}", {args})'
         if tag in ("classop", "instop"):
-            # instance operations: owner class is the target's class
-            owner, _op = self._operation(ir)
+            # an instance operation belongs to its target's class
+            owner = ir[1] if tag == "classop" else _instance_class(ir[1])
             self._uses.add(owner)
             args = [self.expr(ir[1])] if tag == "instop" else []
             args += [self.expr(value) for _n, value in ir[3]]
             return f"{c_ident(owner)}_op_{c_ident(ir[2])}({', '.join(args)})"
         raise ValueError(f"cannot print IR expression {tag!r}")
-
-    def _instop_owner(self, op_name: str) -> str:
-        for key, manifest in self._m.classes.items():
-            if op_name in manifest.operations:
-                return key
-        return self._klass.key

@@ -15,38 +15,10 @@ from dataclasses import dataclass, field
 
 from repro.exec.cache import lower_component
 from repro.xuml.component import Component
-from repro.xuml.datatypes import (
-    CoreType,
-    DataType,
-    EnumType,
-    InstRefType,
-    InstSetType,
-)
+# tag_to_dtype is re-exported: the emitters read the manifest's tags
+from repro.xuml.datatypes import dtype_tag, tag_to_dtype  # noqa: F401
 from repro.xuml.model import Model
 from repro.xuml.statemachine import EventResponse
-
-
-def dtype_tag(dtype: DataType) -> str:
-    """Serialize a data type to its manifest tag."""
-    if isinstance(dtype, EnumType):
-        return f"enum:{dtype.name}"
-    if isinstance(dtype, InstRefType):
-        return f"inst_ref:{dtype.class_key}"
-    if isinstance(dtype, InstSetType):
-        return f"inst_ref_set:{dtype.class_key}"
-    return dtype.value
-
-
-def tag_to_dtype(tag: str, enums: dict[str, tuple[str, ...]]) -> DataType:
-    """Deserialize a manifest tag back to a data type."""
-    if tag.startswith("enum:"):
-        name = tag[len("enum:"):]
-        return EnumType(name, tuple(enums[name]))
-    if tag.startswith("inst_ref:"):
-        return InstRefType(tag[len("inst_ref:"):])
-    if tag.startswith("inst_ref_set:"):
-        return InstSetType(tag[len("inst_ref_set:"):])
-    return CoreType(tag)
 
 
 @dataclass
@@ -85,6 +57,9 @@ class ClassManifest:
     events: dict[str, EventManifest]
     #: state name -> lowered action IR
     activities: dict[str, list]
+    #: state name -> (name, dtype tag) of the event parameters its
+    #: activity may read: those every entering event carries, one type
+    event_parameters: dict[str, tuple[tuple[str, str], ...]]
     operations: dict[str, OperationManifest]
     #: derived attribute -> lowered IR of "return <expr>;"
     derived: dict[str, list]
@@ -109,8 +84,6 @@ class ComponentManifest:
     #: Rn -> ((class, phrase, mult), (class, phrase, mult), link or None)
     associations: dict[str, tuple]
     classes: dict[str, ClassManifest]
-    #: EE -> bridge name -> declared return tag (None: returns nothing)
-    externals: dict[str, dict[str, str | None]]
 
     def klass(self, key: str) -> ClassManifest:
         return self.classes[key]
@@ -131,6 +104,10 @@ def build_manifest(model: Model, component: Component) -> ComponentManifest:
         machine = klass.statemachine
         activities = {
             state.name: lowered.activities[(key, state.name)]
+            for state in machine.states
+        }
+        event_parameters = {
+            state.name: lowered.event_parameters[(key, state.name)]
             for state in machine.states
         }
         operations = {
@@ -187,6 +164,7 @@ def build_manifest(model: Model, component: Component) -> ComponentManifest:
                 for e in klass.events
             },
             activities=activities,
+            event_parameters=event_parameters,
             operations=operations,
             derived=derived,
         )
@@ -204,11 +182,4 @@ def build_manifest(model: Model, component: Component) -> ComponentManifest:
         enums={e.name: e.enumerators for e in component.types.enums},
         associations=associations,
         classes=classes,
-        externals={
-            ee.key_letters: {
-                b.name: None if b.returns is None else dtype_tag(b.returns)
-                for b in ee.bridges
-            }
-            for ee in component.externals
-        },
     )

@@ -16,7 +16,7 @@ the C and VHDL emitters print.
 
 from __future__ import annotations
 
-from .cgen import CPrinter, entering_params
+from .cgen import CPrinter
 from .manifest import ClassManifest, ComponentManifest, tag_to_dtype
 from .naming import banner, c_ident, c_macro, c_type_of
 from .rules import MappingRule
@@ -175,9 +175,8 @@ class SystemCGenerator:
 
     def _action_lines(self, klass: ClassManifest, state: str,
                       uses: set[str]) -> list[str]:
-        params = entering_params(klass, state)
-        printer = _SysCPrinter(self._manifest, klass, dict(params), False,
-                               uses)
+        params = klass.event_parameters[state]
+        printer = _SysCPrinter(self._manifest, False, uses)
         body = printer.body(klass.activities.get(state, []), indent=2)
         lines = []
         if printer.params_read:

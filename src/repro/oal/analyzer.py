@@ -338,6 +338,7 @@ class _Analyzer:
             receiver = self._class(stmt.class_key, stmt)
         elif isinstance(stmt.target, ast.SelfRef):
             receiver = self._klass
+            self.check_expr(stmt.target)    # typed like every expression
             if stmt.class_key is not None and stmt.class_key != receiver.key_letters:
                 raise self.fail(
                     f"generate to self but event scoped to {stmt.class_key!r}", stmt

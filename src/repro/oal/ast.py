@@ -266,72 +266,3 @@ class ExprStmt(Stmt):
 
     expr: Expr
 
-
-def walk_statements(block: Block):
-    """Yield every statement in *block*, depth-first, including nested ones."""
-    for stmt in block.statements:
-        yield stmt
-        if isinstance(stmt, If):
-            for _, branch in stmt.branches:
-                yield from walk_statements(branch)
-            if stmt.orelse is not None:
-                yield from walk_statements(stmt.orelse)
-        elif isinstance(stmt, (While, ForEach)):
-            yield from walk_statements(stmt.body)
-
-
-def walk_expressions(block: Block):
-    """Yield every expression reachable from *block*, depth-first."""
-    for stmt in walk_statements(block):
-        yield from _stmt_exprs(stmt)
-
-
-def _stmt_exprs(stmt: Stmt):
-    if isinstance(stmt, Assign):
-        yield from _expr_tree(stmt.target)
-        yield from _expr_tree(stmt.value)
-    elif isinstance(stmt, DeleteInstance):
-        yield from _expr_tree(stmt.target)
-    elif isinstance(stmt, SelectFromInstances) and stmt.where is not None:
-        yield from _expr_tree(stmt.where)
-    elif isinstance(stmt, SelectRelated):
-        yield from _expr_tree(stmt.start)
-        if stmt.where is not None:
-            yield from _expr_tree(stmt.where)
-    elif isinstance(stmt, (Relate, Unrelate)):
-        yield from _expr_tree(stmt.left)
-        yield from _expr_tree(stmt.right)
-    elif isinstance(stmt, Generate):
-        for _, value in stmt.arguments:
-            yield from _expr_tree(value)
-        if stmt.target is not None:
-            yield from _expr_tree(stmt.target)
-        if stmt.delay is not None:
-            yield from _expr_tree(stmt.delay)
-    elif isinstance(stmt, If):
-        for condition, _ in stmt.branches:
-            yield from _expr_tree(condition)
-    elif isinstance(stmt, While):
-        yield from _expr_tree(stmt.condition)
-    elif isinstance(stmt, ForEach):
-        yield from _expr_tree(stmt.iterable)
-    elif isinstance(stmt, Return) and stmt.value is not None:
-        yield from _expr_tree(stmt.value)
-    elif isinstance(stmt, ExprStmt):
-        yield from _expr_tree(stmt.expr)
-
-
-def _expr_tree(expr: Expr):
-    yield expr
-    if isinstance(expr, AttrAccess):
-        yield from _expr_tree(expr.target)
-    elif isinstance(expr, Unary):
-        yield from _expr_tree(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from _expr_tree(expr.left)
-        yield from _expr_tree(expr.right)
-    elif isinstance(expr, (BridgeCall, OperationCall)):
-        if isinstance(expr, OperationCall):
-            yield from _expr_tree(expr.target)
-        for _, value in expr.arguments:
-            yield from _expr_tree(value)

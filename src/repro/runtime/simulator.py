@@ -153,12 +153,8 @@ class Simulation(Dispatcher):
     def _run_state_activity(
         self, instance: Instance, state_name: str, signal: SignalInstance
     ) -> None:
-        key = (instance.class_key, state_name)
-        params = {
-            name: signal.params.get(name)
-            for name in self._lowered.event_parameters[key]
-        }
         self._run_to_completion(
             instance.handle, instance.class_key, state_name, signal,
-            self._lowered.activities[key], params,
+            self._lowered.activities[(instance.class_key, state_name)],
+            signal.params,
         )

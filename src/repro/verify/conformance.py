@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.marks.partition import marks_for_partition
-from repro.mda.compiler import ModelCompiler
 from repro.mda.csim import CSoftwareMachine
+from repro.mda.manifest import build_manifest
 from repro.mda.vsim import VHardwareMachine
 from repro.runtime.simulator import Simulation
 from repro.xuml.model import Model
@@ -30,28 +29,25 @@ def standard_targets(model: Model) -> list:
     The C executor runs the model compiled all-software, the VHDL one
     all-hardware -- each architecture then executes *every* class, which
     is the strongest conformance statement a single executor can make.
-    Each call compiles both builds; :func:`check_conformance` compiles
-    them once per model and builds fresh executors for every case.
+    Both execute the build manifest, which the marks do not change, so
+    one manifest serves both; :func:`check_conformance` builds it once
+    per model and fresh executors for every case.
     """
     return _target_factory(model)()
 
 
 def _target_factory(model: Model):
-    """Compile *model*'s two standard builds and return a function that
-    makes fresh executors over them.
+    """Build *model*'s manifest and return a function that makes fresh
+    executors over it.
 
-    The executors read only the builds' manifests, which do not depend
-    on anything a run changes, so every case can share them.
+    The executors only read the manifest, which does not depend on the
+    marks or on anything a run changes, so every case can share it.
     """
-    component = model.components[0]
-    compiler = ModelCompiler(model)
-    sw_manifest = compiler.compile(marks_for_partition(component, ())).manifest
-    hw_manifest = compiler.compile(
-        marks_for_partition(component, tuple(component.class_keys))).manifest
+    manifest = build_manifest(model, model.components[0])
     return lambda: [
         Simulation(model),
-        CSoftwareMachine(sw_manifest),
-        VHardwareMachine(hw_manifest),
+        CSoftwareMachine(manifest),
+        VHardwareMachine(manifest),
     ]
 
 

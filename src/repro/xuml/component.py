@@ -88,12 +88,6 @@ class Component:
     def associations(self) -> tuple[Association, ...]:
         return tuple(self._associations.values())
 
-    def associations_of(self, class_key: str) -> tuple[Association, ...]:
-        """All associations the class participates in (including as link class)."""
-        return tuple(
-            a for a in self._associations.values() if class_key in a.participants()
-        )
-
     # -- external entities -------------------------------------------------------
 
     def add_external(self, external: ExternalEntity) -> ExternalEntity:

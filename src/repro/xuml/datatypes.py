@@ -81,6 +81,31 @@ class InstSetType:
 DataType = CoreType | EnumType | InstRefType | InstSetType
 
 
+def dtype_tag(dtype: DataType) -> str:
+    """Serialize a data type to its tag (``integer``, ``enum:Mode``,
+    ``inst_ref:B``, ``inst_ref_set:B``), as manifests and IR carry it."""
+    if isinstance(dtype, EnumType):
+        return f"enum:{dtype.name}"
+    if isinstance(dtype, InstRefType):
+        return f"inst_ref:{dtype.class_key}"
+    if isinstance(dtype, InstSetType):
+        return f"inst_ref_set:{dtype.class_key}"
+    return dtype.value
+
+
+def tag_to_dtype(tag: str, enums: dict[str, tuple[str, ...]]) -> DataType:
+    """Deserialize a tag back to a data type; *enums* maps each enum
+    name to its enumerators."""
+    if tag.startswith("enum:"):
+        name = tag[len("enum:"):]
+        return EnumType(name, tuple(enums[name]))
+    if tag.startswith("inst_ref:"):
+        return InstRefType(tag[len("inst_ref:"):])
+    if tag.startswith("inst_ref_set:"):
+        return InstSetType(tag[len("inst_ref_set:"):])
+    return CoreType(tag)
+
+
 def default_value(dtype: DataType):
     """The value a freshly created attribute of *dtype* holds.
 

@@ -33,6 +33,18 @@ class Operation:
     parameters: tuple = field(default_factory=tuple)  # of EventParameter
 
 
+def derived_operation(attribute: Attribute) -> Operation:
+    """The instance operation that computes a derived attribute:
+    ``return <derived expression>;``, returning the attribute's type.
+    The well-formedness check and the lowering both read this one form."""
+    return Operation(
+        f"derived_{attribute.name}",
+        f"return {attribute.derived};",
+        instance_based=True,
+        returns=attribute.dtype,
+    )
+
+
 class ModelClass:
     """One class of a component.
 

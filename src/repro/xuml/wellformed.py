@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.analysis.findings import Severity, Violation
 
 from .errors import WellFormednessError
+from .klass import derived_operation
 from .model import Model
 
 __all__ = ["Severity", "Violation", "check_model"]
@@ -188,41 +189,44 @@ def _check_association(component, association, violations: list[Violation]) -> N
 
 
 def _check_actions(model: Model, violations: list[Violation]) -> None:
-    """Parse + statically analyze every activity, operation and derived expr."""
+    """Parse + statically analyze every activity, operation and derived
+    attribute (the operation :func:`~repro.xuml.klass.derived_operation`
+    builds, which is what every executor runs)."""
+    for component in model.components:
+        for klass in component.classes:
+            prefix = f"{component.name}.{klass.key_letters}"
+            for state in klass.statemachine.states:
+                _check_body(model, component, klass, state.activity,
+                            f"{prefix}.{state.name}", "activity",
+                            violations, state=state)
+            for operation in klass.operations:
+                _check_body(model, component, klass, operation.body,
+                            f"{prefix}::{operation.name}", "operation",
+                            violations, operation=operation)
+            for attribute in klass.attributes:
+                if attribute.derived is None:
+                    continue
+                pseudo = derived_operation(attribute)
+                _check_body(model, component, klass, pseudo.body,
+                            f"{prefix}.{attribute.name}", "derived attribute",
+                            violations, operation=pseudo)
+
+
+def _check_body(model, component, klass, body: str, where: str, kind: str,
+                violations: list[Violation], state=None, operation=None):
+    """One OAL body: an ERROR if it does not parse or is ill-typed."""
     from repro.oal.analyzer import AnalysisError, analyze_activity
     from repro.oal.parser import OALSyntaxError, parse_activity
 
-    for component in model.components:
-        for klass in component.classes:
-            for state in klass.statemachine.states:
-                if not state.activity.strip():
-                    continue
-                where = f"{component.name}.{klass.key_letters}.{state.name}"
-                try:
-                    block = parse_activity(state.activity)
-                    analyze_activity(block, model, component, klass, state)
-                except OALSyntaxError as exc:
-                    violations.append(Violation(
-                        Severity.ERROR, where, f"activity does not parse: {exc}",
-                    ))
-                except AnalysisError as exc:
-                    violations.append(Violation(
-                        Severity.ERROR, where, f"activity is ill-typed: {exc}",
-                    ))
-            for operation in klass.operations:
-                if not operation.body.strip():
-                    continue
-                where = f"{component.name}.{klass.key_letters}::{operation.name}"
-                try:
-                    block = parse_activity(operation.body)
-                    analyze_activity(
-                        block, model, component, klass, None, operation=operation
-                    )
-                except OALSyntaxError as exc:
-                    violations.append(Violation(
-                        Severity.ERROR, where, f"operation does not parse: {exc}",
-                    ))
-                except AnalysisError as exc:
-                    violations.append(Violation(
-                        Severity.ERROR, where, f"operation is ill-typed: {exc}",
-                    ))
+    if not body.strip():
+        return
+    try:
+        block = parse_activity(body)
+        analyze_activity(block, model, component, klass, state,
+                         operation=operation)
+    except OALSyntaxError as exc:
+        violations.append(Violation(
+            Severity.ERROR, where, f"{kind} does not parse: {exc}"))
+    except AnalysisError as exc:
+        violations.append(Violation(
+            Severity.ERROR, where, f"{kind} is ill-typed: {exc}"))

@@ -78,9 +78,6 @@ class TestCGenerator:
         # integer: the locals holding their results are int32_t
         model = build_trafficlight_model()
         manifest = build_manifest(model, model.components[0])
-        assert manifest.externals["TIM"] == {
-            "timer_start": "integer", "timer_cancel": "integer"}
-        assert manifest.externals["LOG"] == {"info": None}
         text = CGenerator(manifest).emit_class_source(manifest.klass("TC"))
         assert "    int32_t started = 0;" in text
         assert "    int32_t cancelled = 0;" in text
@@ -216,3 +213,52 @@ class TestCompilerAssembly:
             marks_for_partition(component, ("CE",)))
         assert build.lines_for_class("CE") > 20    # the VHDL entity
         assert build.lines_for_class("M") > 40     # the C source
+
+
+def shared_names_model():
+    """A and B both declare ``poke``; C calls B's through a selected
+    reference and writes B's ``m`` through a reference-typed local."""
+    from repro.xuml import ModelBuilder
+
+    builder = ModelBuilder("Owners")
+    component = builder.component("c")
+    for key, number in (("A", 1), ("B", 2)):
+        klass = component.klass(f"Class{key}", key, number)
+        klass.attr("m", "integer")
+        klass.operation("poke", f"self.m = {number};")
+    caller = component.klass("Caller", "C", 3)
+    caller.attr("m", "integer")
+    caller.event("GO", params=[("target", "inst_ref<B>")])
+    caller.state("Idle", 1)
+    caller.state("Ran", 2, activity="""
+        select any b from instances of B;
+        b.poke();
+        x = param.target;
+        x.m = 5;
+    """)
+    caller.trans("Idle", "GO", "Ran")
+    return builder.build()
+
+
+class TestAnalyzedTypes:
+    """The C printer takes classes from the analyzer's types: an
+    expression's class is its type's, never the printing class's."""
+
+    @pytest.fixture(scope="class")
+    def build(self):
+        model = shared_names_model()
+        component = model.components[0]
+        return ModelCompiler(model).compile(marks_for_partition(component, ()))
+
+    def test_instance_operation_calls_the_targets_class(self, build):
+        text = build.artifacts["c_c.c"]
+        assert "(void)b_op_poke(b);" in text
+        assert "a_op_poke" not in text
+
+    def test_reference_typed_local_writes_its_class(self, build):
+        text = build.artifacts["c_c.c"]
+        assert "b_data(x)->m = 5;" in text
+        assert "c_data(x)" not in text
+
+    def test_both_stay_gcc_clean(self, build):
+        assert build.lint() == []

@@ -69,10 +69,6 @@ class TestManifest:
         assert {one[0], other[0]} == {"MO", "PT"}
         assert link is None
 
-    def test_externals_listed(self, manifest):
-        assert "LOG" in manifest.externals
-        assert "info" in manifest.externals["LOG"]
-
     def test_creation_transitions(self):
         model = build_checksum_model()
         manifest = build_manifest(model, model.components[0])

@@ -58,12 +58,13 @@ def lower(text):
 class TestLowering:
     def test_assignment_forms(self):
         ir = lower("x = 1; self.n = 2;")
-        assert ir[0] == ["assign_var", "x", ["int", 1]]
-        assert ir[1] == ["assign_attr", ["self"], "n", ["int", 2]]
+        assert ir[0] == ["assign_var", "x", ["int", 1, "integer"]]
+        assert ir[1] == ["assign_attr", ["self", "inst_ref:L"], "n",
+                         ["int", 2, "integer"]]
 
     def test_enum_literal_carries_code(self):
         ir = lower("self.mode = Mode::ON;")
-        assert ir[0][3] == ["enum", "Mode", "ON", 1]
+        assert ir[0][3] == ["enum", "Mode", "ON", 1, "enum:Mode"]
 
     def test_generate_resolves_receiver_class(self):
         ir = lower("generate GO(a: 1) to self;")
@@ -72,7 +73,22 @@ class TestLowering:
 
     def test_param_reference(self):
         ir = lower("x = param.a;")
-        assert ir[0][2] == ["param", "a"]
+        assert ir[0][2] == ["param", "a", "integer"]
+
+    def test_every_expression_ends_with_its_analyzed_type(self):
+        ir = lower("""
+            select many labs from instances of L where (selected.n > 1);
+            r = 0.5 + param.a;
+            generate GO(a: cardinality labs) to self;
+        """)
+        where = ir[0][4]
+        assert where[-1] == "boolean"
+        assert where[2] == ["attr", ["selected", "inst_ref:L"], "n", "integer"]
+        assert ir[1][2][-1] == "real"
+        args, target = ir[2][3], ir[2][4]
+        assert args == [["a", ["un", "cardinality",
+                               ["var", "labs", "inst_ref_set:L"], "integer"]]]
+        assert target == ["self", "inst_ref:L"]
 
     def test_control_flow_nesting(self):
         ir = lower("""

@@ -20,6 +20,7 @@ from repro.models import (
     fletcher_reference,
     packetproc,
 )
+from repro.oal import OALRuntimeError
 from repro.runtime import Simulation, SimulationError, TraceKind
 from repro.runtime.dispatcher import Dispatcher
 from repro.xuml import ModelBuilder
@@ -300,6 +301,23 @@ class TestSharedTimeAdvance:
         assert machine.now == 0
         machine.run_to_quiescence()
         assert machine.state_of(oven) == "Complete"
+
+
+class TestOneParameterRule:
+    """The activity reads the signal's own parameters on every executor,
+    so a missing one is the same typed error everywhere."""
+
+    @pytest.mark.parametrize("name,error", [
+        ("abstract", OALRuntimeError), ("csim", ArchError), ("vsim", ArchError),
+    ])
+    def test_a_missing_event_parameter_raises_the_host_error(
+            self, name, error):
+        executor = executor_for(name, build_microwave_model())
+        oven = executor.create_instance("MO", oven_id=1)
+        executor.inject(oven, "MO1")
+        with pytest.raises(error,
+                           match="event carries no parameter 'seconds'"):
+            executor.run_to_quiescence()
 
 
 class TestOneStore:

@@ -226,21 +226,3 @@ class TestExpressions:
     def test_string_concat(self):
         expr = parse_expression('"a" + "b"')
         assert expr.op == "+"
-
-
-class TestWalkers:
-    def test_walk_statements_reaches_nested(self):
-        block = parse_activity("""
-            if (a > 0)
-                while (b < 2)
-                    b = b + 1;
-                end while;
-            end if;
-        """)
-        kinds = [type(s).__name__ for s in ast.walk_statements(block)]
-        assert kinds == ["If", "While", "Assign"]
-
-    def test_walk_expressions_reaches_all(self):
-        block = parse_activity("x = 1 + 2;")
-        exprs = list(ast.walk_expressions(block))
-        assert sum(isinstance(e, ast.IntLit) for e in exprs) == 2

@@ -153,18 +153,25 @@ class TestConformanceReport:
         assert report.pass_rate() == 0.0
 
     @pytest.mark.parametrize("count", [1, 4])
-    def test_compiles_twice_per_model(self, model, monkeypatch, count):
-        compile_calls = []
+    def test_one_manifest_per_model(self, model, monkeypatch, count):
+        compile_calls, manifest_calls = [], []
         compile_ = ModelCompiler.compile
+        build_manifest = conformance.build_manifest
 
-        def counting(compiler, marks):
+        def compiling(compiler, marks):
             compile_calls.append(marks)
             return compile_(compiler, marks)
 
-        monkeypatch.setattr(ModelCompiler, "compile", counting)
+        def building(*args):
+            manifest_calls.append(args)
+            return build_manifest(*args)
+
+        monkeypatch.setattr(ModelCompiler, "compile", compiling)
+        monkeypatch.setattr(conformance, "build_manifest", building)
         report = check_conformance(model, [cook_case()] * count)
         assert len(report.cases) == count
-        assert len(compile_calls) == 2
+        assert compile_calls == []
+        assert len(manifest_calls) == 1
 
     def test_every_case_runs_on_fresh_executors(self, model, monkeypatch):
         seen = []

@@ -81,18 +81,6 @@ class TestComponent:
         with pytest.raises(UnknownElementError):
             self.build().klass("XX")
 
-    def test_associations_of(self):
-        component = self.build()
-        component.add_class(ModelClass("PowerTube", "PT", 2))
-        assoc = Association(
-            "R1",
-            AssociationEnd("MO", "a", Multiplicity.ONE),
-            AssociationEnd("PT", "b", Multiplicity.ONE),
-        )
-        component.add_association(assoc)
-        assert component.associations_of("MO") == (assoc,)
-        assert component.associations_of("XX") == ()
-
     def test_duplicate_association_number_rejected(self):
         component = self.build()
         component.add_class(ModelClass("PowerTube", "PT", 2))

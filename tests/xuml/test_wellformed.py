@@ -154,6 +154,30 @@ class TestActionRules:
         found = violations_of(builder)
         assert any("ill-typed" in str(v) for v in found)
 
+    @pytest.mark.parametrize("expression,finding", [
+        ("self.a + ", "derived attribute does not parse"),
+        ("self.nosuch + 1", "derived attribute is ill-typed"),
+        ('"text" + 1', "derived attribute is ill-typed"),
+    ])
+    def test_bad_derived_attribute_is_an_error(self, expression, finding):
+        builder, component = base_builder()
+        klass = component.klass("Widget", "W")
+        klass.attr("a", "integer")
+        klass.attr("twice", "integer", derived=expression)
+        errors = [v for v in violations_of(builder)
+                  if v.severity is Severity.ERROR]
+        assert [v.element for v in errors] == ["c.W.twice"]
+        assert finding in errors[0].message
+        with pytest.raises(WellFormednessError):
+            builder.build()
+
+    def test_good_derived_attribute_passes(self):
+        builder, component = base_builder()
+        klass = component.klass("Widget", "W")
+        klass.attr("a", "integer")
+        klass.attr("twice", "integer", derived="self.a * 2")
+        assert violations_of(builder) == []
+
     def test_strict_raises_with_all_errors_listed(self):
         builder, component = base_builder()
         klass = component.klass("Widget", "W")
