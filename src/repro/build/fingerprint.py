@@ -40,7 +40,7 @@ _MARK_NAMES = sorted(d.name for d in STANDARD_MARKS)
 
 #: Bump whenever an emitter's output or a rule predicate's meaning
 #: changes — it invalidates every cached artifact at once.
-GENERATOR_VERSION = "e29.1"
+GENERATOR_VERSION = "e30.1"
 
 
 def canonical_json(data) -> str:

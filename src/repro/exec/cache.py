@@ -8,11 +8,15 @@ content-addressed with the *build layer's* fingerprint
 (:func:`repro.build.fingerprint.model_fingerprint`): two structurally
 identical models — e.g. a catalog model rebuilt for every verification
 case — share one lowered form, while any model edit changes the key and
-misses.  The abstract runtime reads it at model-load; the build
-manifest (which csim, vsim and the co-sim execute), the partition's
-signal flows and the signal-flow analyzer read the same blocks, so
-every executor and analysis sees literally the same lowered bodies.
-The blocks are shared, so nothing may mutate them.
+misses.
+
+A :class:`LoweredComponent` is the one copy of the component's dispatch
+tables and IR.  The abstract runtime loads it at model-load; the build
+manifest carries it (``ComponentManifest.lowered``), so csim, vsim and
+the co-sim load the same object and the C, SystemC and VHDL emitters
+print from it; the partition's signal flows and the signal-flow
+analyzer walk its blocks.  The tables and blocks are shared, so nothing
+may mutate them.
 
 Hit/miss counters are kept module-level and read through
 :func:`lowering_cache_stats` (``repro metrics`` reports them as
@@ -36,7 +40,7 @@ from .ir import lower_block
 
 @dataclass(frozen=True)
 class LoweredComponent:
-    """One component's activities, operations and derived bodies, lowered.
+    """One component's dispatch tables and lowered bodies.
 
     Keys mirror what the executors look up: ``activities`` by
     ``(class_key, state_name)``, ``operations`` by ``(class_key, name)``,
@@ -44,15 +48,19 @@ class LoweredComponent:
     holds, per activity, the ``(name, type tag)`` pairs of the event
     parameters its analysis declared visible (those every entering event
     carries with one type); the C and SystemC printers declare an entry
-    action's parameter view from them.  ``classes`` and the state tables
-    ``responses``, ``creations`` and ``accepts`` are the abstract
-    runtime's dispatch tables (see
-    :meth:`repro.runtime.dispatcher.Dispatcher._load_tables`), built here
-    once so every simulation of one model shares them.
+    action's parameter view from them.  ``classes`` maps each class to
+    its attribute defaults and initial state (None when passive),
+    ``associations`` holds the component's associations, and the state
+    tables are ``responses`` ((class, state, label) -> destination state
+    or the :class:`~repro.xuml.statemachine.EventResponse` that drops
+    the signal), ``creations`` ((class, label) -> created state) and
+    ``accepts`` ((class, label) -> creates?).  Every executor loads this
+    one object (:meth:`repro.runtime.dispatcher.Dispatcher._load_tables`).
     """
 
     fingerprint: str
     component_name: str
+    associations: tuple = ()
     activities: dict[tuple[str, str], list] = field(default_factory=dict)
     event_parameters: dict[tuple[str, str], tuple[tuple[str, str], ...]] = (
         field(default_factory=dict))
@@ -87,7 +95,8 @@ def clear_lowering_cache() -> None:
 def _lower_component_uncached(
     model: Model, component: Component, fingerprint: str
 ) -> LoweredComponent:
-    lowered = LoweredComponent(fingerprint, component.name)
+    lowered = LoweredComponent(fingerprint, component.name,
+                               tuple(component.associations))
     for klass in component.classes:
         key = klass.key_letters
         machine = klass.statemachine

@@ -40,14 +40,16 @@ def signal_flows(model: Model, component: Component) -> tuple[SignalFlow, ...]:
     """All (sender, receiver, event) triples found in the component's actions.
 
     Discovered by walking the ``generate`` statements of every state
-    activity's lowered IR (operation bodies are not walked); lowering has
-    already resolved each send's receiving class.  Environment injections
-    are not included (they have no sending class).
+    activity's and every operation body's lowered IR, with the owning
+    class as sender; lowering has already resolved each send's receiving
+    class.  Environment injections are not included (they have no
+    sending class).
     """
     lowered = lower_component(model, component)
     flows = {
         SignalFlow(class_key, stmt[2], stmt[1])
-        for (class_key, _), block in lowered.activities.items()
+        for blocks in (lowered.activities, lowered.operations)
+        for (class_key, _), block in blocks.items()
         for stmt, _, _ in walk_ir_generates(block)
     }
     return tuple(sorted(flows, key=lambda f: (f.sender_class, f.receiver_class, f.event_label)))

@@ -23,6 +23,7 @@ views of one artifact.
 from __future__ import annotations
 
 from repro.exec.ir import walk_ir_statements
+from repro.xuml.statemachine import EventResponse
 
 from .manifest import ClassManifest, ComponentManifest, tag_to_dtype
 from .naming import banner, c_ident, c_macro, c_type_of
@@ -32,6 +33,7 @@ _BIN_C = {
     "<": "<", "<=": "<=", ">": ">", ">=": ">=",
     "+": "+", "-": "-", "*": "*", "/": "/", "%": "%",
 }
+_COMPARE = frozenset(("==", "!=", "<", "<=", ">", ">="))
 
 
 class CGenerator:
@@ -41,6 +43,8 @@ class CGenerator:
         self._manifest = manifest
         #: keys of the classes whose header the current source needs
         self._uses: set[str] = set()
+        #: whether the current source compares strings (needs <string.h>)
+        self._string_h = False
 
     # -- public entry points -------------------------------------------------
 
@@ -171,11 +175,17 @@ class CGenerator:
         """The class's behaviour; it includes the header of every class
         whose events, data or operations its actions use."""
         comp = c_ident(self._manifest.name)
+        lowered = self._manifest.lowered
         self._uses = set()
+        self._string_h = False
         lines = []
         # an entry action runs only when a transition or creation enters
         # its state; the C of a state nothing enters would be dead code
-        entered = {*klass.transitions.values(), *klass.creations.values()}
+        entered = {lowered.responses[klass.key, state, label]
+                   for state, _number in klass.states
+                   for label in klass.events}
+        entered.update(lowered.creations.get((klass.key, label))
+                       for label in klass.events)
         for state_name, _number in klass.states:
             if state_name in entered:
                 lines.append(self._emit_entry_action(klass, state_name))
@@ -187,8 +197,9 @@ class CGenerator:
 
         if klass.states:
             lines.append(self._emit_dispatch(klass))
-        includes = [f'#include "{comp}_{c_ident(klass.key)}.h"',
-                    f'#include "{comp}_arch_rt.h"']
+        includes = ["#include <string.h>"] if self._string_h else []
+        includes += [f'#include "{comp}_{c_ident(klass.key)}.h"',
+                     f'#include "{comp}_arch_rt.h"']
         includes += [f'#include "{comp}_{c_ident(key)}.h"'
                      for key in sorted(self._uses - {klass.key})]
         head = [banner(f"class {klass.name} ({klass.key}) behaviour", "//")]
@@ -255,10 +266,12 @@ class CGenerator:
 
     def _emit_entry_action(self, klass: ClassManifest, state_name: str) -> str:
         kl = c_ident(klass.key)
-        ir = klass.activities.get(state_name, [])
-        params = klass.event_parameters[state_name]
+        lowered = self._manifest.lowered
+        params = lowered.event_parameters[klass.key, state_name]
         printer = CPrinter(self._manifest, False, self._uses)
-        body = printer.body(ir, indent=1)
+        body = printer.body(lowered.activities[klass.key, state_name],
+                            indent=1)
+        self._string_h |= printer.compares_strings
         lines = [f"/* entry action of state {state_name} */"]
         lines.append(f"static void {kl}_enter_{c_ident(state_name)}"
                      f"(instance_handle_t self_inst, const void *event_params)")
@@ -292,7 +305,9 @@ class CGenerator:
             for pname, ptag in op.params
         ]
         printer = CPrinter(m, True, self._uses)
-        body = printer.body(op.ir, indent=1)
+        body = printer.body(m.lowered.operations[klass.key, op_name],
+                            indent=1)
+        self._string_h |= printer.compares_strings
         lines = [f"{ret} {kl}_op_{c_ident(op_name)}({', '.join(args) or 'void'})"]
         lines.append("{")
         if op.instance_based:
@@ -308,16 +323,20 @@ class CGenerator:
     def _emit_dispatch(self, klass: ClassManifest) -> str:
         kl = c_ident(klass.key)
         km = c_macro(klass.key)
+        lowered = self._manifest.lowered
+        creations = [(label, lowered.creations[klass.key, label])
+                     for label in sorted(klass.events)
+                     if (klass.key, label) in lowered.creations]
         lines = [f"/* state transition table of {klass.key}, as code */"]
         lines.append(f"void {kl}_dispatch(instance_handle_t inst, "
                      f"{kl}_event_t event, const void *params)")
         lines.append("{")
         lines.append(f"    {kl}_data_t *self_data = {kl}_data(inst);")
-        if klass.creations:
+        if creations:
             lines.append("    /* a creation event: the architecture has just "
                          "created inst */")
             lines.append("    switch (event) {")
-            for label, to_state in sorted(klass.creations.items()):
+            for label, to_state in creations:
                 lines.append(f"    case {km}_EV_{c_macro(label)}:")
                 lines.append(f"        self_data->state = "
                              f"{km}_STATE_{c_macro(to_state)};")
@@ -334,18 +353,17 @@ class CGenerator:
             for label in sorted(klass.events):
                 if klass.events[label].creation:
                     continue
-                response = klass.response(state_name, label)
+                response = lowered.responses[klass.key, state_name, label]
                 lines.append(f"        case {km}_EV_{c_macro(label)}:")
-                if response == "transition":
-                    to_state = klass.transitions[(state_name, label)]
+                if isinstance(response, str):
                     lines.append(
                         f"            self_data->state = "
-                        f"{km}_STATE_{c_macro(to_state)};")
+                        f"{km}_STATE_{c_macro(response)};")
                     lines.append(
-                        f"            {kl}_enter_{c_ident(to_state)}"
+                        f"            {kl}_enter_{c_ident(response)}"
                         f"(inst, params);")
                     lines.append("            break;")
-                elif response == "ignore":
+                elif response is EventResponse.IGNORE:
                     lines.append("            /* ignored */")
                     lines.append("            break;")
                 else:
@@ -387,6 +405,8 @@ class CPrinter:
         self._locals: dict[str, str] = {}
         self._reads: set[str] = set()
         self.params_read: set[str] = set()
+        #: whether a comparison printed as ``strcmp`` (needs <string.h>)
+        self.compares_strings = False
 
     def body(self, block: list, indent: int) -> str:
         """The block as C: its locals declared first, then its statements."""
@@ -643,8 +663,12 @@ class CPrinter:
             count = f"{operand}.count" if is_set else operand
             return f"({count} {compare[op]} {none})"
         if tag == "bin":
-            return (f"({self.expr(ir[2])} {_BIN_C[ir[1]]} "
-                    f"{self.expr(ir[3])})")
+            op, left, right = _BIN_C[ir[1]], self.expr(ir[2]), self.expr(ir[3])
+            if op in _COMPARE and "string" in (ir[2][-1], ir[3][-1]):
+                # C compares the pointers; the model compares the text
+                self.compares_strings = True
+                return f"(strcmp({left}, {right}) {op} 0)"
+            return f"({left} {op} {right})"
         if tag == "bridge":
             # the arguments travel as one struct compound literal
             args = "0"

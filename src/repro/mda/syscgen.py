@@ -16,6 +16,8 @@ the C and VHDL emitters print.
 
 from __future__ import annotations
 
+from repro.xuml.statemachine import EventResponse
+
 from .cgen import CPrinter
 from .manifest import ClassManifest, ComponentManifest, tag_to_dtype
 from .naming import banner, c_ident, c_macro, c_type_of
@@ -73,11 +75,14 @@ class SystemCGenerator:
 
     def __init__(self, manifest: ComponentManifest):
         self._manifest = manifest
+        #: whether the current module compares strings (needs <cstring>)
+        self._cstring = False
 
     def emit_module(self, klass: ClassManifest) -> str:
         m = self._manifest
         name = c_ident(klass.name)
         uses: set[str] = set()
+        self._cstring = False
         actions: list[str] = []
         for state_name, _number in klass.states:
             actions.append(f"    void enter_{c_ident(state_name)}() {{")
@@ -91,6 +96,8 @@ class SystemCGenerator:
         lines.append(f"#define {guard}")
         lines.append("")
         lines.append("#include <systemc.h>")
+        if self._cstring:
+            lines.append("#include <cstring>")
         lines.append(f'#include "{c_ident(m.name)}_arch_rt.h"')
         lines += [f'#include "{c_ident(m.name)}_{c_ident(key)}.h"'
                   for key in sorted(uses)]
@@ -146,6 +153,7 @@ class SystemCGenerator:
         return "\n".join(lines) + "\n"
 
     def _step_switch(self, klass: ClassManifest) -> list[str]:
+        responses = self._manifest.lowered.responses
         lines = ["        switch (current_state) {"]
         for state_name, _number in klass.states:
             lines.append(f"        case ST_{c_macro(state_name)}:")
@@ -153,14 +161,13 @@ class SystemCGenerator:
             for index, label in enumerate(sorted(klass.events), start=1):
                 if klass.events[label].creation:
                     continue
-                response = klass.response(state_name, label)
+                response = responses[klass.key, state_name, label]
                 lines.append(f"            case {index}: /* {label} */")
-                if response == "transition":
-                    to_state = klass.transitions[(state_name, label)]
+                if isinstance(response, str):
                     lines.append(f"                current_state = "
-                                 f"ST_{c_macro(to_state)};")
-                    lines.append(f"                enter_{c_ident(to_state)}();")
-                elif response == "ignore":
+                                 f"ST_{c_macro(response)};")
+                    lines.append(f"                enter_{c_ident(response)}();")
+                elif response is EventResponse.IGNORE:
                     lines.append("                /* ignored */")
                 else:
                     lines.append("                SC_REPORT_ERROR"
@@ -175,9 +182,11 @@ class SystemCGenerator:
 
     def _action_lines(self, klass: ClassManifest, state: str,
                       uses: set[str]) -> list[str]:
-        params = klass.event_parameters[state]
+        lowered = self._manifest.lowered
+        params = lowered.event_parameters[klass.key, state]
         printer = _SysCPrinter(self._manifest, False, uses)
-        body = printer.body(klass.activities.get(state, []), indent=2)
+        body = printer.body(lowered.activities[klass.key, state], indent=2)
+        self._cstring |= printer.compares_strings
         lines = []
         if printer.params_read:
             lines.append("        struct params_t {")

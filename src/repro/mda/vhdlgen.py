@@ -22,6 +22,8 @@ interface consistency and behaviour preservation, not timing closure.
 
 from __future__ import annotations
 
+from repro.xuml.statemachine import EventResponse
+
 from .manifest import ClassManifest, ComponentManifest, tag_to_dtype
 from .naming import banner, c_macro, vhdl_ident, vhdl_type_of
 
@@ -137,25 +139,25 @@ class VhdlGenerator:
         lines.append("                out_valid <= '0';")
         lines.append("            elsif ev_valid = '1' then")
         lines.append("                case current_state is")
+        responses = m.lowered.responses
         for state_name, _number in klass.states:
             lines.append(f"                    when st_{vhdl_ident(state_name)} =>")
             lines.append("                        case ev_id is")
             for label in sorted(klass.events):
                 if klass.events[label].creation:
                     continue
-                response = klass.response(state_name, label)
+                response = responses[klass.key, state_name, label]
                 lines.append(f"                            when "
                              f"EV_{c_macro(label)} =>")
-                if response == "transition":
-                    to_state = klass.transitions[(state_name, label)]
+                if isinstance(response, str):
                     lines.append(f"                                "
-                                 f"current_state <= st_{vhdl_ident(to_state)};")
+                                 f"current_state <= st_{vhdl_ident(response)};")
                     lines.append(f"                                "
-                                 f"-- entry actions of {to_state}:")
-                    for action_line in self._entry_action_lines(klass, to_state):
+                                 f"-- entry actions of {response}:")
+                    for action_line in self._entry_action_lines(klass, response):
                         lines.append("                                "
                                      + action_line)
-                elif response == "ignore":
+                elif response is EventResponse.IGNORE:
                     lines.append("                                null;"
                                  "  -- ignored")
                 else:
@@ -180,9 +182,10 @@ class VhdlGenerator:
 
     def _entry_action_lines(self, klass: ClassManifest, state: str) -> list[str]:
         """Print the lowered entry action as VHDL sequential statements."""
-        printer = _VhdlPrinter(self._manifest, klass)
+        printer = _VhdlPrinter(self._manifest)
         lines: list[str] = []
-        printer.print_block(klass.activities.get(state, []), lines, 0)
+        printer.print_block(self._manifest.lowered.activities[klass.key, state],
+                            lines, 0)
         return lines or ["null;"]
 
 
@@ -193,9 +196,8 @@ class _VhdlPrinter:
     procedure calls, mirroring the instance-bank architecture.
     """
 
-    def __init__(self, manifest: ComponentManifest, klass: ClassManifest):
+    def __init__(self, manifest: ComponentManifest):
         self._m = manifest
-        self._klass = klass
 
     def _pad(self, indent: int) -> str:
         return "    " * indent

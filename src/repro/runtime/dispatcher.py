@@ -11,14 +11,16 @@ emits the same trace records in the same order by construction.
 
 It is also the one instance-and-link store: a handle -> :class:`Instance`
 map, per-class extents and one :class:`LinkStore`.  Each executor hands
-it its tables once, as data, from its constructor
+it one :class:`~repro.exec.cache.LoweredComponent` from its constructor
 (:meth:`Dispatcher._load_tables`): per class its attribute defaults and
-initial state, the associations, the derived-attribute IR and the state
-tables, so a send checks its label and a dispatch finds its transition
-with one dict lookup each.  Executors differ only in
+initial state, the associations, the state tables and the lowered
+activity, operation and derived-attribute IR, so a send checks its label
+and a dispatch finds its transition and runs its activity with one dict
+lookup each.  The abstract runtime loads the lowering of its model, the
+architecture runtimes (csim, vsim and the co-simulation) the one their
+build manifest carries: the same object, unless the manifest was
+unpickled from the build store.  Executors differ only in
 
-* **tables** -- built with the lowering (the abstract runtime) or read
-  from the build manifest (csim, vsim and the co-simulation);
 * **source policy** -- which ready source dispatches next: a
   :class:`~repro.runtime.scheduler.Scheduler` for the step-driven
   executors, the per-edge snapshot for vsim, the timed resources for the
@@ -99,18 +101,16 @@ class Dispatcher:
     instance-and-link store.
 
     A subclass calls :meth:`_load_tables` once from its constructor and
-    provides ``_run_state_activity``, which runs the activity through
-    :meth:`_run_to_completion`, and ``_unlisted_send``, its own check of
-    a send the accept table lacks (it raises the executor's error for an
-    unknown class or label, or lets the send through).  A step-driven
-    subclass also sets ``scheduler``, the
-    :class:`~repro.runtime.scheduler.Scheduler` that picks each step's
-    source; an executor whose instant is not one ``step`` overrides
-    ``_dispatch_now`` and ``_next_time`` instead, and a clock other than
-    the model's microsecond sets ``ticks_per_us``.  Each concrete
-    executor sets ``name``; that, the population and stimulus calls, the
-    run loops and the state, attribute and trace reads are the surface
-    :func:`repro.verify.run_case` drives.
+    provides ``_unlisted_send``, its own check of a send the accept
+    table lacks (it raises the executor's error for an unknown class or
+    label, or lets the send through).  A step-driven subclass also sets
+    ``scheduler``, the :class:`~repro.runtime.scheduler.Scheduler` that
+    picks each step's source; an executor whose instant is not one
+    ``step`` overrides ``_dispatch_now`` and ``_next_time`` instead, and a
+    clock other than the model's microsecond sets ``ticks_per_us``.  Each
+    concrete executor sets ``name``; that, the population and stimulus
+    calls, the run loops and the state, attribute and trace reads are the
+    surface :func:`repro.verify.run_case` drives.
     """
 
     #: raised by the run loops, on storage misuse (and, by default, on a
@@ -158,33 +158,29 @@ class Dispatcher:
 
     # -- the store ---------------------------------------------------------------
 
-    def _load_tables(self, classes: dict, associations, derived: dict,
-                     operations: dict, responses: dict, creations: dict,
-                     accepts: dict) -> None:
-        """Adopt this executor's tables and start an empty store.
+    def _load_tables(self, lowered) -> None:
+        """Adopt *lowered*'s tables and start an empty store.
 
-        *classes* maps each class key to (attribute defaults, initial
-        state or None for a passive class); *associations* are
-        :class:`~repro.xuml.association.Association` objects; *derived*
-        and *operations* map (class key, name) to lowered IR.  The state
-        tables: *responses* maps (class key, state, label) to the
-        destination state or the :class:`EventResponse` that drops the
-        signal (an unlisted triple can't happen), *creations* maps (class
-        key, label) to a created instance's state, and *accepts* maps each
-        declared (class key, label) to whether it creates.  Tables may be
-        shared between executors and are never mutated.
+        *lowered* is a :class:`~repro.exec.cache.LoweredComponent`: its
+        class table gives each class's attribute defaults and initial
+        state, its associations the link store's shape, its IR maps the
+        activities, operations and derived attributes, and its state
+        tables what a send and a dispatch look up (an unlisted (class,
+        state, label) can't happen).  Executors share it, so nothing here
+        mutates it.
         """
-        self._classes = classes
-        self._derived = derived
-        self._operations = operations
-        self._responses = responses
-        self._creations = creations
-        self._accepts = accepts
+        self._classes = lowered.classes
+        self._activities = lowered.activities
+        self._derived = lowered.derived
+        self._operations = lowered.operations
+        self._responses = lowered.responses
+        self._creations = lowered.creations
+        self._accepts = lowered.accepts
         self._instances: dict[int, Instance] = {}
         #: class key -> handle -> instance, in creation (= handle) order
         self._extents: dict[str, dict[int, Instance]] = {
-            key: {} for key in classes}
-        self.links = LinkStore(associations, self.error,
+            key: {} for key in lowered.classes}
+        self.links = LinkStore(lowered.associations, self.error,
                                self.multiplicity_error)
 
     def create_instance(self, class_key: str, **attribute_values) -> int:
@@ -405,18 +401,22 @@ class Dispatcher:
             signal.sequence, signal.label, signal.target_handle, reason,
         )
 
-    def _run_to_completion(self, handle: int, class_key: str, state: str,
-                           signal: SignalInstance, ir, params: dict) -> None:
-        """Run one state activity; its sends are stamped with its id."""
+    def _run_state_activity(self, instance: Instance, state: str,
+                            signal: SignalInstance) -> None:
+        """Run *state*'s lowered activity to completion; its sends are
+        stamped with its id.  The one activity runner: ``dispatch`` calls
+        it, and only an executor of another action form overrides it."""
         activity_id = self._next_activity
         self._next_activity += 1
+        handle, class_key = instance.handle, instance.class_key
         self.trace.record(
             self.now, TraceKind.ACTIVITY_START,
             activity_id, handle, class_key, state, signal.sequence,
         )
         self._activity_stack.append(activity_id)
         try:
-            self.executor.run(ir, handle, params)
+            self.executor.run(self._activities[class_key, state], handle,
+                              signal.params)
         finally:
             self._activity_stack.pop()
             self.trace.record(self.now, TraceKind.ACTIVITY_END,

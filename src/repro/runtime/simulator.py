@@ -11,10 +11,11 @@ CANT_HAPPEN, and on a transition the destination state's activity runs to
 completion (possibly generating further signals, creating and deleting
 instances, starting timers) before any other signal is consumed.  That
 life cycle is :class:`~repro.runtime.dispatcher.Dispatcher`, shared with
-the architecture runtimes, with the standard bridges and the one
-instance-and-link store; this class adds the tables built with the
-model's lowering, the model's own check of a send those tables lack,
-declared-bridge checks and the pluggable :class:`Scheduler`.
+the architecture runtimes, with the standard bridges, the one
+instance-and-link store and the one activity runner; this class loads
+the model's lowering and adds the model's own check of a send its
+tables lack, declared-bridge checks and the pluggable
+:class:`Scheduler`.
 
 For the E6 ablation the simulator also supports ``eager_dispatch=True``,
 which *breaks* run-to-completion on purpose by delivering generated
@@ -34,7 +35,6 @@ from repro.xuml.model import Model
 from .dispatcher import Dispatcher
 from .errors import SelectionError, SimulationError
 from .events import SignalInstance
-from .instances import Instance
 from .scheduler import Scheduler, SynchronousScheduler
 
 
@@ -90,11 +90,7 @@ class Simulation(Dispatcher):
         # One lowering per model content (fingerprint-cached), one shared
         # evaluator: the abstract runtime executes literally the same IR
         # through literally the same code as csim and vsim.
-        self._lowered = lowered = lower_component(model, self.component)
-        self._load_tables(lowered.classes, self.component.associations,
-                          lowered.derived, lowered.operations,
-                          lowered.responses, lowered.creations,
-                          lowered.accepts)
+        self._load_tables(lower_component(model, self.component))
         self.executor = IRExecutor(
             self, error=OALRuntimeError, selection_error=SelectionError
         )
@@ -149,12 +145,3 @@ class Simulation(Dispatcher):
         self._metric_dispatches.inc()
         self._metric_queue_depth.observe(self.pool.ready_count)
         self._metric_wait.observe(self.now - self.pool.peek(source).sent_at)
-
-    def _run_state_activity(
-        self, instance: Instance, state_name: str, signal: SignalInstance
-    ) -> None:
-        self._run_to_completion(
-            instance.handle, instance.class_key, state_name, signal,
-            self._lowered.activities[(instance.class_key, state_name)],
-            signal.params,
-        )

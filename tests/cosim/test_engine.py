@@ -327,3 +327,53 @@ class TestRunSurface:
         assert CoSimMachine(build).name == "cosim"
         faulted = CoSimMachine(build, fault_plan=FaultPlan.uniform(7, 0.0))
         assert faulted.name == "cosim/faulted"
+
+
+def operation_sender_model():
+    """A's instance operation sends B1 to B; A's state calls it."""
+    builder = ModelBuilder("OpSend")
+    component = builder.component("c")
+    sender = component.klass("Sender", "A", 1)
+    sender.event("A1")
+    sender.operation("poke", """
+        select any b from instances of B;
+        generate B1:B() to b;
+    """)
+    sender.state("Idle", 1)
+    sender.state("Poked", 2, activity="me = self; me.poke();")
+    sender.trans("Idle", "A1", "Poked")
+    receiver = component.klass("Receiver", "B", 2)
+    receiver.attr("hits", "integer")
+    receiver.event("B1")
+    receiver.state("Waiting", 1)
+    receiver.state("Hit", 2, activity="self.hits = self.hits + 1;")
+    receiver.trans("Waiting", "B1", "Hit")
+    return builder.build()
+
+
+class TestOperationSends:
+    """A send from an operation body crosses the boundary like one from
+    a state activity: the interface has its message and the bus carries
+    it."""
+
+    @pytest.fixture(scope="class")
+    def build(self):
+        model = operation_sender_model()
+        return ModelCompiler(model).compile(
+            marks_for_partition(model.components[0], ("B",)))
+
+    def test_boundary_lists_the_operation_send(self, build):
+        assert [str(flow) for flow in build.partition.boundary_flows] \
+            == ["A --B1--> B"]
+        message = build.interface.message_for("B", "B1")
+        assert (message.sender_class, message.direction) == ("A", "sw_to_hw")
+
+    def test_cosim_delivers_over_the_bus(self, build):
+        machine = CoSimMachine(build)
+        sender = machine.create_instance("A")
+        receiver = machine.create_instance("B")
+        machine.inject(sender, "A1")
+        machine.run()
+        assert machine.state_of(receiver) == "Hit"
+        assert machine.read_attribute(receiver, "hits") == 1
+        assert machine.bus.stats.messages == 1

@@ -46,7 +46,7 @@ class TestManifestFaults:
         _model, manifest = fresh_manifest()
         bad = copy.deepcopy(manifest)
         # a miswired table: MO1 in Idle goes straight to Complete
-        bad.classes["MO"].transitions[("Idle", "MO1")] = "Complete"
+        bad.lowered.responses["MO", "Idle", "MO1"] = "Complete"
         result = run_case(cook_case(), CSoftwareMachine(bad))
         assert not result.passed
 
@@ -54,7 +54,7 @@ class TestManifestFaults:
         _model, manifest = fresh_manifest()
         bad = copy.deepcopy(manifest)
         # the emitter "forgot" the Preparing entry action entirely
-        bad.classes["MO"].activities["Preparing"] = []
+        bad.lowered.activities["MO", "Preparing"] = []
         result = run_case(cook_case(), CSoftwareMachine(bad))
         assert not result.passed        # cycles_run never incremented
 
@@ -70,7 +70,7 @@ class TestManifestFaults:
                 return
             for piece in node:
                 bump_ints(piece)
-        bump_ints(bad.classes["MO"].activities["Preparing"])
+        bump_ints(bad.lowered.activities["MO", "Preparing"])
         result = run_case(cook_case(), CSoftwareMachine(bad))
         assert not result.passed
 
@@ -78,8 +78,7 @@ class TestManifestFaults:
         model, manifest = fresh_manifest()
         bad = copy.deepcopy(manifest)
         # door traffic in Idle now bounces the machine through Paused
-        del bad.classes["MO"].non_transitions[("Idle", "MO3")]
-        bad.classes["MO"].transitions[("Idle", "MO3")] = "Paused"
+        bad.lowered.responses["MO", "Idle", "MO3"] = "Paused"
 
         case = (
             TestCase("door-noise")

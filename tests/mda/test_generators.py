@@ -262,3 +262,77 @@ class TestAnalyzedTypes:
 
     def test_both_stay_gcc_clean(self, build):
         assert build.lint() == []
+
+
+def string_compare_model():
+    """G compares its string attribute with an event's string parameter."""
+    from repro.xuml import ModelBuilder
+
+    builder = ModelBuilder("Names")
+    component = builder.component("c")
+    greeter = component.klass("Greeter", "G", 1)
+    greeter.attr("name", "string")
+    greeter.attr("hits", "integer")
+    greeter.event("GO", params=[("who", "string")])
+    greeter.state("Idle", 1)
+    greeter.state("Checked", 2, activity="""
+        if (self.name == param.who)
+            self.hits = self.hits + 1;
+        end if;
+        if (param.who != "")
+            self.hits = self.hits + 10;
+        end if;
+        if (self.name < param.who)
+            self.hits = self.hits + 100;
+        end if;
+    """)
+    greeter.trans("Idle", "GO", "Checked")
+    greeter.trans("Checked", "GO", "Checked")
+    return builder.build()
+
+
+class TestStringComparison:
+    """A string comparison compares the text, as every executor does,
+    not the pointers."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return string_compare_model()
+
+    def test_c_compares_with_strcmp(self, model):
+        build = ModelCompiler(model).compile(
+            marks_for_partition(model.components[0], ()))
+        text = build.artifacts["c_g.c"]
+        assert "#include <string.h>" in text
+        assert ("(strcmp(g_data(self_inst)->name, params_view->who) == 0)"
+                in text)
+        assert '(strcmp(params_view->who, "") != 0)' in text
+        assert "(strcmp(g_data(self_inst)->name, params_view->who) < 0)" \
+            in text
+        assert build.lint() == []
+
+    def test_systemc_compares_with_strcmp(self, model):
+        from repro.marks import MarkSet
+        from repro.mda.rules import RuleSet
+        from repro.mda.syscgen import SYSTEMC_RULE
+
+        marks = MarkSet()
+        marks.set("c.G", "processor", "systemc")
+        build = ModelCompiler(
+            model, rules=RuleSet.standard().prepend(SYSTEMC_RULE)).compile(marks)
+        text = build.artifacts["greeter_sc.h"]
+        assert "#include <cstring>" in text
+        assert "(strcmp(name, params_view->who) == 0)" in text
+        assert build.lint() == []
+
+    @pytest.mark.parametrize("platform", ["abstract", "csim"])
+    def test_executors_compare_the_text(self, model, platform):
+        from repro.mda import CSoftwareMachine
+        from repro.runtime import Simulation
+
+        executor = (Simulation(model) if platform == "abstract" else
+                    CSoftwareMachine(build_manifest(model, model.components[0])))
+        handle = executor.create_instance("G", name="".join(["a", "b"]))
+        executor.inject(handle, "GO", {"who": "ab"})
+        executor.run_to_quiescence()
+        assert executor.read_attribute(handle, "hits") == 11

@@ -11,6 +11,7 @@ from repro.models import (
     build_model,
 )
 from repro.xuml import CoreType, EnumType, InstRefType, InstSetType
+from repro.xuml.statemachine import EventResponse
 
 
 class TestTypeTags:
@@ -41,12 +42,11 @@ class TestManifest:
         assert set(manifest.classes) == {"MO", "PT"}
 
     def test_state_table_complete(self, manifest):
-        oven = manifest.klass("MO")
-        assert oven.initial_state == "Idle"
-        assert oven.transitions[("Idle", "MO1")] == "Preparing"
-        assert oven.response("Idle", "MO2") == "ignore"
-        assert oven.response("Idle", "MO5") == "cant_happen"
-        assert oven.response("Idle", "MO1") == "transition"
+        assert manifest.klass("MO").initial_state == "Idle"
+        responses = manifest.lowered.responses
+        assert responses["MO", "Idle", "MO1"] == "Preparing"
+        assert responses["MO", "Idle", "MO2"] is EventResponse.IGNORE
+        assert responses["MO", "Idle", "MO5"] is EventResponse.CANT_HAPPEN
 
     def test_attributes_with_defaults(self, manifest):
         tube = manifest.klass("PT")
@@ -55,9 +55,9 @@ class TestManifest:
         assert defaults["energize_count"] == 0
 
     def test_activities_lowered(self, manifest):
-        oven = manifest.klass("MO")
-        assert oven.activities["Idle"]          # non-empty IR
-        assert all(isinstance(stmt, list) for stmt in oven.activities["Idle"])
+        idle = manifest.lowered.activities["MO", "Idle"]
+        assert idle                             # non-empty IR
+        assert all(isinstance(stmt, list) for stmt in idle)
 
     def test_events_with_params(self, manifest):
         oven = manifest.klass("MO")
@@ -65,16 +65,16 @@ class TestManifest:
         assert not oven.events["MO1"].creation
 
     def test_associations_serialized(self, manifest):
-        one, other, link = manifest.associations["R1"]
-        assert {one[0], other[0]} == {"MO", "PT"}
-        assert link is None
+        (r1,) = manifest.lowered.associations
+        assert r1.number == "R1"
+        assert {r1.one.class_key, r1.other.class_key} == {"MO", "PT"}
+        assert r1.link_class_key is None
 
     def test_creation_transitions(self):
         model = build_checksum_model()
         manifest = build_manifest(model, model.components[0])
-        job = manifest.klass("J")
-        assert job.creations == {"J0": "Submitted"}
-        assert job.events["J0"].creation
+        assert manifest.lowered.creations == {("J", "J0"): "Submitted"}
+        assert manifest.klass("J").events["J0"].creation
 
     def test_operations_lowered(self):
         model = build_checksum_model()
@@ -83,28 +83,15 @@ class TestManifest:
         fletcher = engine.operations["fletcher"]
         assert fletcher.returns == "integer"
         assert fletcher.instance_based
-        assert fletcher.ir
+        assert manifest.lowered.operations["AC", "fletcher"]
         census = engine.operations["engines_available"]
         assert not census.instance_based
 
 
 @pytest.mark.parametrize("name", sorted(all_models()))
 def test_manifest_ir_is_the_lowering_cache_ir(name):
-    """The manifest shares the cached lowering: one IR, not a copy."""
+    """The manifest carries the cached lowering itself, not a copy."""
     model = build_model(name)
     component = model.components[0]
     manifest = build_manifest(model, component)
-    lowered = lower_component(model, component)
-    blocks = 0
-    for key, klass in manifest.classes.items():
-        for state, block in klass.activities.items():
-            assert block is lowered.activities[(key, state)]
-            blocks += 1
-        for op_name, operation in klass.operations.items():
-            assert operation.ir is lowered.operations[(key, op_name)]
-            blocks += 1
-        for attribute, block in klass.derived.items():
-            assert block is lowered.derived[(key, attribute)]
-            blocks += 1
-    assert blocks == (len(lowered.activities) + len(lowered.operations)
-                      + len(lowered.derived))
+    assert manifest.lowered is lower_component(model, component)

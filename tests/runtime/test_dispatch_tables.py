@@ -7,11 +7,10 @@ map does not list can't happen, a creation the creation map lacks raises
 the executor's error, and a send the accept map lacks goes to the
 executor's own check.  For every (class, state, label) of the five
 catalog models and of randomly generated models, the tables must answer
-as the model does: ``StateMachine.response_to`` / ``transition_for`` /
-``creation_transition_for`` on the abstract runtime,
-``ClassManifest.transitions`` / ``response`` / ``creations`` on csim and
-vsim.  Unknown classes and labels must fail with the error type and
-message each executor always raised.
+as the model does (``StateMachine.response_to`` / ``transition_for`` /
+``creation_transition_for``) on the abstract runtime, csim and vsim,
+which load the very same table objects.  Unknown classes and labels must
+fail with the error type and message each executor always raised.
 """
 
 import pytest
@@ -40,11 +39,11 @@ def _labels(component):
                    for event in klass.events} | {"NO_SUCH_LABEL"})
 
 
-def check_simulation(model):
-    component = model.components[0]
-    simulation = Simulation(model)
+def check_tables(executor, component):
+    """*executor*'s tables answer every (class, state, label) as the
+    component's state machines do."""
     labels = _labels(component)
-    assert simulation._accepts == {
+    assert executor._accepts == {
         (klass.key_letters, event.label): event.creation
         for klass in component.classes for event in klass.events}
     for klass in component.classes:
@@ -54,34 +53,22 @@ def check_simulation(model):
                 expected = machine.response_to(state, label)
                 if expected is EventResponse.TRANSITION:
                     expected = machine.transition_for(state, label).to_state
-                assert response(simulation, key, state, label) == expected
+                assert response(executor, key, state, label) == expected
         for label in labels:
             creation = machine.creation_transition_for(label)
-            assert simulation._creations.get((key, label)) == (
+            assert executor._creations.get((key, label)) == (
                 None if creation is None else creation.to_state)
+
+
+def check_simulation(model):
+    check_tables(Simulation(model), model.components[0])
 
 
 def check_machines(model):
     component = model.components[0]
     manifest = build_manifest(model, component)
-    labels = _labels(component)
     for machine in (CSoftwareMachine(manifest), VHardwareMachine(manifest)):
-        assert machine._accepts == {
-            (key, label): event.creation
-            for key, klass in manifest.classes.items()
-            for label, event in klass.events.items()}
-        for key, klass in manifest.classes.items():
-            states = (*(name for name, _n in klass.states), None,
-                      "NoSuchState")
-            for state in states:
-                for label in labels:
-                    expected = klass.transitions.get((state, label))
-                    if expected is None:
-                        expected = EventResponse(klass.response(state, label))
-                    assert response(machine, key, state, label) == expected
-            for label in labels:
-                assert (machine._creations.get((key, label))
-                        == klass.creations.get(label))
+        check_tables(machine, component)
 
 
 @pytest.mark.parametrize("name", sorted(all_models()))
@@ -110,6 +97,18 @@ def test_lowerings_share_one_set_of_tables():
     first, second = Simulation(model), Simulation(all_models()["microwave"])
     assert first._responses is second._responses
     assert first._accepts is second._accepts
+
+
+@pytest.mark.parametrize("name", sorted(all_models()))
+def test_every_executor_loads_one_set_of_tables(name):
+    """csim, vsim and the abstract runtime load the very same tables."""
+    model = all_models()[name]
+    simulation = Simulation(model)
+    manifest = build_manifest(model, model.components[0])
+    for machine in (CSoftwareMachine(manifest), VHardwareMachine(manifest)):
+        for table in ("_classes", "_activities", "_derived", "_operations",
+                      "_responses", "_creations", "_accepts"):
+            assert getattr(machine, table) is getattr(simulation, table)
 
 
 def test_creation_event_without_creation_transition():
