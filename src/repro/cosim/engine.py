@@ -137,7 +137,8 @@ class CoSimMachine(TargetMachine):
         # an instant whose every started service left its resource busy
         # past it: nothing more can start there (see _start_services)
         self._settled_at: int | None = None
-        self._emit_buffer: list[tuple[SignalInstance, int]] | None = None
+        self._emit_buffer: list[tuple[SignalInstance, int, str | None]] | None = None
+        self._operation_side: str | None = None   # of the running class op
         self.cpu_stats = ResourceStats("cpu")
         self.hw_stats: dict[str, ResourceStats] = {
             key: ResourceStats(f"hw:{key}")
@@ -164,28 +165,40 @@ class CoSimMachine(TargetMachine):
 
     def _enqueue(self, signal: SignalInstance, delay: int) -> None:
         if self._emit_buffer is not None:
-            self._emit_buffer.append((signal, delay))
+            self._emit_buffer.append((signal, delay, self._operation_side))
             return
-        self._route(signal, self.now + delay * US_TO_NS)
+        self._route(signal, self.now + delay * US_TO_NS,
+                    self._operation_side)
+
+    def call_class_operation(self, class_key: str, name: str, kwargs: dict):
+        """Sends from a class operation leave from its class's side, the
+        sender :func:`repro.marks.partition.signal_flows` gives them."""
+        outer = self._operation_side
+        self._operation_side = self._side[class_key]
+        try:
+            return super().call_class_operation(class_key, name, kwargs)
+        finally:
+            self._operation_side = outer
 
     def cancel_timer(self, handle: int, label: str) -> int:
         """Also drop timers the running activity started but not yet routed."""
         cancelled = super().cancel_timer(handle, label)
         buffer = self._emit_buffer
         if buffer:
-            kept = [(signal, delay) for signal, delay in buffer
+            kept = [(signal, delay, side) for signal, delay, side in buffer
                     if not (delay > 0 and signal.target_handle == handle
                             and signal.label == label)]
             cancelled += len(buffer) - len(kept)
             buffer[:] = kept
         return cancelled
 
-    def _route(self, signal: SignalInstance, ready_ns: int) -> None:
-        """Send *signal* towards its receiver, via the bus if it crosses."""
+    def _route(self, signal: SignalInstance, ready_ns: int,
+               sender_side: str | None) -> None:
+        """Send *signal* towards its receiver, via the bus if it crosses;
+        *sender_side* is the sending class operation's (None: none)."""
         self.signals_routed += 1
         if self._m_sent_ns is not None:
             self._m_sent_ns[signal.sequence] = ready_ns
-        sender_side = None
         if signal.sender_handle is not None:
             sender_side = self._side[self.class_of(signal.sender_handle)]
         receiver_side = self._side[signal.class_key]
@@ -586,8 +599,8 @@ class CoSimMachine(TargetMachine):
         if self._m_service is not None:
             self._m_service[side].observe(duration)
         end = start + duration
-        for emitted_signal, delay in emitted:
-            self._route(emitted_signal, end + delay * US_TO_NS)
+        for emitted_signal, delay, sender_side in emitted:
+            self._route(emitted_signal, end + delay * US_TO_NS, sender_side)
 
     # -- measurement helpers ------------------------------------------------------
 

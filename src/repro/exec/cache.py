@@ -1,8 +1,9 @@
 """The lowering cache — parse/analyze/lower each component once.
 
-This is the only place in the execution and build paths that parses,
-analyzes and lowers OAL (``xuml.wellformed`` keeps its own front end
-because it must report every failing body, not stop at the first).
+This is the only place that parses, analyzes and lowers OAL.
+:func:`oal_bodies` walks a component's bodies once per caller: the
+lowering raises the first body that fails, and
+:func:`repro.xuml.wellformed.check_model` reports every one.
 Lowering is a pure function of the model's content, so the cache is
 content-addressed with the *build layer's* fingerprint
 (:func:`repro.build.fingerprint.model_fingerprint`): two structurally
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.oal.analyzer import analyze_activity
+from repro.oal.errors import AnalysisError, OALSyntaxError
 from repro.oal.parser import parse_activity
 from repro.xuml.component import Component
 from repro.xuml.datatypes import dtype_tag
@@ -92,6 +94,41 @@ def clear_lowering_cache() -> None:
     _misses = 0
 
 
+def oal_bodies(model: Model, component: Component):
+    """Parse and analyze every OAL body of *component*, in model order.
+
+    Per class: each state activity, each operation, then each derived
+    attribute's :func:`~repro.xuml.klass.derived_operation`.  Yields
+    ``(kind, key, where, outcome)``: *kind* is ``"activity"``,
+    ``"operation"`` or ``"derived attribute"``, *key* is (class key
+    letters, state, operation or attribute name), *where* is the element
+    a well-formedness violation names, and *outcome* is ``(block,
+    analysis)`` or the :class:`~repro.oal.errors.OALSyntaxError` or
+    :class:`~repro.oal.errors.AnalysisError` the body raised.  The
+    lowering raises the first error; ``check_model`` reports each one.
+    """
+    for klass in component.classes:
+        prefix = f"{component.name}.{klass.key_letters}"
+        for kind, name, where, state, operation in (
+            *(("activity", s.name, f"{prefix}.{s.name}", s, None)
+              for s in klass.statemachine.states),
+            *(("operation", o.name, f"{prefix}::{o.name}", None, o)
+              for o in klass.operations),
+            *(("derived attribute", a.name, f"{prefix}.{a.name}", None,
+               derived_operation(a))
+              for a in klass.attributes if a.derived is not None),
+        ):
+            body = operation.body if state is None else state.activity
+            try:
+                block = parse_activity(body)
+                outcome = block, analyze_activity(
+                    block, model, component, klass, state,
+                    operation=operation)
+            except (OALSyntaxError, AnalysisError) as exc:
+                outcome = exc
+            yield kind, (klass.key_letters, name), where, outcome
+
+
 def _lower_component_uncached(
     model: Model, component: Component, fingerprint: str
 ) -> LoweredComponent:
@@ -113,29 +150,18 @@ def _lower_component_uncached(
                                for e in klass.events)
         lowered.creations.update(((key, c.event_label), c.to_state)
                                  for c in machine.creation_transitions)
-        for state in machine.states:
-            block = parse_activity(state.activity)
-            analysis = analyze_activity(block, model, component, klass, state)
-            lowered.activities[(key, state.name)] = lower_block(
-                block, analysis, component)
-            lowered.event_parameters[(key, state.name)] = tuple(
+    tables = {"activity": lowered.activities,
+              "operation": lowered.operations,
+              "derived attribute": lowered.derived}
+    for kind, key, _, outcome in oal_bodies(model, component):
+        if not isinstance(outcome, tuple):
+            raise outcome
+        block, analysis = outcome
+        tables[kind][key] = lower_block(block, analysis, component)
+        if kind == "activity":
+            lowered.event_parameters[key] = tuple(
                 (name, dtype_tag(dtype))
                 for name, dtype in analysis.event_parameters.items())
-        for operation in klass.operations:
-            block = parse_activity(operation.body)
-            analysis = analyze_activity(
-                block, model, component, klass, None, operation=operation)
-            lowered.operations[(key, operation.name)] = lower_block(
-                block, analysis, component)
-        for attribute in klass.attributes:
-            if attribute.derived is None:
-                continue
-            pseudo = derived_operation(attribute)
-            block = parse_activity(pseudo.body)
-            analysis = analyze_activity(
-                block, model, component, klass, None, operation=pseudo)
-            lowered.derived[(key, attribute.name)] = lower_block(
-                block, analysis, component)
     return lowered
 
 

@@ -44,13 +44,13 @@ def tokenize(text: str) -> list[Token]:
 
         start_line, start_column = line, column
 
-        if char.isdigit():
+        if char.isdecimal():
             end = index
             seen_dot = False
-            while end < length and (text[end].isdigit() or (text[end] == "." and not seen_dot)):
+            while end < length and (text[end].isdecimal() or (text[end] == "." and not seen_dot)):
                 if text[end] == ".":
                     # a trailing '.' followed by non-digit is attribute access
-                    if end + 1 >= length or not text[end + 1].isdigit():
+                    if end + 1 >= length or not text[end + 1].isdecimal():
                         break
                     seen_dot = True
                 end += 1
@@ -59,10 +59,10 @@ def tokenize(text: str) -> list[Token]:
                 probe = end + 1
                 if probe < length and text[probe] in "+-":
                     probe += 1
-                if probe < length and text[probe].isdigit():
+                if probe < length and text[probe].isdecimal():
                     seen_exponent = True
                     end = probe
-                    while end < length and text[end].isdigit():
+                    while end < length and text[end].isdecimal():
                         end += 1
             lexeme = text[index:end]
             kind = (TokenKind.REAL if seen_dot or seen_exponent

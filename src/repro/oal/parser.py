@@ -113,7 +113,7 @@ class _Parser:
                 "break": self._break_stmt,
                 "continue": self._continue_stmt,
                 "return": self._return_stmt,
-                "self": self._assign_stmt,
+                "self": self._call_or_assign_stmt,
             }.get(token.text)
             if handler is None:
                 raise self.error("unexpected keyword at statement start")
@@ -122,16 +122,20 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind is TokenKind.OP and nxt.text == "::":
                 return self._call_stmt()
-            if (
-                nxt.kind is TokenKind.OP
-                and nxt.text == "."
-                and self.peek(2).kind is TokenKind.NAME
-                and self.peek(3).kind is TokenKind.OP
-                and self.peek(3).text == "("
-            ):
-                return self._call_stmt()
-            return self._assign_stmt()
+            return self._call_or_assign_stmt()
         raise self.error("expected a statement")
+
+    def _call_or_assign_stmt(self) -> ast.Stmt:
+        """``x.op(...);`` or ``self.op(...);`` is a call, else an assignment."""
+        if (
+            self.peek().kind is TokenKind.OP
+            and self.peek().text == "."
+            and self.peek(2).kind is TokenKind.NAME
+            and self.peek(3).kind is TokenKind.OP
+            and self.peek(3).text == "("
+        ):
+            return self._call_stmt()
+        return self._assign_stmt()
 
     def _assign_stmt(self) -> ast.Assign:
         token = self.current

@@ -281,10 +281,11 @@ class ModelBuilder:
         self._component_builders.append(builder)
         return builder
 
-    def build(self, check: bool = True, strict: bool = True) -> Model:
-        """Finalize pending types and (optionally) verify well-formedness."""
+    def build(self, check: bool = True) -> Model:
+        """Finalize pending types and (optionally) verify well-formedness;
+        an ERROR raises :class:`WellFormednessError`."""
         for builder in self._component_builders:
             builder._finalize()
         if check:
-            check_model(self._model, strict=strict)
+            check_model(self._model, strict=True)
         return self._model

@@ -6,10 +6,12 @@ collects :class:`Violation` records instead of raising on the first one.
 ERROR-severity violation exists; WARNING-severity findings (unreachable
 states, unhandled events) never raise.
 
-Action-language bodies are parsed and analyzed too (lazily imported from
-:mod:`repro.oal` to keep the package layering acyclic), because a model
-whose activities do not compile is not executable — and executability is
-the whole point (paper section 2).
+Every state activity, operation and derived attribute must parse and
+type-check too, because a model whose activities do not compile is not
+executable — and executability is the whole point (paper section 2).
+The bodies come from the walk the lowering itself runs,
+:func:`repro.exec.cache.oal_bodies`, so both read OAL one way; the
+lowering stops at the first failing body, the checker reports each.
 """
 
 from __future__ import annotations
@@ -17,25 +19,32 @@ from __future__ import annotations
 from repro.analysis.findings import Severity, Violation
 
 from .errors import WellFormednessError
-from .klass import derived_operation
 from .model import Model
 
 __all__ = ["Severity", "Violation", "check_model"]
 
 
-def check_model(
-    model: Model, strict: bool = False, check_actions: bool = True
-) -> list[Violation]:
+def check_model(model: Model, strict: bool = False) -> list[Violation]:
     """Run every well-formedness rule over *model*.
 
     Returns the full list of violations; with ``strict=True`` raises
     :class:`WellFormednessError` if any ERROR is present.
     """
+    # Imported lazily: exec and oal sit above xuml in the package graph.
+    from repro.exec.cache import oal_bodies
+    from repro.oal.errors import OALSyntaxError
+
     violations: list[Violation] = []
     for component in model.components:
         _check_component(component, violations)
-    if check_actions:
-        _check_actions(model, violations)
+    for component in model.components:
+        for kind, _, where, outcome in oal_bodies(model, component):
+            if isinstance(outcome, tuple):
+                continue
+            failure = ("does not parse" if isinstance(outcome, OALSyntaxError)
+                       else "is ill-typed")
+            violations.append(Violation(
+                Severity.ERROR, where, f"{kind} {failure}: {outcome}"))
 
     if strict:
         errors = [v for v in violations if v.severity is Severity.ERROR]
@@ -186,47 +195,3 @@ def _check_association(component, association, violations: list[Violation]) -> N
             Severity.ERROR, where,
             "reflexive association ends must carry distinct phrases",
         ))
-
-
-def _check_actions(model: Model, violations: list[Violation]) -> None:
-    """Parse + statically analyze every activity, operation and derived
-    attribute (the operation :func:`~repro.xuml.klass.derived_operation`
-    builds, which is what every executor runs)."""
-    for component in model.components:
-        for klass in component.classes:
-            prefix = f"{component.name}.{klass.key_letters}"
-            for state in klass.statemachine.states:
-                _check_body(model, component, klass, state.activity,
-                            f"{prefix}.{state.name}", "activity",
-                            violations, state=state)
-            for operation in klass.operations:
-                _check_body(model, component, klass, operation.body,
-                            f"{prefix}::{operation.name}", "operation",
-                            violations, operation=operation)
-            for attribute in klass.attributes:
-                if attribute.derived is None:
-                    continue
-                pseudo = derived_operation(attribute)
-                _check_body(model, component, klass, pseudo.body,
-                            f"{prefix}.{attribute.name}", "derived attribute",
-                            violations, operation=pseudo)
-
-
-def _check_body(model, component, klass, body: str, where: str, kind: str,
-                violations: list[Violation], state=None, operation=None):
-    """One OAL body: an ERROR if it does not parse or is ill-typed."""
-    from repro.oal.analyzer import AnalysisError, analyze_activity
-    from repro.oal.parser import OALSyntaxError, parse_activity
-
-    if not body.strip():
-        return
-    try:
-        block = parse_activity(body)
-        analyze_activity(block, model, component, klass, state,
-                         operation=operation)
-    except OALSyntaxError as exc:
-        violations.append(Violation(
-            Severity.ERROR, where, f"{kind} does not parse: {exc}"))
-    except AnalysisError as exc:
-        violations.append(Violation(
-            Severity.ERROR, where, f"{kind} is ill-typed: {exc}"))

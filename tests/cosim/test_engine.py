@@ -329,8 +329,9 @@ class TestRunSurface:
         assert faulted.name == "cosim/faulted"
 
 
-def operation_sender_model():
-    """A's instance operation sends B1 to B; A's state calls it."""
+def operation_sender_model(instance_based=True):
+    """A's operation (instance- or class-based) sends B1 to B; A's
+    state calls it."""
     builder = ModelBuilder("OpSend")
     component = builder.component("c")
     sender = component.klass("Sender", "A", 1)
@@ -338,9 +339,10 @@ def operation_sender_model():
     sender.operation("poke", """
         select any b from instances of B;
         generate B1:B() to b;
-    """)
+    """, instance_based=instance_based)
     sender.state("Idle", 1)
-    sender.state("Poked", 2, activity="me = self; me.poke();")
+    sender.state("Poked", 2, activity="self.poke();" if instance_based
+                 else "A::poke();")
     sender.trans("Idle", "A1", "Poked")
     receiver = component.klass("Receiver", "B", 2)
     receiver.attr("hits", "integer")
@@ -356,9 +358,11 @@ class TestOperationSends:
     a state activity: the interface has its message and the bus carries
     it."""
 
+    instance_based = True
+
     @pytest.fixture(scope="class")
     def build(self):
-        model = operation_sender_model()
+        model = operation_sender_model(self.instance_based)
         return ModelCompiler(model).compile(
             marks_for_partition(model.components[0], ("B",)))
 
@@ -377,3 +381,10 @@ class TestOperationSends:
         assert machine.state_of(receiver) == "Hit"
         assert machine.read_attribute(receiver, "hits") == 1
         assert machine.bus.stats.messages == 1
+
+
+class TestClassOperationSends(TestOperationSends):
+    """A class operation's send has no sender instance; it leaves from
+    its class's side, so it crosses the bus too."""
+
+    instance_based = False

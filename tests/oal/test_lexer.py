@@ -84,6 +84,14 @@ class TestErrorsAndPositions:
         assert excinfo.value.line == 1
         assert excinfo.value.column == 5
 
+    def test_non_decimal_digit_reports_position(self):
+        # '²' is a digit to str.isdigit but not a number to int()
+        with pytest.raises(OALSyntaxError) as excinfo:
+            tokenize("x = 2\u00b2;")
+        assert str(excinfo.value) == \
+            "unexpected character '\u00b2' (line 1, column 6)"
+        assert texts("x\u00b2") == ["x\u00b2"]
+
     def test_bare_bang_rejected(self):
         with pytest.raises(OALSyntaxError):
             tokenize("a ! b")

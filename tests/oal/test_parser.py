@@ -163,6 +163,13 @@ class TestCalls:
         stmt = only_stmt("engine.reset(hard: true);")
         assert isinstance(stmt.expr, ast.OperationCall)
 
+    def test_self_operation_statement(self):
+        stmt = only_stmt("self.poke(n: 1);")
+        assert isinstance(stmt, ast.ExprStmt)
+        assert isinstance(stmt.expr, ast.OperationCall)
+        assert isinstance(stmt.expr.target, ast.SelfRef)
+        assert stmt.expr.operation == "poke"
+
     def test_bare_expression_statement_rejected(self):
         with pytest.raises(OALSyntaxError):
             parse_activity("1 + 2;")

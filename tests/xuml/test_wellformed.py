@@ -154,6 +154,19 @@ class TestActionRules:
         found = violations_of(builder)
         assert any("ill-typed" in str(v) for v in found)
 
+    def test_non_decimal_digit_is_a_syntax_error(self):
+        builder, component = base_builder()
+        klass = component.klass("Widget", "W")
+        klass.event("W1")
+        klass.state("A", 1, activity="x = 2\u00b2;")
+        klass.trans("A", "W1", "A")
+        found = [(v.severity, v.element, v.message)
+                 for v in violations_of(builder)]
+        assert found == [(
+            Severity.ERROR, "c.W.A",
+            "activity does not parse: unexpected character '\u00b2' "
+            "(line 1, column 6)")]
+
     @pytest.mark.parametrize("expression,finding", [
         ("self.a + ", "derived attribute does not parse"),
         ("self.nosuch + 1", "derived attribute is ill-typed"),
@@ -189,11 +202,37 @@ class TestActionRules:
             check_model(model, strict=True)
         assert len(excinfo.value.violations) >= 2
 
-    def test_actions_check_can_be_skipped(self):
-        builder, component = base_builder()
-        klass = component.klass("Widget", "W")
-        klass.event("W1")
-        klass.state("A", 1, activity="nonsense")
-        klass.trans("A", "W1", "A")
-        model = builder.build(check=False)
-        assert check_model(model, check_actions=False) == []
+
+def multi_failure_builder():
+    """Two classes whose bodies fail in every way ``check_model`` knows:
+    an activity that does not parse, an ill-typed operation and an
+    ill-typed derived attribute."""
+    builder, component = base_builder()
+    first = component.klass("First", "F")
+    first.event("F1")
+    first.state("Idle", 1, activity="this is not OAL")
+    first.state("Done", 2, activity="x = 1;")
+    first.trans("Idle", "F1", "Done")
+    second = component.klass("Second", "S")
+    second.attr("n", "integer")
+    second.attr("half", "integer", derived='"text" + 1')
+    second.operation("bump", 'self.n = "text";')
+    second.operation("fine", "self.n = self.n + 1;")
+    return builder
+
+
+class TestEveryFailingBody:
+    def test_each_failing_body_is_reported_in_model_order(self):
+        found = [(v.severity, v.element, v.message)
+                 for v in violations_of(multi_failure_builder())]
+        assert found == [
+            (Severity.ERROR, "c.F.Idle",
+             "activity does not parse: expected '=', found 'is' "
+             "(line 1, column 6)"),
+            (Severity.ERROR, "c.S::bump",
+             "operation is ill-typed: cannot assign string to integer "
+             "(line 1, column 1)"),
+            (Severity.ERROR, "c.S.half",
+             "derived attribute is ill-typed: arithmetic '+' needs numbers, "
+             "got string, integer (line 1, column 15)"),
+        ]
