@@ -164,11 +164,14 @@ class CoSimMachine(TargetMachine):
     # -- signal plumbing: timed routing into the pool -------------------------------
 
     def _enqueue(self, signal: SignalInstance, delay: int) -> None:
+        # the sender's side is read now: its activity may delete it
+        sender = signal.sender_handle
+        sender_side = self._operation_side if sender is None \
+            else self._side[self.class_of(sender)]
         if self._emit_buffer is not None:
-            self._emit_buffer.append((signal, delay, self._operation_side))
+            self._emit_buffer.append((signal, delay, sender_side))
             return
-        self._route(signal, self.now + delay * US_TO_NS,
-                    self._operation_side)
+        self._route(signal, self.now + delay * US_TO_NS, sender_side)
 
     def call_class_operation(self, class_key: str, name: str, kwargs: dict):
         """Sends from a class operation leave from its class's side, the
@@ -194,13 +197,11 @@ class CoSimMachine(TargetMachine):
 
     def _route(self, signal: SignalInstance, ready_ns: int,
                sender_side: str | None) -> None:
-        """Send *signal* towards its receiver, via the bus if it crosses;
-        *sender_side* is the sending class operation's (None: none)."""
+        """Send *signal* towards its receiver, via the bus if it crosses
+        from *sender_side* (None: from the environment)."""
         self.signals_routed += 1
         if self._m_sent_ns is not None:
             self._m_sent_ns[signal.sequence] = ready_ns
-        if signal.sender_handle is not None:
-            sender_side = self._side[self.class_of(signal.sender_handle)]
         receiver_side = self._side[signal.class_key]
         crosses = sender_side is not None and sender_side != receiver_side
         if not crosses:

@@ -388,3 +388,32 @@ class TestClassOperationSends(TestOperationSends):
     its class's side, so it crosses the bus too."""
 
     instance_based = False
+
+
+def test_sender_that_deletes_itself_still_crosses_the_bus():
+    """The sender's side is read at the send, before its activity ends
+    and deletes it."""
+    builder = ModelBuilder("SelfDelete")
+    component = builder.component("c")
+    sender = component.klass("Sender", "A", 1)
+    sender.event("A1")
+    sender.state("Idle", 1)
+    sender.state("Gone", 2, activity="""
+        select any b from instances of B;
+        generate B1:B() to b;
+        delete object instance self;
+    """)
+    sender.trans("Idle", "A1", "Gone")
+    receiver = component.klass("Receiver", "B", 2)
+    receiver.event("B1")
+    receiver.state("Waiting", 1)
+    receiver.state("Hit", 2)
+    receiver.trans("Waiting", "B1", "Hit")
+    model = builder.build()
+    machine = CoSimMachine(ModelCompiler(model).compile(
+        marks_for_partition(model.components[0], ("B",))))
+    receiver_handle = machine.create_instance("B")
+    machine.inject(machine.create_instance("A"), "A1")
+    machine.run()
+    assert machine.state_of(receiver_handle) == "Hit"
+    assert machine.bus.stats.messages == 1
