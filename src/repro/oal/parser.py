@@ -119,20 +119,19 @@ class _Parser:
                 raise self.error("unexpected keyword at statement start")
             return handler()
         if token.kind is TokenKind.NAME:
-            nxt = self.peek()
-            if nxt.kind is TokenKind.OP and nxt.text == "::":
-                return self._call_stmt()
             return self._call_or_assign_stmt()
         raise self.error("expected a statement")
 
     def _call_or_assign_stmt(self) -> ast.Stmt:
-        """``x.op(...);`` or ``self.op(...);`` is a call, else an assignment."""
-        if (
-            self.peek().kind is TokenKind.OP
-            and self.peek().text == "."
-            and self.peek(2).kind is TokenKind.NAME
-            and self.peek(3).kind is TokenKind.OP
-            and self.peek(3).text == "("
+        """``E::b(...);``, ``x.op(...);`` and ``self.op(...);`` are calls;
+        anything else starting with a name or ``self`` is an assignment."""
+        nxt = self.peek()
+        if nxt.kind is TokenKind.OP and (
+            (nxt.text == "::" and self.current.kind is TokenKind.NAME)
+            or (nxt.text == "."
+                and self.peek(2).kind is TokenKind.NAME
+                and self.peek(3).kind is TokenKind.OP
+                and self.peek(3).text == "(")
         ):
             return self._call_stmt()
         return self._assign_stmt()
