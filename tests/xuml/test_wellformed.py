@@ -5,9 +5,9 @@ import pytest
 from repro.xuml import ModelBuilder, Severity, WellFormednessError, check_model
 
 
-def violations_of(builder, **kwargs):
+def violations_of(builder):
     model = builder.build(check=False)
-    return check_model(model, **kwargs)
+    return check_model(model)
 
 
 def base_builder():
