@@ -185,7 +185,7 @@ class RecordingScheduler(Scheduler):
         choice = self.inner.choose(pool)
         if choice is not None:
             self.choices.append(choice)
-            self.options.append(tuple(sorted(self._sources(pool))))
+            self.options.append(self._sources(pool))
         return choice
 
 
@@ -295,20 +295,21 @@ def _arrival_multisets(sim: Simulation):
     consumed: Counter = Counter()
     drop_first_step: dict[tuple, int] = {}
     dispatch_index = 0
+    # members bound to locals, tested most frequent first
+    consumed_kind = TraceKind.SIGNAL_CONSUMED
+    transition = TraceKind.TRANSITION
+    ignored = TraceKind.SIGNAL_IGNORED
+    created = TraceKind.INSTANCE_CREATED
     for _, kind, values in sim.trace.records():
-        if kind is TraceKind.INSTANCE_CREATED:
-            handle, class_key, state = values
-            klass_of[handle] = class_key
-            state_of[handle] = state
-        elif kind is TraceKind.SIGNAL_CONSUMED:
+        if kind is consumed_kind:
             dispatch_index += 1
-        elif kind is TraceKind.TRANSITION:
+        elif kind is transition:
             handle, class_key, from_state, to_state, label = values
             klass_of[handle] = class_key
             if from_state is not None:
                 consumed[(class_key, label, from_state)] += 1
             state_of[handle] = to_state
-        elif kind is TraceKind.SIGNAL_IGNORED:
+        elif kind is ignored:
             dispatch_index += 1
             _, label, target, reason = values
             if reason == "target deleted":
@@ -319,6 +320,10 @@ def _arrival_multisets(sim: Simulation):
                          state_of[target] or "", reason)
             drops[entry] += 1
             drop_first_step.setdefault(entry, dispatch_index)
+        elif kind is created:
+            handle, class_key, state = values
+            klass_of[handle] = class_key
+            state_of[handle] = state
     return drops, consumed, drop_first_step
 
 

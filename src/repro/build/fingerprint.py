@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from weakref import WeakKeyDictionary
 
 from repro.marks.model import STANDARD_MARKS, MarkSet
 from repro.mda.rules import RuleSet
 from repro.xuml.model import Model
 from repro.xuml.serialize import model_to_dict
+from repro.xuml.tracked import revision
 
 _MARK_NAMES = sorted(d.name for d in STANDARD_MARKS)
 
@@ -60,9 +62,25 @@ def digest(*parts: str) -> str:
     return h.hexdigest()
 
 
+#: model -> (revision, fingerprint) of its last serialization
+_fingerprints: WeakKeyDictionary[Model, tuple[int, str]] = WeakKeyDictionary()
+
+
 def model_fingerprint(model: Model) -> str:
-    """Hash of the whole model through its canonical serialization."""
-    return digest("model", canonical_json(model_to_dict(model)))
+    """Hash of the whole model through its canonical serialization.
+
+    Memoised per model object: the digest is served again while the
+    xUML revision counter (:mod:`repro.xuml.tracked`) has not moved since
+    it was computed.  Any edit to any model moves it, so the memo is
+    recomputed conservatively and never returns a stale digest.
+    """
+    now = revision()
+    memo = _fingerprints.get(model)
+    if memo is not None and memo[0] == now:
+        return memo[1]
+    fingerprint = digest("model", canonical_json(model_to_dict(model)))
+    _fingerprints[model] = (now, fingerprint)
+    return fingerprint
 
 
 def rules_fingerprint(rules: RuleSet) -> str:

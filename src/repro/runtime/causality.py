@@ -52,18 +52,23 @@ class CausalIndex:
         self.ended: dict[int, tuple[int, int]] = {}
         self.consumptions: list[tuple] = []
         self.starts: list[tuple] = []
+        # members bound to locals once, not read per record
+        sent_kind = TraceKind.SIGNAL_SENT
+        consumed_kind = TraceKind.SIGNAL_CONSUMED
+        start_kind = TraceKind.ACTIVITY_START
+        end_kind = TraceKind.ACTIVITY_END
         for index, (time, kind, values) in enumerate(trace.records()):
-            if kind is TraceKind.SIGNAL_SENT:
+            if kind is sent_kind:
                 self.sent[values[0]] = (
                     index, time, values[1], values[4], values[5])
-            elif kind is TraceKind.SIGNAL_CONSUMED:
+            elif kind is consumed_kind:
                 self.consumptions.append((index, time, *values[:4]))
-            elif kind is TraceKind.ACTIVITY_START:
+            elif kind is start_kind:
                 activity, handle, _, _, consumed = values
                 self.starts.append((index, activity, handle, consumed))
                 if consumed is not None:
                     self.started_by[activity] = consumed
-            elif kind is TraceKind.ACTIVITY_END:
+            elif kind is end_kind:
                 self.ended[values[0]] = (index, time)
 
     def root_of(self, sequence: int) -> int | None:

@@ -52,6 +52,19 @@ from .instances import Instance
 from .links import LinkStore
 from .tracing import Trace, TraceKind
 
+# Enum members bound once: an ``Enum`` attribute read costs ~10x a module
+# global's, and a consumed signal needs seven of them.
+_IGNORE = EventResponse.IGNORE
+_CANT_HAPPEN = EventResponse.CANT_HAPPEN
+_INSTANCE_CREATED = TraceKind.INSTANCE_CREATED
+_SIGNAL_SENT = TraceKind.SIGNAL_SENT
+_SIGNAL_CONSUMED = TraceKind.SIGNAL_CONSUMED
+_SIGNAL_IGNORED = TraceKind.SIGNAL_IGNORED
+_TRANSITION = TraceKind.TRANSITION
+_ACTIVITY_START = TraceKind.ACTIVITY_START
+_ACTIVITY_END = TraceKind.ACTIVITY_END
+_BRIDGE_CALL = TraceKind.BRIDGE_CALL
+
 
 # -- standard bridge services ------------------------------------------------
 # Each is ``impl(executor, self_handle, **params)``; the declared bridge
@@ -198,7 +211,7 @@ class Dispatcher:
         instance = Instance(handle, class_key, attributes, state)
         self._instances[handle] = instance
         self._extents[class_key][handle] = instance
-        self.trace.record(self.now, TraceKind.INSTANCE_CREATED,
+        self.trace.record(self.now, _INSTANCE_CREATED,
                           handle, class_key, state)
         return handle
 
@@ -303,7 +316,7 @@ class Dispatcher:
             sequence, label, class_key, dict(params or {}), target, sender,
             activity_id, self.now, is_creation)
         self.trace.record(
-            self.now, TraceKind.SIGNAL_SENT,
+            self.now, _SIGNAL_SENT,
             sequence, label, target, sender, activity_id, delay,
         )
         self._enqueue(signal, delay)
@@ -341,7 +354,7 @@ class Dispatcher:
 
     def call_bridge(self, self_handle, entity, operation, kwargs: dict):
         """Trace a bridge call and run its implementation from ``bridges``."""
-        self.trace.record(self.now, TraceKind.BRIDGE_CALL,
+        self.trace.record(self.now, _BRIDGE_CALL,
                           entity, operation, self_handle)
         impl = self.bridges.get((entity, operation))
         if impl is None:
@@ -374,11 +387,11 @@ class Dispatcher:
                                  f"to #{handle}, a live {target.class_key}")
             from_state = target.current_state
             to_state = self._responses.get((class_key, from_state, label),
-                                           EventResponse.CANT_HAPPEN)
-            if to_state is EventResponse.IGNORE:
+                                           _CANT_HAPPEN)
+            if to_state is _IGNORE:
                 self._drop(signal, "ignored")
                 return
-            if to_state is EventResponse.CANT_HAPPEN:
+            if to_state is _CANT_HAPPEN:
                 self.cant_happen_count += 1
                 if self.cant_happen_policy == "error":
                     raise self.cant_happen_error(
@@ -387,17 +400,17 @@ class Dispatcher:
                 self._drop(signal, "cant_happen")
                 return
         record = self.trace.record
-        record(self.now, TraceKind.SIGNAL_CONSUMED,
+        record(self.now, _SIGNAL_CONSUMED,
                signal.sequence, label, handle, signal.sender_handle,
                signal.activity_id)
         target.current_state = to_state
-        record(self.now, TraceKind.TRANSITION,
+        record(self.now, _TRANSITION,
                handle, class_key, from_state, to_state, label)
         self._run_state_activity(target, to_state, signal)
 
     def _drop(self, signal: SignalInstance, reason: str) -> None:
         self.trace.record(
-            self.now, TraceKind.SIGNAL_IGNORED,
+            self.now, _SIGNAL_IGNORED,
             signal.sequence, signal.label, signal.target_handle, reason,
         )
 
@@ -410,7 +423,7 @@ class Dispatcher:
         self._next_activity += 1
         handle, class_key = instance.handle, instance.class_key
         self.trace.record(
-            self.now, TraceKind.ACTIVITY_START,
+            self.now, _ACTIVITY_START,
             activity_id, handle, class_key, state, signal.sequence,
         )
         self._activity_stack.append(activity_id)
@@ -419,7 +432,7 @@ class Dispatcher:
                               signal.params)
         finally:
             self._activity_stack.pop()
-            self.trace.record(self.now, TraceKind.ACTIVITY_END,
+            self.trace.record(self.now, _ACTIVITY_END,
                               activity_id, handle, class_key, state)
 
     # -- step-driven execution ------------------------------------------------------

@@ -97,15 +97,18 @@ class EventPool:
     Creation events have no instance yet; they wait in a dedicated FIFO
     that schedulers treat as one more dispatch source.
 
-    ``_queues`` holds exactly the non-empty queues: one is created on the
+    ``_queues`` holds exactly the non-empty queues: one is taken on the
     first push to a handle and removed when its last event is popped or
     its instance is dropped.  Choosing a source therefore costs O(ready
-    instances), not O(every instance that ever received an event).
+    instances), not O(every instance that ever received an event).  A
+    queue emptied by a pop goes to ``_spare`` and serves the next handle
+    that needs one, so a push allocates only when every queue is in use.
     """
 
     def __init__(self, self_priority: bool = True):
         self._self_priority = self_priority
         self._queues: dict[int, InstanceQueue] = {}
+        self._spare: list[InstanceQueue] = []
         self._creations: deque[SignalInstance] = deque()
         self._delayed: list[tuple[int, int, SignalInstance]] = []  # (due, seq, sig)
         #: earliest due time of a delayed event (inf: none), read per step
@@ -119,7 +122,8 @@ class EventPool:
             return
         queue = self._queues.get(signal.target_handle)
         if queue is None:
-            queue = InstanceQueue(self._self_priority)
+            queue = (self._spare.pop() if self._spare
+                     else InstanceQueue(self._self_priority))
             self._queues[signal.target_handle] = queue
         queue.push(signal)
 
@@ -172,6 +176,7 @@ class EventPool:
         signal = queue.pop()
         if not queue:
             del self._queues[handle]
+            self._spare.append(queue)
         return signal
 
     def oldest_source(self) -> int | None:

@@ -41,11 +41,13 @@ class Scheduler:
         """Return an instance handle, CREATION, or None when idle."""
         raise NotImplementedError
 
-    def _sources(self, pool: EventPool) -> list[int]:
-        sources = list(pool.ready_handles())
+    def _sources(self, pool: EventPool) -> tuple[int, ...]:
+        """The ready sources, sorted: CREATION (-1) sorts before every
+        handle, and ``ready_handles`` is already in handle order."""
+        handles = pool.ready_handles()
         if pool.has_ready_creation():
-            sources.append(CREATION)
-        return sources
+            return (CREATION, *handles)
+        return handles
 
 
 class SynchronousScheduler(Scheduler):
@@ -66,7 +68,7 @@ class RoundRobinScheduler(Scheduler):
         self._last: int | None = None
 
     def choose(self, pool: EventPool) -> int | None:
-        sources = sorted(self._sources(pool))
+        sources = self._sources(pool)
         if not sources:
             return None
         if self._last is None:
@@ -90,7 +92,7 @@ class InterleavedScheduler(Scheduler):
         sources = self._sources(pool)
         if not sources:
             return None
-        return self.pick(sorted(sources))
+        return self.pick(sources)
 
     def pick(self, options):
         """Draw one of the sorted *options*: this scheduler's one random rule.

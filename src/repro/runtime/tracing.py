@@ -122,10 +122,11 @@ class Trace:
         """
         per_instance: dict[int, list[tuple[str, str]]] = {}
         pending_label: dict[int, str] = {}
+        consumed, transition = TraceKind.SIGNAL_CONSUMED, TraceKind.TRANSITION
         for _, kind, values in self._records:
-            if kind is TraceKind.SIGNAL_CONSUMED:
+            if kind is consumed:
                 pending_label[values[2]] = values[1]
-            elif kind is TraceKind.TRANSITION:
+            elif kind is transition:
                 handle = values[0]
                 label = pending_label.pop(handle, "")
                 per_instance.setdefault(handle, []).append((label, values[3]))

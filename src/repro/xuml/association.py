@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .tracked import Tracked
+
 
 class Multiplicity(enum.Enum):
     """Multiplicity-with-conditionality of one association end."""
@@ -53,7 +55,7 @@ class AssociationEnd:
 
 
 @dataclass
-class Association:
+class Association(Tracked):
     """A numbered association between two classes.
 
     ``number`` is the xtUML relationship number ("R1"); it is the handle

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .datatypes import DataType, default_value
+from .tracked import Tracked
 
 
 @dataclass
-class Attribute:
+class Attribute(Tracked):
     """One attribute of a class.
 
     Parameters
@@ -57,7 +58,7 @@ class Attribute:
 
 
 @dataclass
-class Identifier:
+class Identifier(Tracked):
     """A candidate key: an ordered set of attribute names.
 
     ``number`` follows xtUML convention: identifier 1 is the preferred

@@ -13,9 +13,10 @@ from .datatypes import TypeRegistry
 from .errors import DuplicateElementError, UnknownElementError
 from .external import ExternalEntity
 from .klass import ModelClass
+from .tracked import Tracked, bump
 
 
-class Component:
+class Component(Tracked):
     """One modelled domain: classes + associations + types + externals."""
 
     def __init__(self, name: str, description: str = ""):
@@ -41,6 +42,7 @@ class Component:
                     f"component {self.name}: class number {klass.number} already "
                     f"used by {existing.key_letters}"
                 )
+        bump()
         self._classes[klass.key_letters] = klass
         return klass
 
@@ -70,6 +72,7 @@ class Component:
             raise DuplicateElementError(
                 f"component {self.name}: {association.number} already defined"
             )
+        bump()
         self._associations[association.number] = association
         return association
 
@@ -96,6 +99,7 @@ class Component:
                 f"component {self.name}: external {external.key_letters!r} "
                 "already defined"
             )
+        bump()
         self._externals[external.key_letters] = external
         return external
 

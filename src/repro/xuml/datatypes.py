@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .tracked import Tracked, bump
+
 
 class CoreType(enum.Enum):
     """Built-in scalar types available to attributes and event parameters."""
@@ -158,7 +160,7 @@ def bit_width(dtype: DataType) -> int:
 
 
 @dataclass
-class TypeRegistry:
+class TypeRegistry(Tracked):
     """Per-component registry of user-defined types.
 
     Components own their enumerations; the registry enforces unique names
@@ -171,6 +173,7 @@ class TypeRegistry:
         if name in self._enums:
             raise ValueError(f"enum type {name!r} already defined")
         etype = EnumType(name, tuple(enumerators))
+        bump()
         self._enums[name] = etype
         return etype
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .datatypes import DataType
+from .tracked import Tracked
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class EventParameter:
 
 
 @dataclass
-class EventSpec:
+class EventSpec(Tracked):
     """Declaration of a signal a class's state machine can receive.
 
     Parameters

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 from .datatypes import DataType
 from .errors import DuplicateElementError, UnknownElementError
 from .event import EventParameter
+from .tracked import Tracked, bump
 
 
 @dataclass
-class BridgeSpec:
+class BridgeSpec(Tracked):
     """Declaration of one bridge operation on an external entity."""
 
     name: str
@@ -33,7 +34,7 @@ class BridgeSpec:
             raise ValueError(f"bridge {self.name} has duplicate parameter names")
 
 
-class ExternalEntity:
+class ExternalEntity(Tracked):
     """A named external entity owning a set of bridges."""
 
     def __init__(self, key_letters: str, name: str = ""):
@@ -48,6 +49,7 @@ class ExternalEntity:
             raise DuplicateElementError(
                 f"{self.key_letters}: bridge {bridge.name!r} already defined"
             )
+        bump()
         self._bridges[bridge.name] = bridge
         return bridge
 

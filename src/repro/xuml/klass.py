@@ -14,10 +14,11 @@ from .attribute import Attribute, Identifier
 from .errors import DuplicateElementError, UnknownElementError
 from .event import EventSpec
 from .statemachine import StateMachine
+from .tracked import Tracked, bump
 
 
 @dataclass
-class Operation:
+class Operation(Tracked):
     """A synchronous class-based or instance-based operation.
 
     xtUML allows synchronous services in addition to signals; the profile
@@ -45,7 +46,7 @@ def derived_operation(attribute: Attribute) -> Operation:
     )
 
 
-class ModelClass:
+class ModelClass(Tracked):
     """One class of a component.
 
     Parameters
@@ -80,6 +81,7 @@ class ModelClass:
             raise DuplicateElementError(
                 f"{self.key_letters}: attribute {attribute.name!r} already defined"
             )
+        bump()
         self._attributes[attribute.name] = attribute
         return attribute
 
@@ -105,6 +107,7 @@ class ModelClass:
             raise DuplicateElementError(
                 f"{self.key_letters}: identifier I{identifier.number} already defined"
             )
+        bump()
         self._identifiers[identifier.number] = identifier
         return identifier
 
@@ -119,6 +122,7 @@ class ModelClass:
             raise DuplicateElementError(
                 f"{self.key_letters}: event {event.label!r} already defined"
             )
+        bump()
         self._events[event.label] = event
         return event
 
@@ -144,6 +148,7 @@ class ModelClass:
             raise DuplicateElementError(
                 f"{self.key_letters}: operation {operation.name!r} already defined"
             )
+        bump()
         self._operations[operation.name] = operation
         return operation
 

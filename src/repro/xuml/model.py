@@ -11,9 +11,10 @@ from __future__ import annotations
 from .component import Component
 from .errors import DuplicateElementError, UnknownElementError
 from .klass import ModelClass
+from .tracked import Tracked, bump
 
 
-class Model:
+class Model(Tracked):
     """A system model: one or more components."""
 
     def __init__(self, name: str, description: str = ""):
@@ -28,6 +29,7 @@ class Model:
             raise DuplicateElementError(
                 f"model {self.name}: component {component.name!r} already defined"
             )
+        bump()
         self._components[component.name] = component
         return component
 

@@ -21,6 +21,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import DefinitionError, DuplicateElementError, UnknownElementError
+from .tracked import Tracked, bump
 
 
 class EventResponse(enum.Enum):
@@ -32,7 +33,7 @@ class EventResponse(enum.Enum):
 
 
 @dataclass
-class State:
+class State(Tracked):
     """One state: a name, a number, and an entry activity in OAL text."""
 
     name: str
@@ -64,7 +65,7 @@ class CreationTransition:
     to_state: str
 
 
-class StateMachine:
+class StateMachine(Tracked):
     """The lifecycle of one class, as a state transition table.
 
     The table is total: for every (state, event) pair the machine answers
@@ -90,6 +91,7 @@ class StateMachine:
                 raise DuplicateElementError(
                     f"state number {state.number} already used by {existing.name!r}"
                 )
+        bump()
         self._states[state.name] = state
         if self.initial_state is None and not state.final:
             self.initial_state = state.name
@@ -101,6 +103,7 @@ class StateMachine:
             raise DuplicateElementError(
                 f"state {from_state!r} already answers event {event_label!r}"
             )
+        bump()
         tr = Transition(from_state, event_label, to_state)
         self._transitions[key] = tr
         self._responses[key] = EventResponse.TRANSITION
@@ -111,6 +114,7 @@ class StateMachine:
             raise DuplicateElementError(
                 f"creation event {event_label!r} already defined"
             )
+        bump()
         ct = CreationTransition(event_label, to_state)
         self._creations[event_label] = ct
         return ct
@@ -121,6 +125,7 @@ class StateMachine:
             raise DefinitionError(
                 f"({state}, {event_label}) already transitions; cannot ignore"
             )
+        bump()
         self._responses[key] = EventResponse.IGNORE
 
     def set_cant_happen(self, state: str, event_label: str) -> None:
@@ -129,6 +134,7 @@ class StateMachine:
             raise DefinitionError(
                 f"({state}, {event_label}) already transitions; cannot mark can't-happen"
             )
+        bump()
         self._responses[key] = EventResponse.CANT_HAPPEN
 
     # -- queries -----------------------------------------------------------

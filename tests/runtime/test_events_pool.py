@@ -91,6 +91,26 @@ class TestEventPool:
         pool.push_ready(signal(3, target=4))
         assert pool.ready_handles() == (4, 6)
 
+    def test_emptied_queue_serves_the_next_handle(self):
+        pool = EventPool()
+        pool.push_ready(signal(1, target=3))
+        queue = pool._queues[3]
+        pool.pop_for(3)
+        assert pool._queues == {}
+        pool.push_ready(signal(2, target=7))
+        assert pool._queues == {7: queue}
+        pool.push_ready(signal(3, target=8))
+        assert pool._queues[8] is not queue
+
+    def test_reused_queue_keeps_the_pool_queueing_rule(self):
+        for self_priority, order in ((True, [3, 2]), (False, [2, 3])):
+            pool = EventPool(self_priority)
+            pool.push_ready(signal(1, target=3))
+            pool.pop_for(3)
+            pool.push_ready(signal(2, target=5, sender=9))
+            pool.push_ready(signal(3, target=5, sender=5))  # self-directed
+            assert [pool.pop_for(5).sequence for _ in order] == order
+
     def test_idle(self):
         pool = EventPool()
         assert pool.ready_count == 0 and pool.delayed_count == 0
