@@ -100,9 +100,14 @@ class IncrementalCompiler(ModelCompiler):
     ):
         super().__init__(model, component, rules)
         self.store = store
-        self._model_fp = model_fingerprint(model)
         self._rules_fp = rules_fingerprint(self.rules)
         self.last_stats: CompileStats | None = None
+
+    @property
+    def _model_fp(self) -> str:
+        # read per use, not kept: the memo serves it until the model is
+        # edited, and an edited model must miss the store
+        return model_fingerprint(self.model)
 
     def compile(self, marks: MarkSet) -> Build:
         """The same pipeline as ``ModelCompiler.compile``, cached."""

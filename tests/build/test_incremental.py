@@ -72,6 +72,17 @@ class TestByteIdentity:
         assert fresh.last_stats.fully_cached
         assert fresh.last_stats.manifest_reused
 
+    def test_reused_compiler_sees_a_model_edit(self, tmp_path):
+        model = build_model("microwave")
+        marks = marks_for_partition(model.components[0], ("PT",))
+        compiler = IncrementalCompiler(model, store=ArtifactStore(tmp_path))
+        before = compiler.compile(marks)
+        state = model.components[0].klass("MO").statemachine.state("Idle")
+        state.activity += '\nLOG::info(message: "edited");'
+        after = compiler.compile(marks)
+        assert after.artifacts != before.artifacts
+        assert after.artifacts == ModelCompiler(model).compile(marks).artifacts
+
 
 class TestStrictReuse:
     def test_single_mark_retarget_recompiles_strictly_fewer(self, tmp_path):
