@@ -20,6 +20,15 @@ key per build, so the store keys each piece by its own dependencies:
   built around the lowered IR, functions of the model alone that every
   retarget reuses.
 
+:func:`model_fingerprint` is memoised per model object.  The memo keeps
+the xUML revision (:mod:`repro.xuml.tracked`) it was computed at, and
+every edit to any model element moves that revision: an attribute
+assignment on an element, an ``add_*``/``set_*`` mutator or
+``define_enum``.  A moved revision means serializing again, so the memo
+can cost a recomputation but never serve a stale digest.  A lint pass,
+whose every explorer run builds a simulation and so looks the
+fingerprint up, serializes each model once.
+
 Mapping-rule predicates are code and cannot be hashed by value; a rule's
 identity is its ordered ``(name, target)`` pair, and any change to a
 predicate's *meaning* must bump :data:`GENERATOR_VERSION` (the same
@@ -67,13 +76,8 @@ _fingerprints: WeakKeyDictionary[Model, tuple[int, str]] = WeakKeyDictionary()
 
 
 def model_fingerprint(model: Model) -> str:
-    """Hash of the whole model through its canonical serialization.
-
-    Memoised per model object: the digest is served again while the
-    xUML revision counter (:mod:`repro.xuml.tracked`) has not moved since
-    it was computed.  Any edit to any model moves it, so the memo is
-    recomputed conservatively and never returns a stale digest.
-    """
+    """Hash of the whole model through its canonical serialization,
+    memoised until the next model edit (see the module docstring)."""
     now = revision()
     memo = _fingerprints.get(model)
     if memo is not None and memo[0] == now:

@@ -9,7 +9,9 @@ content-addressed with the *build layer's* fingerprint
 (:func:`repro.build.fingerprint.model_fingerprint`): two structurally
 identical models — e.g. a catalog model rebuilt for every verification
 case — share one lowered form, while any model edit changes the key and
-misses.
+misses.  The fingerprint is memoised per model object until the next
+edit to any model element, so looking a lowering up serializes the model
+only the first time after an edit.
 
 A :class:`LoweredComponent` is the one copy of the component's dispatch
 tables and IR.  The abstract runtime loads it at model-load; the build
