@@ -172,7 +172,8 @@ def stimuli_from_scenarios(scenarios) -> dict[str, frozenset[str]]:
 
 class RecordingScheduler(Scheduler):
     """Wrap any scheduler; remember every dispatch choice it makes and
-    the sorted ready sources it chose among."""
+    the sorted ready sources it chose among, built once per dispatch and
+    handed to the wrapped scheduler."""
 
     name = "recording"
 
@@ -181,11 +182,13 @@ class RecordingScheduler(Scheduler):
         self.choices: list[int] = []
         self.options: list[tuple[int, ...]] = []
 
-    def choose(self, pool):
-        choice = self.inner.choose(pool)
+    def choose(self, pool, sources=None):
+        if sources is None:
+            sources = self._sources(pool)
+        choice = self.inner.choose(pool, sources)
         if choice is not None:
             self.choices.append(choice)
-            self.options.append(self._sources(pool))
+            self.options.append(sources)
         return choice
 
 
@@ -206,9 +209,10 @@ class ReplayScheduler(Scheduler):
         self._index = 0
         self.diverged = False
 
-    def choose(self, pool):
+    def choose(self, pool, sources=None):
         if self._index < len(self._choices):
-            sources = self._sources(pool)
+            if sources is None:
+                sources = self._sources(pool)
             if not sources:
                 return None
             choice = self._choices[self._index]

@@ -64,7 +64,8 @@ class Bus:
                  fault_stats: FaultStats | None = None):
         self._config = config.validated()
         self._pending: list[BusRequest] = []
-        self._free_at = 0
+        #: when the current transfer leaves the bus; never decreases
+        self.free_at = 0
         self._rr_last_side = "hw"    # round-robin alternates sides
         self.stats = BusStats()
         self._fault_plan = fault_plan
@@ -74,21 +75,11 @@ class Bus:
         self._m_wait = (None if registry is None
                         else registry.histogram("cosim.bus.wait_ns"))
 
-    @property
-    def free_at(self) -> int:
-        return self._free_at
-
     def request(self, request: BusRequest) -> None:
         self._pending.append(request)
 
     def has_pending(self) -> bool:
         return bool(self._pending)
-
-    def next_ready_time(self) -> int | None:
-        if not self._pending:
-            return None
-        earliest = min(r.ready_at for r in self._pending)
-        return max(earliest, self._free_at)
 
     def grant(self, now: int) -> tuple[int, BusRequest] | None:
         """Grant one request if the bus is idle at *now*.
@@ -96,17 +87,17 @@ class Bus:
         Returns ``(delivery_time, request)`` after accounting, or None.
         The caller invokes ``request.deliver()`` at the delivery time.
         """
-        if now < self._free_at or not self._pending:
+        if now < self.free_at or not self._pending:
             return None
         ready = [r for r in self._pending if r.ready_at <= now]
         if not ready:
             return None
-        chosen = self._arbitrate(ready)
+        chosen = ready[0] if len(ready) == 1 else self._arbitrate(ready)
         self._pending.remove(chosen)
         transfer = self._config.bus_transfer_ns(chosen.payload_bytes)
-        start = max(now, chosen.ready_at)
+        start = now   # the bus is free and the request ready
         delivery = start + transfer
-        self._free_at = delivery
+        self.free_at = delivery
         self.stats.messages += 1
         self.stats.bytes_moved += chosen.payload_bytes
         self.stats.busy_ns += transfer

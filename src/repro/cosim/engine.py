@@ -25,6 +25,25 @@ time, and the CPU picks its next dispatch with the generated kernel's
 :class:`~repro.runtime.scheduler.KernelScheduler`.  Timer cancellation
 and instance deletion therefore act on the queues this engine drains.
 The engine's own heap holds only bus and retransmission events.
+
+One instant is one pass (:meth:`CoSimMachine._dispatch_now`), and each
+resource's readiness lives in one place:
+
+* the CPU is ready when ``_cpu_free_at`` is past and a software handle
+  holds a queue in the pool's live ready map, or a creation waits in
+  its FIFO;
+* a hardware bank is ready when its handle holds a queue and its
+  ``_hw_free_at`` entry is past;
+* the bus is ready at the poll events on the heap, which sit at each
+  request's ready time and at each moment the bus frees with work
+  pending.
+
+The pass releases due signals and drains the heap only when something
+is due, starts every ready bank in handle order, gives a ready CPU its
+kernel-order source and routes what each service emitted at the
+service's end.  :meth:`CoSimMachine._next_time` takes the minimum over
+the same three places, as a DEVS coordinator takes the minimum of its
+models' time advances; :meth:`Dispatcher.advance` moves the clock.
 """
 
 from __future__ import annotations
@@ -55,6 +74,9 @@ US_TO_NS = 1_000
 #: anyway; one hour is generous enough that every fault-free suite
 #: finishes unchanged.
 QUIESCENCE_BUDGET_US = 3_600 * 1_000_000
+
+# heap event kinds
+_POLL, _DELIVER, _RETRY = "bus_poll", "bus_deliver", "retry"
 
 
 @dataclass
@@ -98,11 +120,23 @@ class _Transfer:
     lost_counted: bool = False
 
 
+def _field_encoding(tag: str, enums: dict):
+    """How :meth:`CoSimMachine._cross` puts a parameter on the wire: an
+    enum's literals (a literal travels as its index), ``"ref"`` for an
+    instance reference (None travels as 0) or None (the value as is)."""
+    if tag.startswith("enum:"):
+        return enums[tag.split(":", 1)[1]]
+    if tag.startswith("inst_ref"):
+        return "ref"
+    return None
+
+
 class CoSimMachine(TargetMachine):
     """Timed execution of one build on the modelled SoC platform."""
 
     name = "cosim"
     ticks_per_us = US_TO_NS
+    whole_instants = True
 
     def __init__(self, build: Build, config: CoSimConfig | None = None,
                  fault_plan: FaultPlan | None = None):
@@ -117,26 +151,32 @@ class CoSimMachine(TargetMachine):
         self.bus = Bus(self.config, fault_plan, self.fault_stats)
         self._codec = InterfaceCodec.from_artifact(
             build.interface.emit_c_header())
+        # (receiver class, label) -> (message, its wire encoding), filled
+        # by the first crossing of each boundary flow
+        self._messages: dict[tuple[str, str], tuple] = {}
         # resilience protocol state
         self._frame_counter = 0
         self._delivered_frames: set[int] = set()
         self._lost_frames: set[int] = set()
         self._corrupted_sequences: set[int] = set()
         # bus and retry events; signals wait in self.pool
-        self._heap: list[tuple[int, int, int, object]] = []
+        self._heap: list[tuple[int, int, str, object]] = []
         self._heap_seq = 0
-        # each class's side ("sw" or "hw"), resolved once
+        # each class's side ("sw" or "hw"), resolved once, and each
+        # handle's, recorded at its creation and kept after its deletion
         self._side = {
             key: self.partition.side_of(key)
             for key in (*self.partition.hardware_classes,
                         *self.partition.software_classes)
         }
+        self._handle_side: dict[int, str] = {}
+        self._ready, self._waiting_creations = self.pool.live_sources()
         self._cpu_scheduler = KernelScheduler()
         self._cpu_free_at = 0
         self._hw_free_at: dict[int, int] = {}
-        # an instant whose every started service left its resource busy
-        # past it: nothing more can start there (see _start_services)
-        self._settled_at: int | None = None
+        config = self.config
+        self._sw_cost = (config.sw_dispatch_ns, config.sw_ns_per_op)
+        self._hw_cost = (config.hw_dispatch_ns, config.hw_ns_per_op)
         self._emit_buffer: list[tuple[SignalInstance, int, str | None]] | None = None
         self._operation_side: str | None = None   # of the running class op
         self.cpu_stats = ResourceStats("cpu")
@@ -161,17 +201,24 @@ class CoSimMachine(TargetMachine):
             }
             self._m_sent_ns = {}
 
+    def create_instance(self, class_key: str, **attribute_values) -> int:
+        handle = super().create_instance(class_key, **attribute_values)
+        side = self._handle_side[handle] = self._side[class_key]
+        if side == "hw":
+            self._hw_free_at[handle] = 0
+        return handle
+
     # -- signal plumbing: timed routing into the pool -------------------------------
 
     def _enqueue(self, signal: SignalInstance, delay: int) -> None:
         # the sender's side is read now: its activity may delete it
         sender = signal.sender_handle
         sender_side = self._operation_side if sender is None \
-            else self._side[self.class_of(sender)]
+            else self._handle_side[sender]
         if self._emit_buffer is not None:
             self._emit_buffer.append((signal, delay, sender_side))
             return
-        self._route(signal, self.now + delay * US_TO_NS, sender_side)
+        self._route(((signal, delay, sender_side),), self.now)
 
     def call_class_operation(self, class_key: str, name: str, kwargs: dict):
         """Sends from a class operation leave from its class's side, the
@@ -195,31 +242,55 @@ class CoSimMachine(TargetMachine):
             buffer[:] = kept
         return cancelled
 
-    def _route(self, signal: SignalInstance, ready_ns: int,
-               sender_side: str | None) -> None:
-        """Send *signal* towards its receiver, via the bus if it crosses
-        from *sender_side* (None: from the environment)."""
-        self.signals_routed += 1
-        if self._m_sent_ns is not None:
-            self._m_sent_ns[signal.sequence] = ready_ns
-        receiver_side = self._side[signal.class_key]
-        crosses = sender_side is not None and sender_side != receiver_side
-        if not crosses:
-            if self._receivable(signal):
-                self.pool.push_delayed(signal, ready_ns)
-            return
-        message = self.build.interface.message_for(
-            signal.class_key, signal.label)
-        # pack through the generated layout: the payload a real bus carries
+    def _route(self, sends, base_ns: int) -> None:
+        """Send each ``(signal, delay, sender_side)`` of *sends* towards
+        its receiver, ready *delay* microseconds after *base_ns*: into the
+        pool, or over the bus if it crosses from *sender_side* (None:
+        from the environment)."""
+        sent_ns = self._m_sent_ns
+        side = self._side
+        instances = self._instances
+        push = self.pool.push_delayed
+        for signal, delay, sender_side in sends:
+            self.signals_routed += 1
+            ready_ns = base_ns + delay * US_TO_NS
+            if sent_ns is not None:
+                sent_ns[signal.sequence] = ready_ns
+            if sender_side is not None \
+                    and sender_side != side[signal.class_key]:
+                self._cross(signal, ready_ns, sender_side)
+            elif signal.is_creation or signal.target_handle in instances:
+                push(signal, ready_ns)
+            # else the receiver died: the signal is dropped
+
+    def _cross(self, signal: SignalInstance, ready_ns: int,
+               sender_side: str) -> None:
+        """Pack *signal* through the generated layout, the payload a real
+        bus carries, and put its first attempt on the bus."""
+        key = (signal.class_key, signal.label)
+        entry = self._messages.get(key)
+        if entry is None:
+            message = self.build.interface.message_for(*key)
+            enums = self.manifest.enums
+            entry = self._messages[key] = (message, tuple(
+                (name, _field_encoding(tag, enums))
+                for name, tag, _o, _w in self._codec.layouts[message.name][2]
+                if name != "target_instance"))
+        message, fields = entry
+        params = signal.params
         values = {"target_instance": signal.target_handle or 0}
-        values.update({
-            name: self._bus_encode(signal.params.get(name), tag)
-            for name, tag, _o, _w in self._codec.layouts[message.name][2]
-            if name != "target_instance"
-        })
+        for name, encoding in fields:
+            value = params.get(name)
+            if value is None:
+                value = 0
+            elif encoding == "ref":
+                value = int(value) if value else 0
+            elif encoding is not None:
+                value = encoding.index(value) if isinstance(value, str) \
+                    else int(value)
+            values[name] = value
         payload = self._codec.pack(message.name, values)
         self._frame_counter += 1
-        frame_spec = self._codec.frames.get(message.name)
         transfer = _Transfer(
             frame_id=self._frame_counter,
             signal=signal,
@@ -228,6 +299,7 @@ class CoSimMachine(TargetMachine):
             sender_side=sender_side,
             payload=payload,
         )
+        frame_spec = self._codec.frames.get(message.name)
         if frame_spec is not None:
             transfer.protected = True
             transfer.max_retries = frame_spec.max_retries
@@ -258,22 +330,14 @@ class CoSimMachine(TargetMachine):
         request.deliver = \
             lambda t=transfer, r=request: self._frame_arrived(t, r)
         self.bus.request(request)
-        self._push_heap(ready_ns, "bus_poll", None)
+        if ready_ns >= self.bus.free_at:
+            # else a poll at ready_ns could grant nothing: the poll made
+            # when the bus frees serves this request
+            self._push_heap(ready_ns, _POLL, None)
         if transfer.protected and transfer.max_retries > 0:
             # ack timeout doubles per attempt (exponential backoff)
             timeout = transfer.backoff_ns << (attempt - 1)
-            self._push_heap(ready_ns + timeout, "retry", transfer)
-
-    def _bus_encode(self, value, tag: str):
-        if value is None:
-            return 0
-        if tag.startswith("enum:"):
-            enum_name = tag.split(":", 1)[1]
-            return self.manifest.enums[enum_name].index(value) \
-                if isinstance(value, str) else int(value)
-        if tag.startswith("inst_ref"):
-            return int(value) if value else 0
-        return value
+            self._push_heap(ready_ns + timeout, _RETRY, transfer)
 
     # -- receiver side of the resilience protocol ---------------------------------
 
@@ -296,8 +360,10 @@ class CoSimMachine(TargetMachine):
         for _ in range(deliveries):
             if transfer.protected:
                 self._accept_frame(transfer, wire)
+            elif fault.corrupt:
+                self._deliver_corrupted(transfer, wire)
             else:
-                self._deliver_unprotected(transfer, wire, fault.corrupt)
+                self._deliver(transfer.signal)
 
     def _accept_frame(self, transfer: _Transfer, wire: bytes) -> None:
         """CRC check, dedup, ack, and delivery of a protected frame."""
@@ -337,12 +403,9 @@ class CoSimMachine(TargetMachine):
             self._corrupted_sequences.add(decoded.sequence)
             self._deliver(decoded)
 
-    def _deliver_unprotected(self, transfer: _Transfer, wire: bytes,
-                             corrupted: bool) -> None:
-        """Best-effort delivery: garbage degrades gracefully, never raises."""
-        if not corrupted:
-            self._deliver(transfer.signal)
-            return
+    def _deliver_corrupted(self, transfer: _Transfer, wire: bytes) -> None:
+        """Best-effort delivery of an unprotected frame the wire altered:
+        garbage degrades gracefully, never raises."""
         decoded = self._decode_signal(transfer, wire)
         if decoded is None:
             # malformed beyond decoding: dropped and counted, no exception
@@ -397,9 +460,6 @@ class CoSimMachine(TargetMachine):
         self._heap_seq += 1
         heapq.heappush(self._heap, (time_ns, self._heap_seq, kind, payload))
 
-    def _push_heap_now(self, kind: str, payload) -> None:
-        self._push_heap(self.now, kind, payload)
-
     # -- the shared loop's hooks: one instant, and the next one -----------------
 
     def run(self, horizon_us: int | None = None,
@@ -407,7 +467,6 @@ class CoSimMachine(TargetMachine):
         """Run through model time *horizon_us* or, without one, to
         quiescence within :data:`QUIESCENCE_BUDGET_US`.  Returns the
         dispatch count."""
-        self._settled_at = None   # the caller may have added work since
         if horizon_us is not None:
             return super().run_until(horizon_us, max_steps)
         budget_us = self.now // US_TO_NS + QUIESCENCE_BUDGET_US
@@ -420,143 +479,141 @@ class CoSimMachine(TargetMachine):
         return self.run(horizon_us=time_us)
 
     def step(self) -> bool:
-        """One instant: False when nothing was dispatched at ``now``."""
-        self._settled_at = None
+        """One pass: False when nothing was dispatched at ``now``."""
         return self._dispatch_now() > 0
 
     def _dispatch_now(self) -> int:
-        if self._settled_at == self.now:
-            return 0
-        self._drain_heap()
-        return self._start_services()
+        """One pass over the instant ``now``: take in what is due, start
+        every free hardware bank whose instance has a signal waiting, in
+        handle order, then give a free CPU its kernel-order software
+        source.  Returns how many services started.
+
+        Every service the pass starts leaves its resource busy past
+        ``now`` and routes its signals to arrive at its end, unless it
+        costs nothing or is a hardware creation (which occupies neither
+        the CPU nor a bank).  Only then can more start at ``now``:
+        :meth:`_next_time` says so by returning ``now``, and the loop
+        makes another pass (:attr:`whole_instants`).
+        """
+        now = self.now
+        pool = self.pool
+        if pool.due_at <= now:
+            # local signals due by now reach their queues before anything
+            # the bus delivers at this instant, as they were routed earlier
+            pool.release_due(now)
+        heap = self._heap
+        if heap and heap[0][0] <= now:
+            self._drain_heap(now)
+        ready = self._ready
+        handle_side = self._handle_side
+        hw_free_at = self._hw_free_at
+        banks: list[int] | None = None   # made for the first free bank
+        cpu_waits = False
+        for handle in ready:
+            if handle_side[handle] == "sw":
+                cpu_waits = True
+            elif hw_free_at[handle] <= now:
+                if banks is None:
+                    banks = [handle]
+                else:
+                    banks.append(handle)
+        started = 0
+        if banks is not None:
+            if len(banks) > 1:
+                banks.sort()   # the bank that starts first traces first
+            for handle in banks:
+                if handle in ready:   # else an earlier bank deleted it
+                    self._service(handle, pool.pop_for(handle))
+                    started += 1
+        # the single CPU: at most one software dispatch per pass, chosen
+        # after the banks, whose actions may delete software instances.
+        # Hardware creation events are dispatched by the CPU-side
+        # configuration master too (instance banks are provisioned by
+        # software), but only when no software signal is pending.
+        creations = self._waiting_creations
+        if (cpu_waits or creations) and self._cpu_free_at <= now:
+            software = [h for h in ready if handle_side[h] == "sw"]
+            if creations and self._side[creations[0].class_key] == "sw":
+                software.append(CREATION)
+            if software:
+                source = self._cpu_scheduler.choose(pool, software)
+            elif creations:
+                source = CREATION
+            else:
+                return started
+            if source == CREATION:
+                self._service(None, creations.popleft())
+            else:
+                self._service(source, pool.pop_for(source))
+            started += 1
+        return started
 
     def _next_time(self) -> int | None:
-        """The earliest of the heap, the bus, the next delayed signal and
-        the free time of every resource with a signal waiting."""
+        """The earliest of the heap (bus polls and deliveries, retries),
+        the next delayed signal and the free time of every resource with
+        a signal waiting: ``now`` itself while the instant is open."""
         best = self._heap[0][0] if self._heap else math.inf
-        bus_next = self.bus.next_ready_time()
-        if bus_next is not None and bus_next < best:
-            best = bus_next
-        pool = self.pool
-        if pool.due_at < best:
-            best = pool.due_at
-        side = self._side
-        instances = self._instances
+        due_at = self.pool.due_at
+        if due_at < best:
+            best = due_at
+        handle_side = self._handle_side
         hw_free_at = self._hw_free_at
-        cpu_waits = pool.has_ready_creation()
-        for handle in pool.ready_handles():
-            if side[instances[handle].class_key] == "sw":
-                cpu_waits = True
-            else:
-                free_at = hw_free_at.get(handle, 0)
+        cpu_waits = bool(self._waiting_creations)
+        for handle in self._ready:
+            if handle_side[handle] == "hw":
+                free_at = hw_free_at[handle]
                 if free_at < best:
                     best = free_at
+            else:
+                cpu_waits = True
         if cpu_waits and self._cpu_free_at < best:
             best = self._cpu_free_at
         return None if best == math.inf else best
 
-    def _drain_heap(self) -> None:
-        # local signals due by now reach their queues before anything the
-        # bus delivers at this instant, as they were routed earlier
-        self.pool.release_due(self.now)
-        while self._heap and self._heap[0][0] <= self.now:
-            _t, _s, kind, payload = heapq.heappop(self._heap)
-            if kind == "bus_poll":
-                granted = self.bus.grant(self.now)
+    def _drain_heap(self, now: int) -> None:
+        """Run the bus and retry events due by *now*, in push order."""
+        heap = self._heap
+        bus = self.bus
+        while heap and heap[0][0] <= now:
+            _t, _s, kind, payload = heapq.heappop(heap)
+            if kind == _POLL:
+                granted = bus.grant(now)
                 while granted is not None:
                     delivery, request = granted
-                    self._push_heap(delivery, "bus_deliver", request)
-                    if delivery > self.bus.free_at:
+                    self._push_heap(delivery, _DELIVER, request)
+                    if delivery > bus.free_at:
                         # a delayed frame frees the bus before it lands
-                        self._push_heap(self.bus.free_at, "bus_poll", None)
-                    granted = self.bus.grant(self.now)
-            elif kind == "bus_deliver":
+                        self._push_heap(bus.free_at, _POLL, None)
+                    # a busy bus grants nothing more now
+                    granted = bus.grant(now) if bus.free_at <= now else None
+            elif kind == _DELIVER:
                 payload.deliver()
-                # the bus may have more queued work now that it is free
-                self._push_heap_now("bus_poll", None)
-            elif kind == "retry":
+                # the bus may have more queued work now that it is free;
+                # with none queued and nothing else due, a poll is idle
+                if bus.has_pending() or (heap and heap[0][0] <= now):
+                    self._push_heap(now, _POLL, None)
+            else:
                 transfer = payload
                 if not transfer.done:
                     if transfer.attempts <= transfer.max_retries:
                         self.fault_stats.retransmissions += 1
-                        self._send_attempt(transfer, self.now)
+                        self._send_attempt(transfer, now)
                     else:
                         self._count_lost(transfer)
 
-    def _receivable(self, signal: SignalInstance) -> bool:
-        """False once the receiver died: the signal is then dropped."""
-        return signal.is_creation or signal.target_handle in self._instances
-
     def _deliver(self, signal: SignalInstance) -> None:
-        """A bus transfer arrived: queue the signal for its receiver."""
-        if self._receivable(signal):
+        """A bus transfer arrived: queue the signal for its receiver,
+        unless the receiver died."""
+        if signal.is_creation or signal.target_handle in self._instances:
             self.pool.push_ready(signal)
 
-    def _start_services(self) -> int:
-        """One pass over the ready instances: start every free hardware
-        bank, then give a free CPU its kernel-order software source.
-
-        The instant is settled when every service it started left its
-        resource busy past ``now``.  The routed signals of such services
-        arrive later too, so the loop's next call at this ``now`` has
-        nothing to start and returns at once.  A zero-cost service, or a
-        hardware creation (which occupies neither the CPU nor a bank),
-        leaves the instant open.
-        """
-        now = self.now
-        pool = self.pool
-        instances = self._instances
-        side = self._side
-        hw_free_at = self._hw_free_at
-        cpu_free = self._cpu_free_at <= now
-        software: list[int] = []
-        started = 0
-        settled = True
-        for handle in pool.ready_handles():
-            instance = instances.get(handle)   # None: deleted just now
-            if instance is None:
-                continue
-            class_key = instance.class_key
-            if side[class_key] == "sw":
-                if cpu_free:
-                    software.append(handle)
-            elif hw_free_at.get(handle, 0) <= now:
-                # hardware instances are independent resources
-                self._service(handle, class_key, pool.pop_for(handle))
-                started += 1
-                settled = settled and hw_free_at[handle] > now
-        # the single CPU: at most one software dispatch per pass
-        if started and software:   # a hardware action may have deleted some
-            software = [h for h in software if h in instances]
-        if cpu_free and (software or pool.has_ready_creation()):
-            source = self._choose_software(software)
-            signal = pool.pop(source)
-            self._service(None if source == CREATION else source,
-                          signal.class_key, signal)
-            started += 1
-            settled = settled and self._cpu_free_at > now
-        if started and settled:
-            self._settled_at = now
-        return started
-
-    def _choose_software(self, software: list[int]) -> int:
-        """The CPU's next source: kernel order over the ready *software*
-        instances and a software creation.
-
-        Hardware creation events are dispatched by the CPU-side
-        configuration master too (instance banks are provisioned by
-        software), but only when no software signal is pending.
-        """
-        pool = self.pool
-        if pool.has_ready_creation() and \
-                self._side[pool.peek(CREATION).class_key] == "sw":
-            software.append(CREATION)
-        source = self._cpu_scheduler.choose(pool, software)
-        return CREATION if source is None else source
-
-    def _service(self, handle, class_key: str, signal: SignalInstance) -> None:
+    def _service(self, handle: int | None, signal: SignalInstance) -> None:
+        """Dispatch *signal* on its class's resource, charge the resource
+        for it and route what the dispatch emitted at the service's end."""
+        class_key = signal.class_key
         side = self._side[class_key]
-        ops_before = self.ops_executed
+        executor = self.executor
+        ops_before = executor.ops_executed
         self._emit_buffer = []
         start = self.now
         if self._m_latency is not None:
@@ -580,28 +637,28 @@ class CoSimMachine(TargetMachine):
         finally:
             emitted = self._emit_buffer
             self._emit_buffer = None
-        ops = self.ops_executed - ops_before
+        ops = executor.ops_executed - ops_before
         if side == "sw":
-            duration = self.config.sw_dispatch_ns + ops * self.config.sw_ns_per_op
+            per_dispatch, per_op = self._sw_cost
+            duration = per_dispatch + ops * per_op
             self._cpu_free_at = start + duration
             self.cpu_stats.busy_ns += duration
             self.cpu_stats.dispatches += 1
         else:
-            duration = self.config.hw_dispatch_ns + ops * self.config.hw_ns_per_op
+            per_dispatch, per_op = self._hw_cost
+            duration = per_dispatch + ops * per_op
             # creation events target a fresh handle; charge its bank
             owner = signal.target_handle if signal.target_handle is not None \
                 else handle
             if owner is not None:
                 self._hw_free_at[owner] = start + duration
-            stats = self.hw_stats.get(class_key)
-            if stats is not None:
-                stats.busy_ns += duration
-                stats.dispatches += 1
+            stats = self.hw_stats[class_key]
+            stats.busy_ns += duration
+            stats.dispatches += 1
         if self._m_service is not None:
             self._m_service[side].observe(duration)
-        end = start + duration
-        for emitted_signal, delay, sender_side in emitted:
-            self._route(emitted_signal, end + delay * US_TO_NS, sender_side)
+        if emitted:
+            self._route(emitted, start + duration)
 
     # -- measurement helpers ------------------------------------------------------
 

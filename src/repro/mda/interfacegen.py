@@ -474,9 +474,15 @@ class InterfaceCodec:
         for fname, tag, offset_bits, width_bits in fields:
             if fname not in values:
                 raise InterfaceError(f"{name}: missing field {fname!r}")
-            encoded = _encode_field(tag, width_bits, values[fname])
             start = offset_bits // 8
-            buffer[start:start + len(encoded)] = encoded
+            if tag in _BYTE_TAGS:
+                encoded = _encode_field(tag, width_bits, values[fname])
+                buffer[start:start + len(encoded)] = encoded
+            else:   # integer / unique_id / timestamp / inst_ref / enum:*
+                width_bytes = (width_bits + 7) // 8
+                buffer[start:start + width_bytes] = int(
+                    values[fname]).to_bytes(width_bytes, "little",
+                                            signed=tag == "integer")
         return bytes(buffer)
 
     def unpack(self, name: str, payload: bytes) -> dict:
@@ -555,6 +561,11 @@ class InterfaceCodec:
         return payload, int.from_bytes(seq_bytes, "little")
 
 
+#: field tags :meth:`InterfaceCodec.pack` encodes with :func:`_encode_field`;
+#: every other tag is an integer of exactly the field's width
+_BYTE_TAGS = frozenset(("real", "string", "boolean"))
+
+
 def _encode_field(tag: str, width_bits: int, value) -> bytes:
     width_bytes = (width_bits + 7) // 8
     if tag == "real":
@@ -562,14 +573,7 @@ def _encode_field(tag: str, width_bits: int, value) -> bytes:
     if tag == "string":
         data = str(value).encode("utf-8")[:width_bytes]
         return data.ljust(width_bytes, b"\x00")
-    if tag == "boolean":
-        return (b"\x01" if value else b"\x00").ljust(width_bytes, b"\x00")
-    if tag.startswith("enum:"):
-        return int(value).to_bytes(width_bytes, "little", signed=False)
-    # integer / unique_id / timestamp / inst_ref handles
-    number = int(value)
-    signed = tag == "integer"
-    return number.to_bytes(width_bytes, "little", signed=signed)
+    return (b"\x01" if value else b"\x00").ljust(width_bytes, b"\x00")
 
 
 def _decode_field(tag: str, width_bits: int, chunk: bytes):
@@ -579,7 +583,6 @@ def _decode_field(tag: str, width_bits: int, chunk: bytes):
         return chunk.rstrip(b"\x00").decode("utf-8")
     if tag == "boolean":
         return chunk[0] != 0
-    if tag.startswith("enum:"):
-        return int.from_bytes(chunk, "little", signed=False)
+    # integer / unique_id / timestamp / inst_ref handles / enum:* indices
     signed = tag == "integer"
     return int.from_bytes(chunk, "little", signed=signed)

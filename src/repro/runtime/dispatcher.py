@@ -140,6 +140,10 @@ class Dispatcher:
     #: metrics hook, called with each chosen source before it is popped;
     #: bound once, so with metrics off a step pays one ``is None`` test
     _on_dispatch = None
+    #: True when one ``_dispatch_now`` pass starts everything it can at
+    #: ``now``: the loop then asks ``_next_time`` after every pass, and a
+    #: next time of ``now`` itself means the instant is still open
+    whole_instants = False
 
     def __init__(self, self_priority: bool = True):
         self.trace = Trace()
@@ -467,15 +471,19 @@ class Dispatcher:
         instant: the clock could never move again.
         """
         steps = 0
+        whole_instants = self.whole_instants
         while steps < max_steps and self.now <= horizon:
             dispatched = self._dispatch_now()
             if dispatched:
                 steps += dispatched
-                continue
+                if not whole_instants or steps >= max_steps:
+                    continue
             due = self._next_time()
             if due is None:
                 break
             if due <= self.now:
+                if dispatched:
+                    continue   # the pass left the instant open
                 raise self.error(
                     f"stalled at {self.now}: nothing dispatched, "
                     f"next instant {due}")

@@ -168,6 +168,14 @@ class EventPool:
         """Handles with at least one ready event, in handle order."""
         return tuple(sorted(self._queues))
 
+    def live_sources(self) -> tuple[dict[int, InstanceQueue],
+                                    deque[SignalInstance]]:
+        """The live ready map (handle -> non-empty queue, in first-push
+        order, not handle order) and the creation FIFO, for an executor
+        that splits the ready sources among its own resources and binds
+        them once.  Callers read them; only the pool changes them."""
+        return self._queues, self._creations
+
     def has_ready_creation(self) -> bool:
         return bool(self._creations)
 
@@ -200,7 +208,9 @@ class EventPool:
         """Head event of *source*: an instance handle or CREATION."""
         if source == CREATION:
             return self._creations[0]
-        return self._queues[source].peek()
+        # InstanceQueue.peek, read in place: schedulers peek per candidate
+        queue = self._queues[source]
+        return (queue._self_events or queue._other_events)[0]
 
     def pop(self, source: int) -> SignalInstance:
         """Remove and return the head event of *source*."""

@@ -22,7 +22,9 @@ Each scheduler here is one legal refinement of that freedom:
   it, and the co-simulation's CPU by it over software instances only.
 
 A scheduler only picks *which* ready source dispatches next; it can never
-reorder one instance's own queue.
+reorder one instance's own queue.  A caller that has already built the
+ready sources passes them as ``choose(pool, sources)``, so a wrapper such
+as the lint explorer's recorder builds them once per dispatch.
 """
 
 from __future__ import annotations
@@ -37,8 +39,11 @@ class Scheduler:
 
     name = "base"
 
-    def choose(self, pool: EventPool) -> int | None:
-        """Return an instance handle, CREATION, or None when idle."""
+    def choose(self, pool: EventPool, sources=None) -> int | None:
+        """Return an instance handle, CREATION, or None when idle.
+
+        *sources*, when given, is what :meth:`_sources` returns for
+        *pool* now."""
         raise NotImplementedError
 
     def _sources(self, pool: EventPool) -> tuple[int, ...]:
@@ -55,7 +60,7 @@ class SynchronousScheduler(Scheduler):
 
     name = "synchronous"
 
-    def choose(self, pool: EventPool) -> int | None:
+    def choose(self, pool: EventPool, sources=None) -> int | None:
         return pool.oldest_source()
 
 
@@ -67,8 +72,9 @@ class RoundRobinScheduler(Scheduler):
     def __init__(self):
         self._last: int | None = None
 
-    def choose(self, pool: EventPool) -> int | None:
-        sources = self._sources(pool)
+    def choose(self, pool: EventPool, sources=None) -> int | None:
+        if sources is None:
+            sources = self._sources(pool)
         if not sources:
             return None
         if self._last is None:
@@ -88,8 +94,9 @@ class InterleavedScheduler(Scheduler):
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
 
-    def choose(self, pool: EventPool) -> int | None:
-        sources = self._sources(pool)
+    def choose(self, pool: EventPool, sources=None) -> int | None:
+        if sources is None:
+            sources = self._sources(pool)
         if not sources:
             return None
         return self.pick(sources)
@@ -124,8 +131,9 @@ class PriorityScheduler(Scheduler):
             class_key = self._class_of_handle(source)
         return self._priorities.get(class_key, 0)
 
-    def choose(self, pool: EventPool) -> int | None:
-        sources = self._sources(pool)
+    def choose(self, pool: EventPool, sources=None) -> int | None:
+        if sources is None:
+            sources = self._sources(pool)
         if not sources:
             return None
         return min(
@@ -138,17 +146,21 @@ class KernelScheduler(Scheduler):
     """``kernel_next()`` of the generated C: every self-directed head in
     send order, then every other head (creations included) in send order.
 
-    *sources*, when given, restricts the choice to those ready sources:
-    the co-simulation's CPU passes its software sources only.
+    *sources* may also be a subset of the ready sources: the
+    co-simulation's CPU passes its software sources only.
     """
 
     name = "kernel"
 
     def choose(self, pool: EventPool, sources=None) -> int | None:
         best = None
+        peek = pool.peek
         for source in self._sources(pool) if sources is None else sources:
-            head = pool.peek(source)
-            key = (not head.is_self_directed, head.sequence)
+            head = peek(source)
+            # not head.is_self_directed, spelled out: this runs per source
+            sender = head.sender_handle
+            key = (sender is None or sender != head.target_handle,
+                   head.sequence)
             if best is None or key < best[0]:
                 best = (key, source)
         return None if best is None else best[1]

@@ -34,11 +34,19 @@ class Operation(Tracked):
     parameters: tuple = field(default_factory=tuple)  # of EventParameter
 
 
+class _DerivedOperation(Operation):
+    """An operation computed from a derived attribute, never an element
+    of a model: building one is no edit, so it leaves the revision (and
+    every memo keyed on it) where it was."""
+
+    __setattr__ = object.__setattr__
+
+
 def derived_operation(attribute: Attribute) -> Operation:
     """The instance operation that computes a derived attribute:
     ``return <derived expression>;``, returning the attribute's type.
     The well-formedness check and the lowering both read this one form."""
-    return Operation(
+    return _DerivedOperation(
         f"derived_{attribute.name}",
         f"return {attribute.derived};",
         instance_based=True,

@@ -22,7 +22,11 @@ from repro.models import (
     build_microwave_model,
     build_model,
 )
-from repro.runtime.scheduler import InterleavedScheduler, SynchronousScheduler
+from repro.runtime.scheduler import (
+    InterleavedScheduler,
+    Scheduler,
+    SynchronousScheduler,
+)
 from repro.verify import suite_for
 from repro.verify.testcase import ExpectState, InjectStep, RunStep
 
@@ -122,6 +126,32 @@ class TestRunAndReplay:
                               max_steps=full.steps)
         assert not full.truncated
         assert capped == replace(full, truncated=True)
+
+
+    def test_each_explored_dispatch_builds_its_sources_once(
+            self, microwave, microwave_scenarios, monkeypatch):
+        built = []
+        sources = Scheduler._sources
+        monkeypatch.setattr(Scheduler, "_sources", lambda self, pool: (
+            built.append(1), sources(self, pool))[1])
+
+        class Counting(InterleavedScheduler):
+            idle = 0
+
+            def choose(self, pool, *sources):
+                choice = super().choose(pool, *sources)
+                self.idle += choice is None
+                return choice
+
+        for scenario in microwave_scenarios:
+            built.clear()
+            inner = Counting(5)
+            record = run_scenario(microwave, scenario, inner,
+                                  component="control")
+            # one build per recorded choice, and one per idle step (the
+            # pool held nothing ready: time jumps or the run ends)
+            assert len(built) == len(record.schedule) + inner.idle
+            assert inner.idle >= 1
 
 
 class TestWitnessSearch:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.build.fingerprint as fingerprint_module
 from repro.analysis.report import lint_model
+from repro.exec import clear_lowering_cache
 from repro.build.fingerprint import canonical_json, digest, model_fingerprint
 from repro.models import CATALOG, build_model
 from repro.xuml import (
@@ -33,9 +34,11 @@ from repro.xuml import (
     State,
     StateMachine,
     TypeRegistry,
+    check_model,
     model_from_dict,
     model_to_dict,
 )
+from repro.runtime import Simulation
 from repro.xuml.tracked import Tracked, revision
 
 from tests.xuml.test_serialize_random import random_models
@@ -266,4 +269,24 @@ def test_lint_serializes_the_model_once(monkeypatch, name):
     monkeypatch.setattr(fingerprint_module, "model_to_dict",
                         lambda m: calls.append(m) or model_to_dict(m))
     lint_model(model)
+    assert calls == [model]
+
+
+def test_walking_a_derived_attribute_is_no_edit(monkeypatch):
+    """``oal_bodies`` builds each derived attribute's operation on every
+    walk; building it must not move the revision that keys the memo."""
+    b = ModelBuilder("Derived")
+    c = b.component("comp")
+    a = c.klass("Alpha", "A")
+    a.attr("count", "integer").attr("twice", "integer",
+                                    derived="self.count * 2")
+    a.state("Idle", 1)
+    model = b.build()
+    clear_lowering_cache()   # the first Simulation lowers, and walks
+    calls = []
+    monkeypatch.setattr(fingerprint_module, "model_to_dict",
+                        lambda m: calls.append(m) or model_to_dict(m))
+    for _ in range(3):
+        Simulation(model)
+        check_model(model)   # walks every body again
     assert calls == [model]

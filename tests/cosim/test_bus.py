@@ -61,7 +61,8 @@ class TestBusFifo:
         bus = Bus(CoSimConfig())
         bus.request(request(ready=100, seq=1))
         assert bus.grant(0) is None
-        assert bus.next_ready_time() == 100
+        assert bus.grant(99) is None
+        assert bus.grant(100)[1].sequence == 1
 
     def test_wait_time_accounted(self):
         bus = Bus(CoSimConfig())

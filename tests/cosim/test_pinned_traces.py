@@ -10,6 +10,13 @@ and when the clock moves on) shows up here as a changed digest.
   latency 0.
 * Hardware creation events: the CPU dispatches them without becoming
   busy, so several start at one instant even on the default platform.
+* ``("CE", "D")`` under each bus policy on a slow bus (20 ns per byte),
+  so that both sides queue on it at once and arbitration decides.
+* A protected packetproc build on a bus that drops, corrupts, duplicates
+  and delays frames: retransmissions, receiver dedup and frames given up
+  for lost that arrive after all.
+* A timer started and cancelled by one activity, while its signal still
+  waits in the engine's emit buffer, on both sides of the partition.
 """
 
 import hashlib
@@ -19,6 +26,8 @@ import pytest
 from repro.cosim import (
     CoSimConfig,
     CoSimMachine,
+    FaultPlan,
+    FaultRates,
     inject_stimulus,
     poisson_packets,
 )
@@ -31,6 +40,7 @@ from repro.models import (
     packetproc,
 )
 from repro.obs.export import dump_jsonl
+from tests.cosim.test_engine import build_alarm_model
 
 E4_DIGESTS = {
     ():
@@ -116,3 +126,79 @@ def test_creation_traces_are_pinned(hardware):
     machine.run()
     assert len(machine.instances_of("J")) == 3
     assert (machine.now, digest(machine)) == CREATION_DIGESTS[hardware]
+
+
+#: ("CE", "D") under 60 packets at 1000 per ms, seed 7, on a slow bus,
+#: per bus policy
+POLICY_DIGESTS = {
+    "fifo":
+        "f683c7a55c41a2c9f93f5aee625267cb4daf880d207ebdbd3c6022e52809a480",
+    "priority":
+        "8450330244a952006f3ed0531ca6913234b27cce489f27bb10893eb7699447da",
+    "round_robin":
+        "b263eea4cddba13b4a092620d70167d2a28b3aa9fe7c4928f0ebdb06b76cb6b9",
+}
+
+#: seed-1 faults on a protected ("CE", "D") build: (fault stats, digest)
+FAULTED_DIGEST = (
+    {"injected_drops": 22, "injected_corruptions": 19,
+     "injected_duplicates": 23, "injected_delays": 36, "detected": 20,
+     "recovered": 36, "lost": 1, "critical_lost": 1,
+     "duplicates_discarded": 32, "delivered_corrupted": 0,
+     "retransmissions": 54},
+    "8e786a764bff4ea6f73acbe07d431a9aa03f7e2743656dda0cb19b22af3c19c0")
+
+#: the alarm model: the same trace all software and all hardware
+CANCEL_DIGEST = \
+    "be1cd4afab6dc1328cd8b25a1825b67a9ba0bc9ce33bf51576e2c55184a0bc90"
+
+
+@pytest.mark.parametrize("policy", list(POLICY_DIGESTS))
+def test_bus_policy_traces_are_pinned(policy):
+    config = CoSimConfig(bus_ns_per_byte=20, bus_policy=policy)
+    machine = packet_run(("CE", "D"), poisson_packets(60, 1000, seed=7),
+                         config)
+    assert digest(machine) == POLICY_DIGESTS[policy]
+
+
+def protected_build(hardware):
+    model = build_packetproc_model()
+    component = model.components[0]
+    marks = marks_for_partition(component, hardware)
+    for key in component.class_keys:
+        path = f"{component.name}.{key}"
+        marks.set(path, "crc", "crc16")
+        marks.set(path, "maxRetries", 2)
+        marks.set(path, "retryBackoffNs", 500)
+        marks.set(path, "isCritical", True)
+    return ModelCompiler(model).compile(marks)
+
+
+def test_faulted_protected_trace_is_pinned():
+    plan = FaultPlan(1, FaultRates(drop=0.2, corrupt=0.2, duplicate=0.2,
+                                   delay=0.3, delay_ns=3_000))
+    machine = CoSimMachine(protected_build(("CE", "D")), fault_plan=plan)
+    handles = packetproc.populate(machine)
+    for index in range(30):
+        machine.inject(handles["M"], "M1",
+                       {"pkt_id": index + 1, "length": 64 + 37 * index},
+                       delay=index * 40)
+    machine.run()
+    stats = machine.fault_stats
+    # retries, receiver dedup, and (for this seed) frames given up for
+    # lost that arrive after all, un-counted as recovered
+    assert (stats.as_dict(), digest(machine)) == FAULTED_DIGEST
+
+
+@pytest.mark.parametrize("all_hardware", [False, True],
+                         ids=["all-software", "all-hardware"])
+def test_timer_cancelled_in_the_emit_buffer_is_pinned(all_hardware):
+    model = build_alarm_model()
+    component = model.components[0]
+    hardware = tuple(component.class_keys) if all_hardware else ()
+    machine = CoSimMachine(compiled(model, hardware))
+    alarm = machine.create_instance("AL", al_id=1)
+    machine.inject(alarm, "ARM")
+    machine.run()
+    assert machine.read_attribute(alarm, "cancelled") == 1
+    assert digest(machine) == CANCEL_DIGEST
