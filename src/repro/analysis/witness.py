@@ -184,6 +184,9 @@ class RecordingScheduler(Scheduler):
 
     def choose(self, pool, sources=None):
         if sources is None:
+            ready, creations = pool.live_sources()
+            if not (ready or creations):
+                return None   # an idle step: every scheduler chooses None
             sources = self._sources(pool)
         choice = self.inner.choose(pool, sources)
         if choice is not None:

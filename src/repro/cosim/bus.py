@@ -33,7 +33,7 @@ class BusRequest:
     message_id: int
     payload_bytes: int
     sender_side: str            # "hw" or "sw"
-    deliver: object             # zero-arg callable run at delivery time
+    deliver: object             # called with the request at delivery time
     payload: bytes = b""        # the (possibly framed) wire bytes
     message_name: str = ""      # interface message this frame carries
     attempt: int = 1            # 1 = first send, >1 = retransmission
@@ -85,7 +85,8 @@ class Bus:
         """Grant one request if the bus is idle at *now*.
 
         Returns ``(delivery_time, request)`` after accounting, or None.
-        The caller invokes ``request.deliver()`` at the delivery time.
+        The caller invokes ``request.deliver(request)`` at the delivery
+        time.
         """
         if now < self.free_at or not self._pending:
             return None

@@ -51,6 +51,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.mda.archrt import ArchError, TargetMachine
 from repro.mda.compiler import Build
@@ -322,13 +323,13 @@ class CoSimMachine(TargetMachine):
             message_id=transfer.message_id,
             payload_bytes=len(wire),
             sender_side=transfer.sender_side,
-            deliver=None,
+            # holds the transfer, not the request: no cycle keeps a
+            # delivered request alive until a garbage collection
+            deliver=partial(self._frame_arrived, transfer),
             payload=wire,
             message_name=transfer.message_name,
             attempt=attempt,
         )
-        request.deliver = \
-            lambda t=transfer, r=request: self._frame_arrived(t, r)
         self.bus.request(request)
         if ready_ns >= self.bus.free_at:
             # else a poll at ready_ns could grant nothing: the poll made
@@ -587,7 +588,7 @@ class CoSimMachine(TargetMachine):
                     # a busy bus grants nothing more now
                     granted = bus.grant(now) if bus.free_at <= now else None
             elif kind == _DELIVER:
-                payload.deliver()
+                payload.deliver(payload)
                 # the bus may have more queued work now that it is free;
                 # with none queued and nothing else due, a poll is idle
                 if bus.has_pending() or (heap and heap[0][0] <= now):

@@ -10,7 +10,7 @@ def request(ready, seq, msg_id=1, size=16, side="sw", sink=None):
     return BusRequest(
         ready_at=ready, sequence=seq, message_id=msg_id,
         payload_bytes=size, sender_side=side,
-        deliver=lambda: delivered.append(seq),
+        deliver=lambda _request: delivered.append(seq),
     )
 
 
