@@ -134,9 +134,9 @@ class IncrementalCompiler(ModelCompiler):
             self.last_stats.manifest_reused = True
             return memoized
         if self.store is not None:
-            payload = self.store.get(key)
-            if payload is not None:
-                manifest, flows = pickle.loads(payload)
+            cached = self.store.get(key, pickle.loads)
+            if cached is not None:
+                manifest, flows = cached
                 self.last_stats.manifest_reused = True
                 self._memoize(key, (manifest, flows))
                 return manifest, flows
@@ -183,10 +183,7 @@ class IncrementalCompiler(ModelCompiler):
     def _get_bundle(self, key: str) -> dict[str, str] | None:
         if self.store is None:
             return None
-        text = self.store.get_text(key)
-        if text is None:
-            return None
-        return json.loads(text)
+        return self.store.get(key, json.loads)
 
     def _put_bundle(self, key: str, bundle: dict[str, str]) -> None:
         if self.store is not None:

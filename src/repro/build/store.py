@@ -92,8 +92,15 @@ class ArtifactStore:
 
     # -- object access -------------------------------------------------------
 
-    def get(self, key: str) -> bytes | None:
-        """The payload under *key*, or None; hits refresh LRU recency."""
+    def get(self, key: str, decode=bytes):
+        """``decode(payload)`` of the object under *key* (by default the
+        bytes as stored), or None; hits refresh LRU recency.
+
+        An object *decode* rejects (a torn or garbled file: bad UTF-8,
+        bad JSON, a failed unpickle) is deleted and the lookup counts as
+        a miss, so the caller rebuilds it and its :meth:`put` writes the
+        object afresh instead of keeping the bad one.
+        """
         path = self._path(key)
         try:
             payload = path.read_bytes()
@@ -101,11 +108,20 @@ class ArtifactStore:
             self.stats.misses += 1
             return None
         try:
+            value = decode(payload)
+        except Exception:   # pickle.loads may raise almost any type
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                pass  # a concurrent worker got there first
+            self.stats.misses += 1
+            return None
+        try:
             os.utime(path)
         except OSError:
             pass  # recency is advisory; the object itself was read fine
         self.stats.hits += 1
-        return payload
+        return value
 
     def put(self, key: str, payload: bytes) -> None:
         """File *payload* under *key* atomically (idempotent per key)."""
@@ -129,8 +145,7 @@ class ArtifactStore:
             self.gc(self.max_bytes)
 
     def get_text(self, key: str) -> str | None:
-        payload = self.get(key)
-        return payload.decode("utf-8") if payload is not None else None
+        return self.get(key, bytes.decode)
 
     def put_text(self, key: str, text: str) -> None:
         self.put(key, text.encode("utf-8"))

@@ -55,7 +55,8 @@ from functools import partial
 
 from repro.mda.archrt import ArchError, TargetMachine
 from repro.mda.compiler import Build
-from repro.mda.interfacegen import InterfaceCodec, InterfaceError
+from repro.mda.interfacegen import (
+    FrameSpec, InterfaceCodec, InterfaceError, Message)
 from repro.obs.metrics import active_registry
 from repro.runtime.causality import CausalIndex
 from repro.runtime.events import CREATION, SignalInstance
@@ -103,28 +104,31 @@ class _Transfer:
     acks by setting ``done`` (the ack travels on an instantaneous
     sideband — it occupies no bus time and is never faulted, which keeps
     the protocol tractable while still exercising loss, corruption,
-    duplication and delay on the data path).
+    duplication and delay on the data path).  Every fact the protocol
+    keeps about the signal lives here, and nowhere else.
     """
 
     frame_id: int
     signal: SignalInstance
-    message_name: str
-    message_id: int
+    message: Message
+    encoding: tuple             # the flow's wire encoding (see _cross)
+    frame: FrameSpec | None     # None: unprotected
     sender_side: str
     payload: bytes              # packed, unframed
-    protected: bool = False
-    max_retries: int = 0
-    backoff_ns: int = 2_000
-    critical: bool = False
     attempts: int = 0
     done: bool = False          # receiver accepted a copy (the "ack")
-    lost_counted: bool = False
+    lost_counted: bool = False  # counted in FaultStats.lost
+
+    def retries_left(self) -> bool:
+        """May the ack timeout still retransmit this transfer?"""
+        frame = self.frame
+        return frame is not None and self.attempts <= frame.max_retries
 
 
 def _field_encoding(tag: str, enums: dict):
-    """How :meth:`CoSimMachine._cross` puts a parameter on the wire: an
-    enum's literals (a literal travels as its index), ``"ref"`` for an
-    instance reference (None travels as 0) or None (the value as is)."""
+    """How a parameter travels on the wire, both ways: an enum's
+    literals (a literal travels as its index), ``"ref"`` for an instance
+    reference (None travels as 0) or None (the value as is)."""
     if tag.startswith("enum:"):
         return enums[tag.split(":", 1)[1]]
     if tag.startswith("inst_ref"):
@@ -155,10 +159,8 @@ class CoSimMachine(TargetMachine):
         # (receiver class, label) -> (message, its wire encoding), filled
         # by the first crossing of each boundary flow
         self._messages: dict[tuple[str, str], tuple] = {}
-        # resilience protocol state
+        # not per transfer: the last frame id and the signals the wire altered
         self._frame_counter = 0
-        self._delivered_frames: set[int] = set()
-        self._lost_frames: set[int] = set()
         self._corrupted_sequences: set[int] = set()
         # bus and retry events; signals wait in self.pool
         self._heap: list[tuple[int, int, str, object]] = []
@@ -290,44 +292,38 @@ class CoSimMachine(TargetMachine):
                 value = encoding.index(value) if isinstance(value, str) \
                     else int(value)
             values[name] = value
-        payload = self._codec.pack(message.name, values)
         self._frame_counter += 1
         transfer = _Transfer(
             frame_id=self._frame_counter,
             signal=signal,
-            message_name=message.name,
-            message_id=message.message_id,
+            message=message,
+            encoding=fields,
+            frame=self._codec.frames.get(message.name),
             sender_side=sender_side,
-            payload=payload,
+            payload=self._codec.pack(message.name, values),
         )
-        frame_spec = self._codec.frames.get(message.name)
-        if frame_spec is not None:
-            transfer.protected = True
-            transfer.max_retries = frame_spec.max_retries
-            transfer.backoff_ns = frame_spec.retry_backoff_ns
-            transfer.critical = frame_spec.critical
         self._send_attempt(transfer, ready_ns)
 
     def _send_attempt(self, transfer: _Transfer, ready_ns: int) -> None:
         """Put one (re)transmission of *transfer* on the bus."""
         transfer.attempts += 1
         attempt = transfer.attempts
-        if transfer.protected:
-            wire = self._codec.frame(
-                transfer.message_name, transfer.payload, transfer.frame_id)
-        else:
-            wire = transfer.payload
+        message = transfer.message
+        frame = transfer.frame
+        wire = transfer.payload
+        if frame is not None:
+            wire = self._codec.frame(message.name, wire, transfer.frame_id)
         request = BusRequest(
             ready_at=ready_ns,
             sequence=transfer.signal.sequence,
-            message_id=transfer.message_id,
+            message_id=message.message_id,
             payload_bytes=len(wire),
             sender_side=transfer.sender_side,
             # holds the transfer, not the request: no cycle keeps a
             # delivered request alive until a garbage collection
             deliver=partial(self._frame_arrived, transfer),
             payload=wire,
-            message_name=transfer.message_name,
+            message_name=message.name,
             attempt=attempt,
         )
         self.bus.request(request)
@@ -335,9 +331,9 @@ class CoSimMachine(TargetMachine):
             # else a poll at ready_ns could grant nothing: the poll made
             # when the bus frees serves this request
             self._push_heap(ready_ns, _POLL, None)
-        if transfer.protected and transfer.max_retries > 0:
+        if frame is not None and frame.max_retries > 0:
             # ack timeout doubles per attempt (exponential backoff)
-            timeout = transfer.backoff_ns << (attempt - 1)
+            timeout = frame.retry_backoff_ns << (attempt - 1)
             self._push_heap(ready_ns + timeout, _RETRY, transfer)
 
     # -- receiver side of the resilience protocol ---------------------------------
@@ -346,12 +342,10 @@ class CoSimMachine(TargetMachine):
         """One bus delivery concluded — apply its fault, if any."""
         fault = request.fault or NO_FAULT
         if fault.drop:
-            # the wire ate this copy; protected transfers retry on the
-            # ack timeout, unprotected ones are silently lost
-            if not transfer.protected:
+            # the wire ate this copy: lost, unless the ack timeout can
+            # still retry it (a protected transfer with attempts left)
+            if not transfer.retries_left():
                 self._count_lost(transfer)
-            elif transfer.attempts > transfer.max_retries:
-                self._count_lost(transfer)   # that was the last attempt
             return
         wire = request.payload
         if fault.corrupt and self.fault_plan is not None:
@@ -359,7 +353,7 @@ class CoSimMachine(TargetMachine):
                 wire, request.message_name, request.sequence, request.attempt)
         deliveries = 2 if fault.duplicate else 1
         for _ in range(deliveries):
-            if transfer.protected:
+            if transfer.frame is not None:
                 self._accept_frame(transfer, wire)
             elif fault.corrupt:
                 self._deliver_corrupted(transfer, wire)
@@ -370,44 +364,35 @@ class CoSimMachine(TargetMachine):
         """CRC check, dedup, ack, and delivery of a protected frame."""
         stats = self.fault_stats
         try:
-            payload, _seq = self._codec.deframe(transfer.message_name, wire)
+            payload, _seq = self._codec.deframe(transfer.message.name, wire)
         except InterfaceError:
             stats.detected += 1
-            if transfer.attempts > transfer.max_retries:
+            if not transfer.retries_left():
                 self._count_lost(transfer)   # no attempts left to fix it
             return
-        if transfer.frame_id in self._delivered_frames:
+        if transfer.done:
             stats.duplicates_discarded += 1
-            transfer.done = True
             return
-        self._delivered_frames.add(transfer.frame_id)
         transfer.done = True
-        if transfer.frame_id in self._lost_frames:
+        if transfer.lost_counted:
             # a copy given up for lost limped in after all: un-count it
-            self._lost_frames.discard(transfer.frame_id)
+            transfer.lost_counted = False
             stats.lost -= 1
-            if transfer.critical:
+            if transfer.frame.critical:
                 stats.critical_lost -= 1
             stats.recovered += 1
         elif transfer.attempts > 1:
             stats.recovered += 1
         if payload == transfer.payload:
             self._deliver(transfer.signal)
-            return
-        # CRC passed on altered bytes (or an undetected flip): decode it
-        decoded = self._decode_signal(transfer, payload)
-        if decoded is None:
-            stats.detected += 1
-            self._count_lost(transfer)
         else:
-            stats.delivered_corrupted += 1
-            self._corrupted_sequences.add(decoded.sequence)
-            self._deliver(decoded)
+            # CRC passed on altered bytes (or an undetected flip)
+            self._deliver_corrupted(transfer, payload)
 
-    def _deliver_corrupted(self, transfer: _Transfer, wire: bytes) -> None:
-        """Best-effort delivery of an unprotected frame the wire altered:
-        garbage degrades gracefully, never raises."""
-        decoded = self._decode_signal(transfer, wire)
+    def _deliver_corrupted(self, transfer: _Transfer, payload: bytes) -> None:
+        """Best-effort delivery of a payload the wire altered: garbage
+        degrades gracefully, never raises."""
+        decoded = self._decode_signal(transfer, payload)
         if decoded is None:
             # malformed beyond decoding: dropped and counted, no exception
             self.fault_stats.detected += 1
@@ -419,42 +404,30 @@ class CoSimMachine(TargetMachine):
 
     def _decode_signal(self, transfer: _Transfer,
                        payload: bytes) -> SignalInstance | None:
-        """Rebuild the signal from wire bytes; None if it cannot be trusted."""
+        """Rebuild the signal from wire bytes through the flow's wire
+        encoding; None if it cannot be trusted."""
         try:
-            values = self._codec.unpack(transfer.message_name, payload)
+            values = self._codec.unpack(transfer.message.name, payload)
         except InterfaceError:
             return None
-        target = values.pop("target_instance", 0)
-        if target != (transfer.signal.target_handle or 0):
+        if values["target_instance"] != (transfer.signal.target_handle or 0):
             return None   # misrouted: addresses some other (or no) instance
         params: dict = {}
-        for name, tag, _o, _w in self._codec.layouts[transfer.message_name][2]:
-            if name == "target_instance":
-                continue
-            try:
-                params[name] = self._bus_decode(values[name], tag)
-            except (InterfaceError, KeyError, ValueError):
-                return None
+        for name, encoding in transfer.encoding:
+            value = values[name]
+            if encoding is not None and encoding != "ref":
+                if not 0 <= value < len(encoding):
+                    return None   # no such literal
+                value = encoding[value]
+            params[name] = value
         return replace(transfer.signal, params=params)
-
-    def _bus_decode(self, value, tag: str):
-        if tag.startswith("enum:"):
-            enum_name = tag.split(":", 1)[1]
-            literals = self.manifest.enums[enum_name]
-            index = int(value)
-            if not 0 <= index < len(literals):
-                raise InterfaceError(
-                    f"enum {enum_name} index {index} out of range")
-            return literals[index]
-        return value
 
     def _count_lost(self, transfer: _Transfer) -> None:
         if transfer.done or transfer.lost_counted:
             return
         transfer.lost_counted = True
-        self._lost_frames.add(transfer.frame_id)
         self.fault_stats.lost += 1
-        if transfer.critical:
+        if transfer.frame is not None and transfer.frame.critical:
             self.fault_stats.critical_lost += 1
 
     def _push_heap(self, time_ns: int, kind: str, payload) -> None:
@@ -596,7 +569,7 @@ class CoSimMachine(TargetMachine):
             else:
                 transfer = payload
                 if not transfer.done:
-                    if transfer.attempts <= transfer.max_retries:
+                    if transfer.retries_left():
                         self.fault_stats.retransmissions += 1
                         self._send_attempt(transfer, now)
                     else:

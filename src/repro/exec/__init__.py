@@ -33,7 +33,6 @@ from .cache import (
 from .cvalues import as_instance_set, c_div, c_mod
 from .evaluator import CORE_NAME, IRExecutor
 from .ir import (
-    ir_op_counts,
     lower_block,
     walk_ir_generates,
     walk_ir_statements,
@@ -47,7 +46,6 @@ __all__ = [
     "c_div",
     "c_mod",
     "clear_lowering_cache",
-    "ir_op_counts",
     "lower_block",
     "lower_component",
     "lowering_cache_stats",

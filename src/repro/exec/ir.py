@@ -233,11 +233,3 @@ def walk_ir_generates(block: list, in_loop: bool = False,
                 yield from walk_ir_generates(stmt[2], in_loop, True)
         elif tag in ("while", "foreach"):
             yield from walk_ir_generates(stmt[-1], True, True)
-
-
-def ir_op_counts(block: list) -> dict[str, int]:
-    """Histogram of statement tags — the cost model's raw material."""
-    counts: dict[str, int] = {}
-    for stmt in walk_ir_statements(block):
-        counts[stmt[0]] = counts.get(stmt[0], 0) + 1
-    return counts

@@ -11,7 +11,7 @@
 """
 
 from repro.analysis.findings import LintFinding
-from repro.exec.ir import ir_op_counts, lower_block, walk_ir_statements
+from repro.exec.ir import lower_block, walk_ir_statements
 from .archrt import ArchError, TargetMachine
 from .cgen import CGenerator
 from .compiler import Build, ModelCompiler
@@ -81,7 +81,6 @@ __all__ = [
     "crc8",
     "crc16_ccitt",
     "dtype_tag",
-    "ir_op_counts",
     "lint_vhdl",
     "lower_block",
     "snake_case",

@@ -2,9 +2,12 @@
 
 The abstract runtime (:mod:`repro.runtime`) executes the *model*.  This
 module executes the *build manifest*: the lowering it carries
-(``ComponentManifest.lowered``) is the one the generators printed as C
-and VHDL, so an emitter that lowers wrongly fails conformance
-(experiment E3) instead of slipping through.
+(``ComponentManifest.lowered``) is the abstract runtime's own, the one
+the generators print from as C and VHDL.  Conformance (experiment E3)
+therefore compares source policies and clocks over one table set; it
+does not execute the printed text.  That text is checked by its pinned
+digests (``tests/mda/emitted_text_digests.json``) and, for C, by gcc
+(:meth:`~repro.mda.compiler.Build.lint`).
 
 :class:`TargetMachine` builds no tables of its own: it hands the
 manifest's :class:`~repro.exec.cache.LoweredComponent` to the shared

@@ -17,11 +17,8 @@ from .export import (
     SCHEMA,
     SCHEMA_VERSION,
     TraceSchemaError,
-    batch_report_trace,
     dump_jsonl,
     load_jsonl,
-    read_jsonl,
-    write_jsonl,
 )
 from .metrics import (
     Counter,
@@ -47,13 +44,10 @@ __all__ = [
     "SCHEMA_VERSION",
     "TraceSchemaError",
     "active_registry",
-    "batch_report_trace",
     "critical_path",
     "dump_jsonl",
     "load_jsonl",
     "observe",
     "percentile_nearest_rank",
-    "read_jsonl",
     "set_active_registry",
-    "write_jsonl",
 ]

@@ -15,15 +15,12 @@ misreading old archives.
 
 Every executor -- the abstract runtime, csim, vsim and the
 co-simulation -- records its own :class:`~repro.runtime.tracing.Trace`
-and exports it as is; :func:`batch_report_trace` lifts a batch build's
-per-job outcomes into the same schema, so one loader and one toolchain
-serve both.
+and exports it as is, so one loader serves them all.
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
 
 from repro.runtime.tracing import FIELDS, Trace, TraceKind, record_data
 
@@ -126,38 +123,3 @@ def _parse_line(line: str, lineno: int) -> dict:
             f"line {lineno}: expected a JSON object, "
             f"got {type(parsed).__name__}")
     return parsed
-
-
-def write_jsonl(trace: Trace, path) -> str:
-    """Write *trace* to *path*; returns the path written."""
-    target = pathlib.Path(path)
-    target.write_text(dump_jsonl(trace))
-    return str(target)
-
-
-def read_jsonl(path) -> Trace:
-    """Load a trace stream from *path*."""
-    return load_jsonl(pathlib.Path(path).read_text())
-
-
-# -- lifting other subsystems' events into the schema ------------------------
-
-
-def batch_report_trace(report) -> Trace:
-    """Serialize a batch build's per-job outcomes as trace events.
-
-    *report* is a :class:`~repro.build.scheduler.BatchReport`; each job
-    becomes one LOG event (timestamped in whole elapsed microseconds of
-    the job itself, since batch jobs have no shared clock).
-    """
-    trace = Trace()
-    for result in report.results:
-        trace.record(int(result.elapsed_s * 1_000_000), TraceKind.LOG, {
-            "record": "build_job", "job": result.job.label, "ok": result.ok,
-            "error": result.error,
-            "classes_compiled": result.classes_compiled,
-            "classes_reused": result.classes_reused,
-            "store_hits": result.store.hits,
-            "store_misses": result.store.misses,
-        })
-    return trace

@@ -72,6 +72,32 @@ class TestByteIdentity:
         assert fresh.last_stats.fully_cached
         assert fresh.last_stats.manifest_reused
 
+    def test_torn_objects_are_misses_and_get_rewritten(self, tmp_path):
+        """Every stored object truncated (the pickled manifest and the
+        JSON bundles): the next build recompiles them as misses, writes
+        them afresh and matches a cold build; the one after is a hit."""
+        model = build_model("microwave")
+        marks = marks_for_partition(model.components[0], ("PT",))
+        IncrementalCompiler(model, store=ArtifactStore(tmp_path)).compile(
+            marks)
+        objects = sorted((tmp_path / "objects").glob("*/*"))
+        for path in objects:
+            path.write_bytes(path.read_bytes()[:7])
+
+        clear_manifest_memo()
+        compiler = IncrementalCompiler(model, store=ArtifactStore(tmp_path))
+        warm = compiler.compile(marks)
+        assert warm.artifacts == ModelCompiler(model).compile(marks).artifacts
+        stats = compiler.last_stats
+        assert not stats.manifest_reused and stats.classes_reused == 0
+        assert (stats.store.hits, stats.store.misses, stats.store.puts) \
+            == (0, len(objects), len(objects))
+
+        clear_manifest_memo()
+        compiler.compile(marks)
+        assert compiler.last_stats.fully_cached
+        assert compiler.last_stats.manifest_reused
+
     def test_reused_compiler_sees_a_model_edit(self, tmp_path):
         model = build_model("microwave")
         marks = marks_for_partition(model.components[0], ("PT",))

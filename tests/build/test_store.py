@@ -37,6 +37,15 @@ class TestObjectAccess:
         assert store.stats.puts == 1
         assert store.object_count() == 1
 
+    def test_undecodable_object_is_a_miss_and_replaced(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.put(_key(8), b"\xff torn")
+        assert store.get_text(_key(8)) is None   # not UTF-8
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        store.put_text(_key(8), "whole")
+        assert store.get_text(_key(8)) == "whole"
+        assert store.stats.puts == 2
+
     def test_contains_moves_no_counters(self, tmp_path):
         store = ArtifactStore(tmp_path)
         store.put(_key(5), b"x")

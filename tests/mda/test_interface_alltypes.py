@@ -9,10 +9,12 @@ handles the full type system.
 
 import pytest
 
-from repro.cosim import CoSimMachine
+from repro.cosim import CoSimMachine, FaultPlan, FaultRates
 from repro.marks import MarkSet
-from repro.mda import InterfaceCodec, ModelCompiler
+from repro.mda import InterfaceCodec, InterfaceError, ModelCompiler
 from repro.xuml import ModelBuilder
+
+SEVERITIES = ("INFO", "WARN", "ALARM")
 
 
 def build_telemetry_model():
@@ -123,3 +125,55 @@ class TestOnTheCoSimulatedBus:
         assert machine.read_attribute(sink, "last_value") == 7.25
         assert machine.read_attribute(sink, "last_tag") == "pump"
         assert machine.read_attribute(sink, "last_latched") is False
+
+    # chosen for their flips: the level byte goes out of range on 2
+    # (seed 1) and 3 (seed 29) of the 40 frames
+    @pytest.mark.parametrize("seed", [1, 29])
+    def test_corrupted_enums_never_reach_the_receiver(self, build, seed):
+        """Unprotected, every frame altered: each frame the receiver
+        cannot trust (among them every level byte that names no literal)
+        is detected and lost, the rest are delivered altered, and every
+        level the sink records is a declared one."""
+
+        class RecordingPlan(FaultPlan):
+            def corrupt_payload(self, payload, *key):
+                altered.append(super().corrupt_payload(payload, *key))
+                return altered[-1]
+
+        altered: list[bytes] = []
+        plan = RecordingPlan(seed, FaultRates(corrupt=1.0))
+        machine = CoSimMachine(build, fault_plan=plan)
+        sensor = machine.create_instance("SE", se_id=1)
+        sink = machine.create_instance("SK", sk_id=1)
+        machine.relate(sensor, sink, "R1")
+        frames = 40
+        for index in range(frames):
+            machine.inject(sensor, "SE1", {
+                "level": SEVERITIES[index % 3], "value": index / 2,
+                "tag": f"t{index}", "latched": index % 2 == 0},
+                delay=index * 1_000)
+        for index in range(frames):   # at most one delivery per window
+            machine.run(horizon_us=index * 1_000 + 999)
+            assert machine.read_attribute(sink, "last_level") in SEVERITIES
+        machine.run()
+
+        codec = InterfaceCodec.from_artifact(build.interface.emit_c_header())
+        level_byte = next(offset // 8 for name, _t, offset, _w
+                          in codec.layouts["sk_sk1"][2] if name == "level")
+
+        def trusted(payload):
+            try:
+                values = codec.unpack("sk_sk1", payload)
+            except InterfaceError:
+                return False
+            return values["target_instance"] == sink \
+                and values["level"] < len(SEVERITIES)
+
+        assert len(altered) == frames
+        out_of_range = [p for p in altered
+                        if p[level_byte] >= len(SEVERITIES)]
+        assert out_of_range and not any(map(trusted, out_of_range))
+        stats = machine.fault_stats
+        assert stats.delivered_corrupted == sum(map(trusted, altered)) > 0
+        assert stats.detected == stats.lost \
+            == frames - stats.delivered_corrupted

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exec.ir import walk_ir_statements
-from repro.mda import c_ident, c_macro, ir_op_counts, lower_block, snake_case, vhdl_ident
+from repro.mda import c_ident, c_macro, lower_block, snake_case, vhdl_ident
 from repro.oal import analyze_activity, parse_activity
 from repro.xuml import CoreType, ModelBuilder
 
@@ -102,11 +102,6 @@ class TestLowering:
         """)
         tags = [stmt[0] for stmt in walk_ir_statements(ir)]
         assert tags == ["if", "while", "assign_var", "assign_var"]
-
-    def test_op_counts(self):
-        ir = lower("x = 1; y = 2; if (param.a > 0) z = 3; end if;")
-        counts = ir_op_counts(ir)
-        assert counts == {"assign_var": 3, "if": 1}
 
     def test_ir_is_jsonable(self):
         import json

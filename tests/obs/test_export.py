@@ -6,11 +6,8 @@ from repro.models.catalog import CATALOG, build_model
 from repro.obs import (
     SCHEMA_VERSION,
     TraceSchemaError,
-    batch_report_trace,
     dump_jsonl,
     load_jsonl,
-    read_jsonl,
-    write_jsonl,
 )
 from repro.obs.metrics import active_registry
 from repro.runtime.simulator import Simulation
@@ -40,13 +37,6 @@ class TestRoundTrip:
         assert loaded.behavioural_summary() == trace.behavioural_summary()
         assert len(loaded) == len(trace)
         assert [e.kind for e in loaded] == [e.kind for e in trace]
-
-    def test_file_round_trip(self, tmp_path):
-        trace = traced_run("microwave")
-        path = tmp_path / "run.jsonl"
-        write_jsonl(trace, path)
-        loaded = read_jsonl(path)
-        assert dump_jsonl(loaded) == path.read_text()
 
     def test_empty_trace_round_trips(self):
         text = dump_jsonl(Trace())
@@ -118,21 +108,6 @@ class TestSchemaGuards:
                 + '{"data":[1],"index":0,"kind":"log","time":0}\n')
         with pytest.raises(TraceSchemaError, match="object"):
             load_jsonl(text)
-
-
-class TestSubsystemLifting:
-    def test_batch_report_trace(self, tmp_path):
-        from repro.build import BatchJob, run_batch
-
-        report = run_batch([BatchJob("microwave", "sw-only", ())],
-                           jobs=1, cache_dir=str(tmp_path))
-        trace = batch_report_trace(report)
-        assert len(trace) == 1
-        event = trace.events[0]
-        assert event.kind is TraceKind.LOG
-        assert event.data["job"] == "microwave:sw-only"
-        assert event.data["ok"] is True
-        assert dump_jsonl(load_jsonl(dump_jsonl(trace))) == dump_jsonl(trace)
 
 
 class TestDisabledOverhead:
