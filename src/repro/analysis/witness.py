@@ -183,10 +183,9 @@ class RecordingScheduler(Scheduler):
         self.options: list[tuple[int, ...]] = []
 
     def choose(self, pool, sources=None):
+        # the dispatcher asks only when a source is ready: an idle step
+        # never gets here and builds no sources
         if sources is None:
-            ready, creations = pool.live_sources()
-            if not (ready or creations):
-                return None   # an idle step: every scheduler chooses None
             sources = self._sources(pool)
         choice = self.inner.choose(pool, sources)
         if choice is not None:

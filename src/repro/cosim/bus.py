@@ -67,6 +67,8 @@ class Bus:
         #: when the current transfer leaves the bus; never decreases
         self.free_at = 0
         self._rr_last_side = "hw"    # round-robin alternates sides
+        #: payload bytes -> bus occupancy, computed once per size
+        self._transfer_ns: dict[int, int] = {}
         self.stats = BusStats()
         self._fault_plan = fault_plan
         self.fault_stats = fault_stats if fault_stats is not None \
@@ -88,19 +90,37 @@ class Bus:
         The caller invokes ``request.deliver(request)`` at the delivery
         time.
         """
-        if now < self.free_at or not self._pending:
+        pending = self._pending
+        if now < self.free_at or not pending:
             return None
-        ready = [r for r in self._pending if r.ready_at <= now]
-        if not ready:
+        # find the first ready request; arbitrate only if a second is ready
+        first, more = None, False
+        for index, request in enumerate(pending):
+            if request.ready_at <= now:
+                if first is not None:
+                    more = True
+                    break
+                first = index
+        if first is None:
             return None
-        chosen = ready[0] if len(ready) == 1 else self._arbitrate(ready)
-        self._pending.remove(chosen)
-        transfer = self._config.bus_transfer_ns(chosen.payload_bytes)
+        if more:
+            chosen = self._arbitrate(
+                [r for r in pending if r.ready_at <= now])
+            pending.remove(chosen)
+        else:
+            chosen = pending[first]
+            del pending[first]
+        size = chosen.payload_bytes
+        try:
+            transfer = self._transfer_ns[size]
+        except KeyError:
+            transfer = self._transfer_ns[size] = \
+                self._config.bus_transfer_ns(size)
         start = now   # the bus is free and the request ready
         delivery = start + transfer
         self.free_at = delivery
         self.stats.messages += 1
-        self.stats.bytes_moved += chosen.payload_bytes
+        self.stats.bytes_moved += size
         self.stats.busy_ns += transfer
         self.stats.wait_ns += start - chosen.ready_at
         if self._m_wait is not None:

@@ -156,8 +156,8 @@ class CoSimMachine(TargetMachine):
         self.bus = Bus(self.config, fault_plan, self.fault_stats)
         self._codec = InterfaceCodec.from_artifact(
             build.interface.emit_c_header())
-        # (receiver class, label) -> (message, its wire encoding), filled
-        # by the first crossing of each boundary flow
+        # (receiver class, label) -> (message, its wire encoding, its
+        # FrameSpec or None), filled by the first crossing of each flow
         self._messages: dict[tuple[str, str], tuple] = {}
         # not per transfer: the last frame id and the signals the wire altered
         self._frame_counter = 0
@@ -271,19 +271,21 @@ class CoSimMachine(TargetMachine):
         """Pack *signal* through the generated layout, the payload a real
         bus carries, and put its first attempt on the bus."""
         key = (signal.class_key, signal.label)
-        entry = self._messages.get(key)
-        if entry is None:
+        try:
+            message, fields, frame = self._messages[key]
+        except KeyError:
             message = self.build.interface.message_for(*key)
             enums = self.manifest.enums
-            entry = self._messages[key] = (message, tuple(
+            fields = tuple(
                 (name, _field_encoding(tag, enums))
                 for name, tag, _o, _w in self._codec.layouts[message.name][2]
-                if name != "target_instance"))
-        message, fields = entry
+                if name != "target_instance")
+            frame = self._codec.frames.get(message.name)
+            self._messages[key] = (message, fields, frame)
         params = signal.params
         values = {"target_instance": signal.target_handle or 0}
         for name, encoding in fields:
-            value = params.get(name)
+            value = params[name] if name in params else None
             if value is None:
                 value = 0
             elif encoding == "ref":
@@ -298,7 +300,7 @@ class CoSimMachine(TargetMachine):
             signal=signal,
             message=message,
             encoding=fields,
-            frame=self._codec.frames.get(message.name),
+            frame=frame,
             sender_side=sender_side,
             payload=self._codec.pack(message.name, values),
         )
@@ -454,20 +456,24 @@ class CoSimMachine(TargetMachine):
 
     def step(self) -> bool:
         """One pass: False when nothing was dispatched at ``now``."""
-        return self._dispatch_now() > 0
+        return self._dispatch_now()[0] > 0
 
-    def _dispatch_now(self) -> int:
+    def _dispatch_now(self) -> tuple[int, int | None]:
         """One pass over the instant ``now``: take in what is due, start
         every free hardware bank whose instance has a signal waiting, in
         handle order, then give a free CPU its kernel-order software
-        source.  Returns how many services started.
+        source.  Returns how many services started and the next instant
+        (None: nothing is left to happen).
 
-        Every service the pass starts leaves its resource busy past
-        ``now`` and routes its signals to arrive at its end, unless it
-        costs nothing or is a hardware creation (which occupies neither
-        the CPU nor a bank).  Only then can more start at ``now``:
-        :meth:`_next_time` says so by returning ``now``, and the loop
-        makes another pass (:attr:`whole_instants`).
+        The next instant is the earliest of the heap (bus polls and
+        deliveries, retries), the next delayed signal and the free time
+        of every resource with a signal waiting, as a DEVS coordinator
+        takes the minimum of its models' time advances.  Every service
+        the pass starts leaves its resource busy past ``now`` and routes
+        its signals to arrive at its end, unless it costs nothing or is a
+        hardware creation (which occupies neither the CPU nor a bank).
+        Only then can more start at ``now``: the next instant is ``now``
+        itself, and the loop makes another pass (:attr:`whole_instants`).
         """
         now = self.now
         pool = self.pool
@@ -481,59 +487,65 @@ class CoSimMachine(TargetMachine):
         ready = self._ready
         handle_side = self._handle_side
         hw_free_at = self._hw_free_at
-        banks: list[int] | None = None   # made for the first free bank
-        cpu_waits = False
+        bank = None                      # the first free bank
+        banks: list[int] | None = None   # made for the second one
+        software = None                  # the first waiting software handle
+        more_software = False
         for handle in ready:
             if handle_side[handle] == "sw":
-                cpu_waits = True
+                if software is None:
+                    software = handle
+                else:
+                    more_software = True
             elif hw_free_at[handle] <= now:
-                if banks is None:
-                    banks = [handle]
+                if bank is None:
+                    bank = handle
+                elif banks is None:
+                    banks = [bank, handle]
                 else:
                     banks.append(handle)
         started = 0
         if banks is not None:
-            if len(banks) > 1:
-                banks.sort()   # the bank that starts first traces first
+            banks.sort()   # the bank that starts first traces first
             for handle in banks:
                 if handle in ready:   # else an earlier bank deleted it
                     self._service(handle, pool.pop_for(handle))
                     started += 1
+        elif bank is not None:
+            self._service(bank, pool.pop_for(bank))
+            started = 1
         # the single CPU: at most one software dispatch per pass, chosen
         # after the banks, whose actions may delete software instances.
         # Hardware creation events are dispatched by the CPU-side
         # configuration master too (instance banks are provisioned by
         # software), but only when no software signal is pending.
         creations = self._waiting_creations
-        if (cpu_waits or creations) and self._cpu_free_at <= now:
-            software = [h for h in ready if handle_side[h] == "sw"]
-            if creations and self._side[creations[0].class_key] == "sw":
-                software.append(CREATION)
-            if software:
-                source = self._cpu_scheduler.choose(pool, software)
-            elif creations:
+        if (software is not None or creations) and self._cpu_free_at <= now:
+            source = None
+            software_creation = (creations and
+                                 self._side[creations[0].class_key] == "sw")
+            if more_software or software_creation:
+                sources = [h for h in ready if handle_side[h] == "sw"]
+                if software_creation:
+                    sources.append(CREATION)
+                if sources:
+                    source = self._cpu_scheduler.choose(pool, sources)
+            elif software in ready:
+                source = software   # the one candidate: nothing to choose
+            if source is None and creations:
                 source = CREATION
-            else:
-                return started
             if source == CREATION:
                 self._service(None, creations.popleft())
-            else:
+                started += 1
+            elif source is not None:
                 self._service(source, pool.pop_for(source))
-            started += 1
-        return started
-
-    def _next_time(self) -> int | None:
-        """The earliest of the heap (bus polls and deliveries, retries),
-        the next delayed signal and the free time of every resource with
-        a signal waiting: ``now`` itself while the instant is open."""
-        best = self._heap[0][0] if self._heap else math.inf
-        due_at = self.pool.due_at
-        if due_at < best:
-            best = due_at
-        handle_side = self._handle_side
-        hw_free_at = self._hw_free_at
-        cpu_waits = bool(self._waiting_creations)
-        for handle in self._ready:
+                started += 1
+        # the next instant, read after the services this pass started
+        best = heap[0][0] if heap else math.inf
+        if pool.due_at < best:
+            best = pool.due_at
+        cpu_waits = bool(creations)
+        for handle in ready:
             if handle_side[handle] == "hw":
                 free_at = hw_free_at[handle]
                 if free_at < best:
@@ -542,7 +554,7 @@ class CoSimMachine(TargetMachine):
                 cpu_waits = True
         if cpu_waits and self._cpu_free_at < best:
             best = self._cpu_free_at
-        return None if best == math.inf else best
+        return started, None if best == math.inf else best
 
     def _drain_heap(self, now: int) -> None:
         """Run the bus and retry events due by *now*, in push order."""

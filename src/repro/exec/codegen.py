@@ -193,8 +193,13 @@ class _Generator:
         start = self.temp()
         self.emit(depth, f"{start} = {self.value(stmt[3], assigned)}")
         handles = self.temp()
-        self.emit(depth, f"{handles} = () if {start} is None else ({start},)")
-        for class_key, number, phrase in stmt[4]:
+        # the first hop leaves one handle: navigate's result is already
+        # sorted and unique, so it needs no _hop
+        (class_key, number, phrase), *hops = stmt[4]
+        self.emit(depth, f"{handles} = () if {start} is None else "
+                         f"host.navigate({start}, {self.const(number)}, "
+                         f"{self.const(class_key)}, {self.const(phrase)})")
+        for class_key, number, phrase in hops:
             self.emit(depth, f"{handles} = _hop(host, {handles}, "
                              f"{self.const(class_key)}, {self.const(number)}, "
                              f"{self.const(phrase)})")
@@ -243,7 +248,7 @@ class _Generator:
                  else f"int({self.value(stmt[5], assigned)})")
         if stmt[4] is None:
             self.emit(depth, f"host.send_creation({class_key}, {label}, "
-                             f"{params}, sender=self_handle, delay={delay})")
+                             f"{params}, self_handle, {delay})")
             return assigned
         # the target is evaluated last, after the parameters and delay
         params_name, delay_name = self.temp(), self.temp()
@@ -251,8 +256,7 @@ class _Generator:
         self.emit(depth, f"{delay_name} = {delay}")
         target = self.required(stmt[4], assigned)
         self.emit(depth, f"host.send_signal({target}, {class_key}, {label}, "
-                         f"{params_name}, sender=self_handle, "
-                         f"delay={delay_name})")
+                         f"{params_name}, self_handle, {delay_name})")
         return assigned
 
     def stmt_if(self, stmt, depth, assigned):
@@ -417,10 +421,22 @@ class _Generator:
             left_needs = left_prec < prec or left_prec == prec == _CMP
             return (f"{_wrap(left, left_needs)} {op} "
                     f"{_wrap(right, right_prec <= prec)}", prec)
-        if op == "/":
-            return f"_div({left}, {right}, ex)", _ATOM
-        if op == "%":
-            return f"_mod({left}, {right}, ex)", _ATOM
+        if op in ("/", "%"):
+            helper = "_div" if op == "/" else "_mod"
+            divisor = ir[3]
+            if not (divisor[0] == "int" and type(divisor[1]) is int
+                    and divisor[1] > 0):
+                return f"{helper}({left}, {right}, ex)", _ATOM
+            # a positive literal divisor: the helper's fast path, inline,
+            # so only a dividend that is not a non-negative int calls it
+            if left.isidentifier():
+                name, test = left, f"type({left}) is int"
+            else:
+                name = self.temp()
+                test = f"type({name} := {left}) is int"
+            python = "//" if op == "/" else "%"
+            return (f"({name} {python} {right} if {test} and {name} >= 0 "
+                    f"else {helper}({name}, {right}, ex))"), _ATOM
         message = f"unknown binary operator {op!r}"
         return f"_fail(ex, {message!r}, {left}, {right})", _ATOM
 

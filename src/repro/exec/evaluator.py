@@ -16,9 +16,12 @@ The host is duck-typed; the surface the evaluator calls is:
   ``instances_of(class_key)``
 * attributes — ``read_attribute(h, name)``, ``write_attribute(h, name, v)``
 * links — ``relate(l, r, rnum, phrase)``, ``unrelate(...)``,
-  ``navigate(h, rnum, class_key, phrase)``
-* signals — ``send_signal(target, class_key, label, params, sender=,
-  delay=)``, ``send_creation(class_key, label, params, sender=, delay=)``
+  ``navigate(h, rnum, class_key, phrase)``, which returns a tuple of
+  handles that is sorted and holds each handle once (a one-hop select
+  uses it as is)
+* signals — ``send_signal(target, class_key, label, params, sender,
+  delay)``, ``send_creation(class_key, label, params, sender, delay)``,
+  sender and delay passed by position
 * calls — ``call_bridge(self_handle, entity, op, kwargs)`` (the executors'
   shared ``Dispatcher`` serves it from their ``bridges`` table),
   ``call_class_operation(class_key, op, kwargs)``,
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from repro.oal.errors import OALRuntimeError
 
-from .codegen import compiled
+from .codegen import _by_identity, compiled
 
 #: Name `repro check` and diagnostics print for the unified core.
 CORE_NAME = "repro.exec"
@@ -68,6 +71,10 @@ class IRExecutor:
 
     def run(self, block: list, self_handle, params):
         """Execute one IR block; returns the ``return`` value, if any."""
+        # compiled()'s identity memo, read in place: a hit makes no call
+        entry = _by_identity.get(id(block))
+        if entry is not None and entry[0] is block:
+            return entry[1](self, self_handle, params)
         try:
             function = compiled(block)
         except (SyntaxError, RecursionError, MemoryError):

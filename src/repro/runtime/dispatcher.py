@@ -47,7 +47,7 @@ from .errors import (
     MultiplicityError,
     SimulationError,
 )
-from .events import EventPool, SignalInstance
+from .events import CREATION, EventPool, SignalInstance
 from .instances import Instance
 from .links import LinkStore
 from .tracing import Trace, TraceKind
@@ -119,11 +119,17 @@ class Dispatcher:
     label, or lets the send through).  A step-driven subclass also sets
     ``scheduler``, the :class:`~repro.runtime.scheduler.Scheduler` that
     picks each step's source; an executor whose instant is not one
-    ``step`` overrides ``_dispatch_now`` and ``_next_time`` instead, and a
-    clock other than the model's microsecond sets ``ticks_per_us``.  Each
-    concrete executor sets ``name``; that, the population and stimulus
-    calls, the run loops and the state, attribute and trace reads are the
-    surface :func:`repro.verify.run_case` drives.
+    ``step`` sets ``whole_instants`` and provides ``_dispatch_now``
+    instead, and a clock other than the model's microsecond sets
+    ``ticks_per_us``.  Each concrete executor sets ``name``; that, the
+    population and stimulus calls, the run loops and the state,
+    attribute and trace reads are the surface
+    :func:`repro.verify.run_case` drives.
+
+    Every dispatch passes through here, so the hot path is kept flat:
+    the hot trace kinds append their record through ``_append`` (the
+    trace list's own ``append``), and an empty activity skips the
+    evaluator (see :meth:`_run_state_activity`).
     """
 
     #: raised by the run loops, on storage misuse (and, by default, on a
@@ -140,13 +146,19 @@ class Dispatcher:
     #: metrics hook, called with each chosen source before it is popped;
     #: bound once, so with metrics off a step pays one ``is None`` test
     _on_dispatch = None
-    #: True when one ``_dispatch_now`` pass starts everything it can at
-    #: ``now``: the loop then asks ``_next_time`` after every pass, and a
-    #: next time of ``now`` itself means the instant is still open
+    #: True when the executor's instant is its ``_dispatch_now()`` pass,
+    #: which starts everything it can at ``now`` and returns how many
+    #: services it started and the next instant (None: nothing is left
+    #: to happen).  The loop calls it instead of ``step`` and
+    #: ``_next_time``; a next instant of ``now`` itself means the instant
+    #: is still open
     whole_instants = False
 
     def __init__(self, self_priority: bool = True):
         self.trace = Trace()
+        #: the trace's list append, bound once: the hot kinds append
+        #: their ``(time, kind, values)`` record with it, one call each
+        self._append = self.trace.records().append
         self.pool = EventPool(self_priority)
         self.now = 0
         self.loop_bound = 100_000
@@ -215,8 +227,7 @@ class Dispatcher:
         instance = Instance(handle, class_key, attributes, state)
         self._instances[handle] = instance
         self._extents[class_key][handle] = instance
-        self.trace.record(self.now, _INSTANCE_CREATED,
-                          handle, class_key, state)
+        self._append((self.now, _INSTANCE_CREATED, (handle, class_key, state)))
         return handle
 
     def delete_instance(self, handle: int) -> None:
@@ -266,11 +277,15 @@ class Dispatcher:
         return self.executor.run(ir, handle, {})
 
     def write_attribute(self, handle: int, name: str, value) -> None:
-        instance = self._instances.get(handle) or self.instance(handle)
-        if name not in instance.attributes:
+        try:
+            instance = self._instances[handle]
+        except KeyError:
+            raise self.error(f"no live instance #{handle}") from None
+        attributes = instance.attributes
+        if name not in attributes:
             raise self.error(
                 f"{instance.class_key}#{handle} has no attribute {name!r}")
-        instance.attributes[name] = value
+        attributes[name] = value
 
     def relate(self, left: int, right: int, number: str,
                phrase: str | None = None) -> None:
@@ -284,8 +299,13 @@ class Dispatcher:
 
     def navigate(self, handle: int, number: str, to_class: str,
                  phrase: str | None = None) -> tuple[int, ...]:
-        return self.links.navigate(number, handle, self.class_of(handle),
-                                   to_class, phrase)
+        """Handles of *to_class* linked to *handle*: sorted, each once."""
+        try:
+            class_key = self._instances[handle].class_key   # class_of, inline
+        except KeyError:
+            raise self.error(f"no live instance #{handle}") from None
+        return self.links.navigate(number, handle, class_key, to_class,
+                                   phrase)
 
     def referential_violations(self) -> list[str]:
         """Live instances missing a partner at an unconditional end."""
@@ -315,14 +335,14 @@ class Dispatcher:
               is_creation):
         sequence = self._next_sequence
         self._next_sequence = sequence + 1
-        activity_id = self._activity_stack[-1] if self._activity_stack else 0
+        stack = self._activity_stack
+        activity_id = stack[-1] if stack else 0
+        now = self.now
         signal = SignalInstance(
             sequence, label, class_key, dict(params or {}), target, sender,
-            activity_id, self.now, is_creation)
-        self.trace.record(
-            self.now, _SIGNAL_SENT,
-            sequence, label, target, sender, activity_id, delay,
-        )
+            activity_id, now, is_creation)
+        self._append((now, _SIGNAL_SENT,
+                      (sequence, label, target, sender, activity_id, delay)))
         self._enqueue(signal, delay)
         return signal
 
@@ -358,8 +378,7 @@ class Dispatcher:
 
     def call_bridge(self, self_handle, entity, operation, kwargs: dict):
         """Trace a bridge call and run its implementation from ``bridges``."""
-        self.trace.record(self.now, _BRIDGE_CALL,
-                          entity, operation, self_handle)
+        self._append((self.now, _BRIDGE_CALL, (entity, operation, self_handle)))
         impl = self.bridges.get((entity, operation))
         if impl is None:
             raise self.bridge_error(
@@ -381,8 +400,9 @@ class Dispatcher:
             from_state = None
         else:
             handle = signal.target_handle
-            target = self._instances.get(handle)
-            if target is None:
+            try:
+                target = self._instances[handle]
+            except KeyError:
                 # the receiver died while the signal was in flight
                 self._drop(signal, "target deleted")
                 return
@@ -390,8 +410,10 @@ class Dispatcher:
                 raise self.error(f"signal {class_key}.{label} addressed "
                                  f"to #{handle}, a live {target.class_key}")
             from_state = target.current_state
-            to_state = self._responses.get((class_key, from_state, label),
-                                           _CANT_HAPPEN)
+            try:
+                to_state = self._responses[class_key, from_state, label]
+            except KeyError:
+                to_state = _CANT_HAPPEN
             if to_state is _IGNORE:
                 self._drop(signal, "ignored")
                 return
@@ -403,61 +425,71 @@ class Dispatcher:
                         f"{from_state} of {class_key}#{handle}")
                 self._drop(signal, "cant_happen")
                 return
-        record = self.trace.record
-        record(self.now, _SIGNAL_CONSUMED,
-               signal.sequence, label, handle, signal.sender_handle,
-               signal.activity_id)
+        append = self._append
+        now = self.now
+        append((now, _SIGNAL_CONSUMED,
+                (signal.sequence, label, handle, signal.sender_handle,
+                 signal.activity_id)))
         target.current_state = to_state
-        record(self.now, _TRANSITION,
-               handle, class_key, from_state, to_state, label)
+        append((now, _TRANSITION,
+                (handle, class_key, from_state, to_state, label)))
         self._run_state_activity(target, to_state, signal)
 
     def _drop(self, signal: SignalInstance, reason: str) -> None:
-        self.trace.record(
-            self.now, _SIGNAL_IGNORED,
-            signal.sequence, signal.label, signal.target_handle, reason,
-        )
+        self._append((self.now, _SIGNAL_IGNORED,
+                      (signal.sequence, signal.label, signal.target_handle,
+                       reason)))
 
     def _run_state_activity(self, instance: Instance, state: str,
                             signal: SignalInstance) -> None:
         """Run *state*'s lowered activity to completion; its sends are
         stamped with its id.  The one activity runner: ``dispatch`` calls
-        it, and only an executor of another action form overrides it."""
+        it, and only an executor of another action form overrides it.
+
+        An empty activity is still traced and still takes an id, but it
+        runs nothing and sends nothing, so it skips the evaluator and the
+        activity stack."""
         activity_id = self._next_activity
-        self._next_activity += 1
+        self._next_activity = activity_id + 1
         handle, class_key = instance.handle, instance.class_key
-        self.trace.record(
-            self.now, _ACTIVITY_START,
-            activity_id, handle, class_key, state, signal.sequence,
-        )
-        self._activity_stack.append(activity_id)
+        block = self._activities[class_key, state]
+        append = self._append
+        append((self.now, _ACTIVITY_START,
+                (activity_id, handle, class_key, state, signal.sequence)))
+        if not block:
+            append((self.now, _ACTIVITY_END,
+                    (activity_id, handle, class_key, state)))
+            return
+        stack = self._activity_stack
+        stack.append(activity_id)
         try:
-            self.executor.run(self._activities[class_key, state], handle,
-                              signal.params)
+            self.executor.run(block, handle, signal.params)
         finally:
-            self._activity_stack.pop()
-            self.trace.record(self.now, _ACTIVITY_END,
-                              activity_id, handle, class_key, state)
+            stack.pop()
+            append((self.now, _ACTIVITY_END,
+                    (activity_id, handle, class_key, state)))
 
     # -- step-driven execution ------------------------------------------------------
 
     def step(self) -> bool:
         """Dispatch one ready signal.  Returns False when nothing is ready."""
-        if self.pool.due_at <= self.now:
-            self.pool.release_due(self.now)
-        source = self.scheduler.choose(self.pool)
+        pool = self.pool
+        if pool.due_at <= self.now:
+            pool.release_due(self.now)
+        # the pool keeps only non-empty queues (read in place): when it
+        # holds none and no creation waits, every scheduler chooses None
+        if not (pool._queues or pool._creations):
+            return False
+        source = self.scheduler.choose(pool)
         if source is None:
             return False
         if self._on_dispatch is not None:
             self._on_dispatch(source)
-        self.dispatch(self.pool.pop(source))
+        self.dispatch(pool.pop_creation() if source == CREATION
+                      else pool.pop_for(source))
         return True
 
     # -- the one time-advance loop ----------------------------------------------
-
-    def _dispatch_now(self) -> int:
-        """Dispatch what is ready at ``now``; returns how many dispatches."""
-        return self.step()
 
     def _next_time(self) -> int | None:
         """The earliest later instant at which anything can happen."""
@@ -472,13 +504,19 @@ class Dispatcher:
         """
         steps = 0
         whole_instants = self.whole_instants
+        step = self.step
+        next_time = self._next_time
         while steps < max_steps and self.now <= horizon:
-            dispatched = self._dispatch_now()
-            if dispatched:
+            if whole_instants:
+                dispatched, due = self._dispatch_now()
                 steps += dispatched
-                if not whole_instants or steps >= max_steps:
-                    continue
-            due = self._next_time()
+                if steps >= max_steps:
+                    break
+            elif step():
+                steps += 1
+                continue
+            else:
+                dispatched, due = 0, next_time()
             if due is None:
                 break
             if due <= self.now:

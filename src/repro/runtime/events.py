@@ -60,7 +60,9 @@ class InstanceQueue:
 
     ``self_priority=False`` disables the self-first rule (plain FIFO);
     it exists only for the E6 ablation, which demonstrates that models
-    written to the profile's rules break without it.
+    written to the profile's rules break without it.  On the dispatch
+    path :class:`EventPool` files and pops in the two deques in place,
+    by the same rule (``push_ready``, ``pop_for``).
     """
 
     def __init__(self, self_priority: bool = True):
@@ -120,12 +122,18 @@ class EventPool:
         if signal.is_creation:
             self._creations.append(signal)
             return
-        queue = self._queues.get(signal.target_handle)
+        handle = signal.target_handle
+        queue = self._queues.get(handle)
         if queue is None:
             queue = (self._spare.pop() if self._spare
                      else InstanceQueue(self._self_priority))
-            self._queues[signal.target_handle] = queue
-        queue.push(signal)
+            self._queues[handle] = queue
+        # InstanceQueue.push, filed in place: every send passes here
+        sender = signal.sender_handle
+        if self._self_priority and sender is not None and sender == handle:
+            queue._self_events.append(signal)
+        else:
+            queue._other_events.append(signal)
 
     def push_delayed(self, signal: SignalInstance, due_time: int) -> None:
         heapq.heappush(self._delayed, (due_time, signal.sequence, signal))
@@ -180,9 +188,11 @@ class EventPool:
         return bool(self._creations)
 
     def pop_for(self, handle: int) -> SignalInstance:
+        # InstanceQueue.pop, read in place: every dispatch passes here
         queue = self._queues[handle]
-        signal = queue.pop()
-        if not queue:
+        self_events, other_events = queue._self_events, queue._other_events
+        signal = (self_events or other_events).popleft()
+        if not (self_events or other_events):
             del self._queues[handle]
             self._spare.append(queue)
         return signal
@@ -211,12 +221,6 @@ class EventPool:
         # InstanceQueue.peek, read in place: schedulers peek per candidate
         queue = self._queues[source]
         return (queue._self_events or queue._other_events)[0]
-
-    def pop(self, source: int) -> SignalInstance:
-        """Remove and return the head event of *source*."""
-        if source == CREATION:
-            return self._creations.popleft()
-        return self.pop_for(source)
 
     def next_due_time(self) -> int | None:
         """Earliest due time among delayed events, or None."""

@@ -14,6 +14,15 @@ dict.  ``LOG`` is the one free-form kind: its ``values`` is a single
 dict.  :class:`TraceEvent`, with its ``data`` dict, is built only when a
 reader asks for events (:attr:`Trace.events`, iteration,
 :meth:`Trace.of_kind`); hot readers walk :meth:`Trace.records` instead.
+
+Writers are hot too.  The dispatcher
+(:class:`repro.runtime.dispatcher.Dispatcher`) appends the records of
+the hot kinds itself, ``SIGNAL_SENT``, ``SIGNAL_CONSUMED``,
+``SIGNAL_IGNORED``, ``TRANSITION``, ``ACTIVITY_START``/``ACTIVITY_END``,
+``BRIDGE_CALL`` and ``INSTANCE_CREATED``, through the record list's
+bound ``append``: one call per record.  :meth:`Trace.record` serves
+``LOG``, ``INSTANCE_DELETED`` and every other writer.  A CI step keeps
+in-place appends to this module and the dispatcher.
 """
 
 from __future__ import annotations

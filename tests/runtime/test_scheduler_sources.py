@@ -39,6 +39,12 @@ def _signal(sequence, target):
         is_creation=target == CREATION)
 
 
+def _pop(pool, source):
+    """Take *source*'s head, as a dispatching step does."""
+    return (pool.pop_creation() if source == CREATION
+            else pool.pop_for(source))
+
+
 def _random_pool(rng, sequence):
     pool = EventPool()
     for _ in range(rng.randint(0, 8)):
@@ -52,7 +58,7 @@ def test_sources_are_a_sorted_tuple_with_creation_first():
     for sequence, target in enumerate((9, CREATION, 3, 5), start=1):
         pool.push_ready(_signal(sequence, target))
     assert Scheduler()._sources(pool) == (CREATION, 3, 5, 9)
-    pool.pop(CREATION)
+    pool.pop_creation()
     assert Scheduler()._sources(pool) == (3, 5, 9)
     assert Scheduler()._sources(EventPool()) == ()
 
@@ -80,7 +86,7 @@ def test_interleaved_draws_what_the_reference_draws(seed):
                 assert choice is None
                 break
             assert choice == reference.choice(options)
-            pool.pop(choice)
+            _pop(pool, choice)
 
 
 def test_round_robin_rotates_as_before():
@@ -93,7 +99,7 @@ def test_round_robin_rotates_as_before():
             expected = later[0] if later else options[0]
             assert scheduler.choose(pool) == expected
             last = expected
-            pool.pop(expected)
+            _pop(pool, expected)
 
 
 class ReferenceRecording(RecordingScheduler):
