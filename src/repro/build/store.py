@@ -144,9 +144,6 @@ class ArtifactStore:
         if self.max_bytes is not None:
             self.gc(self.max_bytes)
 
-    def get_text(self, key: str) -> str | None:
-        return self.get(key, bytes.decode)
-
     def put_text(self, key: str, text: str) -> None:
         self.put(key, text.encode("utf-8"))
 
@@ -163,13 +160,6 @@ class ArtifactStore:
                 continue  # evicted by a concurrent worker
             entries.append((stat.st_mtime, stat.st_size, path))
         return entries
-
-    def size_bytes(self) -> int:
-        """Total payload bytes currently stored."""
-        return sum(size for _, size, _ in self._entries())
-
-    def object_count(self) -> int:
-        return len(self._entries())
 
     def gc(self, max_bytes: int | None = None) -> int:
         """Evict least-recently-used objects until under *max_bytes*.

@@ -3,7 +3,7 @@
 Each IR block (an activity, operation or derived-attribute body) is
 turned into the source of one Python function the first time it runs,
 passed to :func:`compile`, and from then on called directly:
-``function(executor, self_handle, params)``.  Statements become Python
+``function(executor, host, self_handle, params)``.  Statements become Python
 statements and expressions become Python expressions, so ``break``,
 ``continue`` and ``return`` are native control flow and an expression
 costs no per-node dispatch.
@@ -448,8 +448,7 @@ class _Generator:
         constants = ", ".join(f"k{index}"
                               for index in range(len(self.constants)))
         self.emit(0, f"def make({constants}):")
-        self.emit(1, "def run(ex, self_handle, params):")
-        self.emit(2, "host = ex.host")
+        self.emit(1, "def run(ex, host, self_handle, params):")
         if self.checked:
             self.emit(2, " = ".join(sorted(self.checked)) + " = U")
         self.emit(2, "ops = 0")
@@ -473,7 +472,7 @@ def _truth(source: str, prec: int) -> tuple[str, int]:
 
 
 def compile_block(block):
-    """Compile *block* to ``function(executor, self_handle, params)``."""
+    """Compile *block* to ``function(executor, host, self_handle, params)``."""
     generator = _Generator()
     source = generator.source(block)
     namespace = dict(_NAMESPACE)

@@ -2,7 +2,10 @@
 
 :class:`IRExecutor` runs the lowered action IR of :mod:`.ir` against a
 *host*: the object that owns instances, links, signals and
-bridges.  The abstract runtime (:class:`repro.runtime.Simulation`), the
+bridges.  The host is an argument of each :meth:`IRExecutor.run`, not a
+member, so a host that holds its executor is no reference cycle: a
+finished run is freed by reference count, not by the cyclic collector.
+The abstract runtime (:class:`repro.runtime.Simulation`), the
 generated-architecture simulators (:class:`repro.mda.TargetMachine` and
 its csim/vsim/cosim subclasses) and ad-hoc test harnesses are all hosts;
 none of them contains action semantics of its own anymore.  OAL action
@@ -61,24 +64,23 @@ class IRExecutor:
     architecture cost model's raw material.
     """
 
-    __slots__ = ("host", "ops_executed", "_error", "_selection_error")
+    __slots__ = ("ops_executed", "_error", "_selection_error")
 
-    def __init__(self, host, error=OALRuntimeError, selection_error=None):
-        self.host = host
+    def __init__(self, error=OALRuntimeError, selection_error=None):
         self.ops_executed = 0
         self._error = error
         self._selection_error = selection_error or error
 
-    def run(self, block: list, self_handle, params):
-        """Execute one IR block; returns the ``return`` value, if any."""
+    def run(self, host, block: list, self_handle, params):
+        """Execute one IR block against *host*; returns its ``return``."""
         # compiled()'s identity memo, read in place: a hit makes no call
         entry = _by_identity.get(id(block))
         if entry is not None and entry[0] is block:
-            return entry[1](self, self_handle, params)
+            return entry[1](self, host, self_handle, params)
         try:
             function = compiled(block)
         except (SyntaxError, RecursionError, MemoryError):
             # CPython caps statically nested blocks (20) and parser depth
             raise self._error(
                 "action block too deeply nested to compile") from None
-        return function(self, self_handle, params)
+        return function(self, host, self_handle, params)

@@ -140,9 +140,6 @@ class MarkSet:
             return mark.value
         return self.definition(name).default
 
-    def is_explicit(self, element_path: str, name: str) -> bool:
-        return (element_path, name) in self._marks
-
     @property
     def marks(self) -> tuple[Mark, ...]:
         return tuple(mark for _, mark in sorted(self._marks.items()))

@@ -51,7 +51,7 @@ class TargetMachine(Dispatcher):
     def __init__(self, manifest: ComponentManifest):
         super().__init__()
         self.manifest = manifest
-        self.executor = IRExecutor(self, error=ArchError,
+        self.executor = IRExecutor(error=ArchError,
                                    selection_error=ArchError)
         self._load_tables(manifest.lowered)
 

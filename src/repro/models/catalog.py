@@ -22,7 +22,7 @@ class CatalogEntry:
     """One prebuilt model and what it demonstrates."""
 
     name: str
-    build: object          # () -> Model
+    build: object          # (check=True) -> Model; False skips check_model
     highlight: str
 
 

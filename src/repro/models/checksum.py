@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.xuml import Model, ModelBuilder
 
 
-def build_checksum_model() -> Model:
+def build_checksum_model(check: bool = True) -> Model:
     """Build and check the checksum accelerator model."""
     builder = ModelBuilder("Checksum", "job-based checksum accelerator")
     accel = builder.component("accel")
@@ -105,7 +105,7 @@ def build_checksum_model() -> Model:
     engine.trans("Replying", "AC1", "Computing")
     engine.ignore("Ready", "AC2")
 
-    return builder.build()
+    return builder.build(check)
 
 
 def populate(simulation, engines: int = 1) -> list[int]:

@@ -17,7 +17,7 @@ FLOOR_TIME = 2_000_000
 DOOR_TIME = 3_000_000
 
 
-def build_elevator_model() -> Model:
+def build_elevator_model(check: bool = True) -> Model:
     """Build and check the elevator bank model."""
     builder = ModelBuilder("Elevator", "hall-call dispatching elevator bank")
     bank_component = builder.component("bank")
@@ -135,7 +135,7 @@ def build_elevator_model() -> Model:
     bank_component.assoc("R3", ("B", "is pending at", "0..1"),
                          ("CA", "queues", "*"))
 
-    return builder.build()
+    return builder.build(check)
 
 
 def populate(simulation, cars: int = 2) -> tuple[int, list[int]]:

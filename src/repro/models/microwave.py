@@ -15,7 +15,7 @@ from repro.xuml import Model, ModelBuilder
 SECOND = 1_000_000
 
 
-def build_microwave_model() -> Model:
+def build_microwave_model(check: bool = True) -> Model:
     """Build and well-formedness-check the microwave model."""
     builder = ModelBuilder("Microwave", "canonical oven + power tube model")
     control = builder.component("control", "oven control domain")
@@ -116,7 +116,7 @@ def build_microwave_model() -> Model:
         ("PT", "energizes", "1"),
     )
 
-    return builder.build()
+    return builder.build(check)
 
 
 def populate(simulation) -> tuple[int, int]:

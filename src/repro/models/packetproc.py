@@ -25,7 +25,7 @@ from repro.xuml import Model, ModelBuilder
 FLOW_COUNT = 4
 
 
-def build_packetproc_model() -> Model:
+def build_packetproc_model(check: bool = True) -> Model:
     """Build and check the packet processor."""
     builder = ModelBuilder("PacketProcessor", "five-stage packet pipeline SoC")
     soc = builder.component("soc")
@@ -191,7 +191,7 @@ def build_packetproc_model() -> Model:
     soc.assoc("R5", ("D", "reports completion to", "1"),
               ("ST", "accounts transfers of", "1"))
 
-    return builder.build()
+    return builder.build(check)
 
 
 def populate(simulation) -> dict[str, int]:

@@ -17,7 +17,7 @@ ALL_RED_TIME = 2_000_000
 BUTTON_REFRACTORY = 10_000_000
 
 
-def build_trafficlight_model() -> Model:
+def build_trafficlight_model(check: bool = True) -> Model:
     """Build and check the intersection model."""
     builder = ModelBuilder("TrafficLight", "intersection controller")
     control = builder.component("intersection")
@@ -111,7 +111,7 @@ def build_trafficlight_model() -> Model:
         ("PB", "is served by", "*"),
     )
 
-    return builder.build()
+    return builder.build(check)
 
 
 def populate(simulation, buttons: int = 1) -> tuple[int, list[int]]:

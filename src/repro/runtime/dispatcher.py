@@ -143,8 +143,9 @@ class Dispatcher:
     cant_happen_policy = "error"
     #: model microseconds -> ticks of this executor's clock
     ticks_per_us = 1
-    #: metrics hook, called with each chosen source before it is popped;
-    #: bound once, so with metrics off a step pays one ``is None`` test
+    #: metrics hook, ``hook(executor, source)`` before each pop: a plain
+    #: function (a bound method would make the executor a cycle); with
+    #: metrics off a step pays one ``is None`` test
     _on_dispatch = None
     #: True when the executor's instant is its ``_dispatch_now()`` pass,
     #: which starts everything it can at ``now`` and returns how many
@@ -274,7 +275,7 @@ class Dispatcher:
         if ir is None:
             raise self.error(
                 f"{instance.class_key}#{handle} has no attribute {name!r}")
-        return self.executor.run(ir, handle, {})
+        return self.executor.run(self, ir, handle, {})
 
     def write_attribute(self, handle: int, name: str, value) -> None:
         try:
@@ -316,7 +317,8 @@ class Dispatcher:
     def send_signal(self, target: int, class_key: str, label: str,
                     params: dict | None = None, sender: int | None = None,
                     delay: int = 0) -> SignalInstance:
-        """Queue (or, with delay, schedule) a signal to a live instance."""
+        """Queue (or, with delay, schedule) a signal to a live instance.
+        The signal keeps *params* itself (:meth:`inject` copies them)."""
         if (class_key, label) not in self._accepts:
             self._unlisted_send(class_key, label, False)
         return self._send(target, class_key, label, params, sender, delay,
@@ -325,7 +327,8 @@ class Dispatcher:
     def send_creation(self, class_key: str, label: str,
                       params: dict | None = None, sender: int | None = None,
                       delay: int = 0) -> SignalInstance:
-        """Queue a creation event: the instance is born when it dispatches."""
+        """Queue a creation event: the instance is born when it dispatches.
+        The signal keeps *params* itself, as :meth:`send_signal`'s does."""
         if not self._accepts.get((class_key, label)):
             self._unlisted_send(class_key, label, True)
         return self._send(None, class_key, label, params, sender, delay,
@@ -339,7 +342,7 @@ class Dispatcher:
         activity_id = stack[-1] if stack else 0
         now = self.now
         signal = SignalInstance(
-            sequence, label, class_key, dict(params or {}), target, sender,
+            sequence, label, class_key, params or {}, target, sender,
             activity_id, now, is_creation)
         self._append((now, _SIGNAL_SENT,
                       (sequence, label, target, sender, activity_id, delay)))
@@ -348,10 +351,11 @@ class Dispatcher:
 
     def inject(self, target: int, label: str, params: dict | None = None,
                delay: int = 0) -> SignalInstance:
-        """Send a signal from the environment (test benches, stimuli)."""
+        """Send a signal from the environment (test benches, stimuli),
+        with a copy of *params*: the caller keeps its dict."""
         return self.send_signal(
-            target, self.class_of(target), label, params, sender=None,
-            delay=delay,
+            target, self.class_of(target), label, dict(params or {}),
+            sender=None, delay=delay,
         )
 
     def _enqueue(self, signal: SignalInstance, delay: int) -> None:
@@ -369,12 +373,13 @@ class Dispatcher:
     # -- operations and bridges ---------------------------------------------------
 
     def call_class_operation(self, class_key: str, name: str, kwargs: dict):
-        return self.executor.run(self._operations[class_key, name], None,
-                                 kwargs)
+        return self.executor.run(self, self._operations[class_key, name],
+                                 None, kwargs)
 
     def call_instance_operation(self, handle: int, name: str, kwargs: dict):
         return self.executor.run(
-            self._operations[self.class_of(handle), name], handle, kwargs)
+            self, self._operations[self.class_of(handle), name], handle,
+            kwargs)
 
     def call_bridge(self, self_handle, entity, operation, kwargs: dict):
         """Trace a bridge call and run its implementation from ``bridges``."""
@@ -463,7 +468,7 @@ class Dispatcher:
         stack = self._activity_stack
         stack.append(activity_id)
         try:
-            self.executor.run(block, handle, signal.params)
+            self.executor.run(self, block, handle, signal.params)
         finally:
             stack.pop()
             append((self.now, _ACTIVITY_END,
@@ -484,7 +489,7 @@ class Dispatcher:
         if source is None:
             return False
         if self._on_dispatch is not None:
-            self._on_dispatch(source)
+            self._on_dispatch(self, source)
         self.dispatch(pool.pop_creation() if source == CREATION
                       else pool.pop_for(source))
         return True

@@ -229,7 +229,3 @@ class EventPool:
     @property
     def ready_count(self) -> int:
         return sum(len(q) for q in self._queues.values()) + len(self._creations)
-
-    @property
-    def delayed_count(self) -> int:
-        return len(self._delayed)

@@ -85,15 +85,12 @@ class Simulation(Dispatcher):
         self.scheduler = scheduler or SynchronousScheduler()
         self.cant_happen_policy = cant_happen
         self.eager_dispatch = eager_dispatch
-        if eager_dispatch:
-            self._enqueue = self._enqueue_eagerly
         # One lowering per model content (fingerprint-cached), one shared
         # evaluator: the abstract runtime executes literally the same IR
         # through literally the same code as csim and vsim.
         self._load_tables(lower_component(model, self.component))
         self.executor = IRExecutor(
-            self, error=OALRuntimeError, selection_error=SelectionError
-        )
+            error=OALRuntimeError, selection_error=SelectionError)
 
         # observability: bind metrics once at construction; when no
         # registry is active every hook is one `is not None` test
@@ -103,7 +100,7 @@ class Simulation(Dispatcher):
             self._metric_queue_depth = None
             self._metric_wait = None
         else:
-            self._on_dispatch = self._observe_dispatch
+            self._on_dispatch = Simulation._observe_dispatch
             self._metric_dispatches = registry.counter("runtime.dispatches")
             self._metric_queue_depth = registry.histogram(
                 "runtime.queue_depth")
@@ -122,13 +119,18 @@ class Simulation(Dispatcher):
         if creation and not event.creation:
             raise SimulationError(f"{class_key}.{label} is not a creation event")
 
-    def _enqueue_eagerly(self, signal: SignalInstance, delay: int) -> None:
-        """The ``eager_dispatch`` ablation: break run-to-completion by
-        delivering a send from inside an activity immediately."""
-        if self._activity_stack and delay <= 0 and not signal.is_creation:
+    def _enqueue(self, signal: SignalInstance, delay: int) -> None:
+        """``Dispatcher._enqueue`` written out (no extra call per send), plus
+        the ``eager_dispatch`` ablation: break run-to-completion by
+        delivering a send from inside an activity immediately.  A method,
+        not a per-instance binding, which would make a reference cycle."""
+        if delay > 0:
+            self.pool.push_delayed(signal, self.now + delay)
+        elif (self.eager_dispatch and self._activity_stack
+              and not signal.is_creation):
             self.dispatch(signal)
         else:
-            Dispatcher._enqueue(self, signal, delay)
+            self.pool.push_ready(signal)
 
     # -- bridges -------------------------------------------------------------------------
 

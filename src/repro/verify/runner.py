@@ -61,7 +61,7 @@ def apply_stimulus(step, target, bindings: dict[str, int]) -> bool:
             step.association, step.phrase)
     elif isinstance(step, InjectStep):
         target.inject(_resolve(bindings, step.name), step.label,
-                      dict(step.params), delay=step.delay_us)
+                      step.params, delay=step.delay_us)
     elif isinstance(step, CreationEventStep):
         target.send_creation(step.class_key, step.label, dict(step.params))
     else:

@@ -1,5 +1,7 @@
 """The batch scheduler: determinism, parallel safety, crash containment."""
 
+import itertools
+
 import pytest
 
 from repro.build import (
@@ -12,6 +14,7 @@ from repro.build import (
     run_batch,
     write_batch_csv,
 )
+from repro.models.catalog import CATALOG
 
 SMALL = ("microwave", "checksum")
 
@@ -32,6 +35,30 @@ class TestMatrix:
     def test_unknown_model_raises_with_catalog(self):
         with pytest.raises(KeyError, match="microwave"):
             catalog_matrix(("nope",))
+
+    def test_matrix_equals_checked_models_for_every_subset(self):
+        """The matrix reads unchecked models; its job list is the one
+        read from checked models, for every subset of the catalog."""
+        def checked_matrix(models):
+            jobs = []
+            for entry in CATALOG:
+                if models and entry.name not in models:
+                    continue
+                keys = tuple(sorted(entry.build().components[0].class_keys))
+                jobs.append(BatchJob(entry.name, "sw-only", ()))
+                jobs.extend(BatchJob(entry.name, f"hw={key}", (key,))
+                            for key in keys)
+                jobs.append(BatchJob(entry.name, "hw-all", keys))
+            return jobs
+
+        names = [entry.name for entry in CATALOG]
+        subsets = [None, ()] + [
+            subset for size in range(1, len(names) + 1)
+            for subset in itertools.combinations(names, size)]
+        subsets.append(tuple(reversed(names)))   # order does not matter
+        for subset in subsets:
+            assert catalog_matrix(subset) == checked_matrix(subset), subset
+        assert len(catalog_matrix()) == 25
 
     def test_full_matrix_spans_catalog(self):
         matrix = catalog_matrix()

@@ -12,6 +12,12 @@ def _key(n: int) -> str:
     return f"{n:064x}"
 
 
+def _objects(root) -> list:
+    """The stored object files under *root* (temporaries excluded)."""
+    return [path for path in (root / "objects").glob("*/*")
+            if not path.name.startswith(".")]
+
+
 class TestObjectAccess:
     def test_round_trip(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -28,22 +34,22 @@ class TestObjectAccess:
     def test_text_helpers(self, tmp_path):
         store = ArtifactStore(tmp_path)
         store.put_text(_key(3), "générateur")  # utf-8 survives
-        assert store.get_text(_key(3)) == "générateur"
+        assert store.get(_key(3), bytes.decode) == "générateur"
 
     def test_put_is_idempotent(self, tmp_path):
         store = ArtifactStore(tmp_path)
         store.put(_key(4), b"same bytes")
         store.put(_key(4), b"same bytes")
         assert store.stats.puts == 1
-        assert store.object_count() == 1
+        assert len(_objects(tmp_path)) == 1
 
     def test_undecodable_object_is_a_miss_and_replaced(self, tmp_path):
         store = ArtifactStore(tmp_path)
         store.put(_key(8), b"\xff torn")
-        assert store.get_text(_key(8)) is None   # not UTF-8
+        assert store.get(_key(8), bytes.decode) is None   # not UTF-8
         assert (store.stats.hits, store.stats.misses) == (0, 1)
         store.put_text(_key(8), "whole")
-        assert store.get_text(_key(8)) == "whole"
+        assert store.get(_key(8), bytes.decode) == "whole"
         assert store.stats.puts == 2
 
     def test_contains_moves_no_counters(self, tmp_path):
@@ -105,7 +111,8 @@ class TestGC:
         for n in range(4):
             store.put(_key(n), b"x" * 100)
             time.sleep(0.01)  # distinct mtimes on coarse filesystems
-        assert store.size_bytes() <= 250
+        assert sum(path.stat().st_size
+                   for path in _objects(tmp_path)) <= 250
         assert store.stats.evictions >= 1
 
     def test_gc_without_budget_is_noop(self, tmp_path):
@@ -119,4 +126,4 @@ class TestGC:
         for n in range(3):
             store.put(_key(n), b"x")
         assert store.clear() == 3
-        assert store.object_count() == 0
+        assert _objects(tmp_path) == []

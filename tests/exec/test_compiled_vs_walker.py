@@ -48,7 +48,8 @@ class RecordingHost:
         self.attributes = {}
         self.next_handle = 10
         self.depth = 0
-        self.executor = None
+        #: ``run(block, self_handle, params)`` of the executor under test
+        self.run = None
 
     def create_instance(self, class_key):
         self.next_handle += 1
@@ -119,22 +120,31 @@ class RecordingHost:
             raise HostError("operations nest too deep")
         self.depth += 1
         try:
-            return self.executor.run(block, handle, kwargs)
+            return self.run(block, handle, kwargs)
         finally:
             self.depth -= 1
 
 
 def outcome(executor_class, block, *, operations=None, params=None,
             self_handle=1, loop_bound=None):
-    """(result, ops_executed, host log) of one run."""
+    """(result, ops_executed, host log) of one run.
+
+    The pinned walker holds its host; the live executor is handed the
+    host on each run."""
     host = RecordingHost(operations or {})
-    executor = executor_class(host, error=HostError,
-                              selection_error=HostSelectionError)
-    host.executor = executor
+    if executor_class is walker.IRExecutor:
+        executor = executor_class(host, error=HostError,
+                                  selection_error=HostSelectionError)
+        host.run = executor.run
+    else:
+        executor = executor_class(error=HostError,
+                                  selection_error=HostSelectionError)
+        host.run = (lambda block, handle, kwargs:
+                    executor.run(host, block, handle, kwargs))
     if loop_bound is not None:
         host.loop_bound = loop_bound      # tightened after construction
     try:
-        result = ("return", repr(executor.run(
+        result = ("return", repr(host.run(
             block, self_handle, params if params is not None else {})))
     except Exception as exc:  # noqa: BLE001 - compared, never swallowed
         result = ("raise", type(exc), str(exc))

@@ -84,14 +84,14 @@ def test_empty_activity_skips_the_evaluator():
     class Counting(IRExecutor):
         __slots__ = ()
 
-        def run(self, block, self_handle, params):
+        def run(self, host, block, self_handle, params):
             runs.append(block)
-            return super().run(block, self_handle, params)
+            return super().run(host, block, self_handle, params)
 
     class CountingSimulation(Simulation):
         def __init__(self, model):
             super().__init__(model)
-            self.executor = Counting(self, error=OALRuntimeError,
+            self.executor = Counting(error=OALRuntimeError,
                                      selection_error=SelectionError)
 
     sim = _run(CountingSimulation)

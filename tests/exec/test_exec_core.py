@@ -94,38 +94,39 @@ class TestExecutorErrorsArePluggable:
         class HostError(Exception):
             pass
 
-        executor = IRExecutor(host=None, error=HostError)
+        executor = IRExecutor(error=HostError)
         with pytest.raises(HostError):
-            executor.run([["exprstmt", ["var", "never_assigned"]]], None, {})
+            executor.run(None, [["exprstmt", ["var", "never_assigned"]]],
+                         None, {})
 
     def test_run_returns_return_value(self):
-        executor = IRExecutor(host=None)
-        assert executor.run([["return", ["int", 42]]], None, {}) == 42
+        executor = IRExecutor()
+        assert executor.run(None, [["return", ["int", 42]]], None, {}) == 42
 
     def test_ops_executed_counts_statements(self):
-        executor = IRExecutor(host=None)
-        executor.run([["assign_var", "x", ["int", 1]],
-                      ["assign_var", "y", ["int", 2]]], None, {})
+        executor = IRExecutor()
+        executor.run(None, [["assign_var", "x", ["int", 1]],
+                            ["assign_var", "y", ["int", 2]]], None, {})
         assert executor.ops_executed == 2
 
     def test_ops_executed_is_exact_when_a_statement_raises(self):
-        executor = IRExecutor(host=None)
+        executor = IRExecutor()
         with pytest.raises(OALRuntimeError, match="read before assignment"):
-            executor.run([["assign_var", "x", ["int", 1]],
-                          ["exprstmt", ["var", "never_assigned"]],
-                          ["assign_var", "y", ["int", 2]]], None, {})
+            executor.run(None, [["assign_var", "x", ["int", 1]],
+                                ["exprstmt", ["var", "never_assigned"]],
+                                ["assign_var", "y", ["int", 2]]], None, {})
         assert executor.ops_executed == 2
 
     def test_remainder_by_zero_raises_the_host_error(self):
         class HostError(Exception):
             pass
 
-        executor = IRExecutor(host=None, error=HostError)
+        executor = IRExecutor(error=HostError)
         for op, message in (("/", "integer division by zero"),
                             ("%", "integer remainder by zero")):
             with pytest.raises(HostError, match=message):
-                executor.run([["return", ["bin", op, ["int", 1],
-                                          ["int", 0]]]], None, {})
+                executor.run(None, [["return", ["bin", op, ["int", 1],
+                                                ["int", 0]]]], None, {})
 
 
 class TestCompiledBlocks:
@@ -162,10 +163,10 @@ class TestCompiledBlocks:
     def test_distinct_types_do_not_share_code(self):
         from repro.exec import codegen
 
-        executor = IRExecutor(host=None)
+        executor = IRExecutor()
         for literal, expected in ((["int", 1], 1), (["bool", True], True),
                                   (["real", 1.0], 1.0)):
-            value = executor.run([["return", literal]], None, {})
+            value = executor.run(None, [["return", literal]], None, {})
             assert value == expected and type(value) is type(expected)
         assert len({codegen.compiled([["return", literal]]) for literal in
                     (["int", 1], ["bool", True], ["real", 1.0])}) == 3

@@ -16,8 +16,9 @@ class TestMarkSet:
         marks = MarkSet()
         marks.set("c.MO", "isHardware", True)
         assert marks.get("c.MO", "isHardware") is True
-        assert marks.is_explicit("c.MO", "isHardware")
-        assert not marks.is_explicit("c.PT", "isHardware")
+        # only the mark set is explicit; c.PT reads the default
+        assert marks.marks == (Mark("c.MO", "isHardware", True),)
+        assert marks.get("c.PT", "isHardware") is False
 
     def test_unknown_mark_name_rejected(self):
         with pytest.raises(MarkError):

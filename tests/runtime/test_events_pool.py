@@ -79,7 +79,7 @@ class TestEventPool:
         pool.push_ready(signal(4, target=5))
         assert pool.drop_instance(4) == 3
         assert pool.ready_handles() == (5,)
-        assert not (pool.ready_count == 0 and pool.delayed_count == 0)
+        assert pool.next_due_time() is None
 
     def test_emptied_queue_leaves_ready_handles(self):
         pool = EventPool()
@@ -113,9 +113,9 @@ class TestEventPool:
 
     def test_idle(self):
         pool = EventPool()
-        assert pool.ready_count == 0 and pool.delayed_count == 0
+        assert pool.ready_count == 0 and pool.next_due_time() is None
         pool.push_delayed(signal(1), 10)
-        assert not (pool.ready_count == 0 and pool.delayed_count == 0)
+        assert pool.ready_count == 0 and pool.next_due_time() == 10
 
     def test_due_at_tracks_the_earliest_delayed_event(self):
         pool = EventPool()

@@ -75,8 +75,8 @@ def _schedulers():
 
 def _observe(pool):
     return (pool.ready_handles(), pool.ready_count, pool.has_ready_creation(),
-            pool.next_due_time(), pool.delayed_count,
-            pool.ready_count == 0 and pool.delayed_count == 0)
+            pool.next_due_time(), len(pool._delayed),
+            pool.ready_count == 0 and pool.next_due_time() is None)
 
 
 @settings(max_examples=300, deadline=None)

@@ -80,6 +80,17 @@ class TestRunToCompletion:
     def test_step_on_idle_pool_returns_false(self, sim):
         assert sim.step() is False
 
+    def test_inject_copies_the_callers_params(self, sim):
+        counter = sim.create_instance("CN", cn_id=1)
+        params = {"limit": 2}
+        signal = sim.inject(counter, "CN1", params)
+        params["limit"] = 1000
+        params["extra"] = 1
+        assert signal.params == {"limit": 2}
+        assert signal.params is not params
+        sim.run_to_quiescence()
+        assert sim.read_attribute(counter, "value") == 2
+
     def test_quiescence_guard(self, sim):
         counter = sim.create_instance("CN", cn_id=1)
         sim.inject(counter, "CN1", {"limit": 1000})
