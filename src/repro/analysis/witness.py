@@ -301,23 +301,24 @@ def _arrival_multisets(sim: Simulation):
     consumed: Counter = Counter()
     drop_first_step: dict[tuple, int] = {}
     dispatch_index = 0
-    # members bound to locals, tested most frequent first
-    consumed_kind = TraceKind.SIGNAL_CONSUMED
-    transition = TraceKind.TRANSITION
-    ignored = TraceKind.SIGNAL_IGNORED
-    created = TraceKind.INSTANCE_CREATED
-    for _, kind, values in sim.trace.records():
-        if kind is consumed_kind:
+    # kind values bound to locals, tested most frequent first
+    consumed_kind = TraceKind.SIGNAL_CONSUMED.value
+    transition = TraceKind.TRANSITION.value
+    ignored = TraceKind.SIGNAL_IGNORED.value
+    created = TraceKind.INSTANCE_CREATED.value
+    for record in sim.trace.records():
+        kind = record[1]
+        if kind == consumed_kind:
             dispatch_index += 1
-        elif kind is transition:
-            handle, class_key, from_state, to_state, label = values
+        elif kind == transition:
+            handle, class_key, from_state = record[2], record[3], record[4]
             klass_of[handle] = class_key
             if from_state is not None:
-                consumed[(class_key, label, from_state)] += 1
-            state_of[handle] = to_state
-        elif kind is ignored:
+                consumed[(class_key, record[6], from_state)] += 1
+            state_of[handle] = record[5]
+        elif kind == ignored:
             dispatch_index += 1
-            _, label, target, reason = values
+            label, target, reason = record[3], record[4], record[5]
             if reason == "target deleted":
                 entry = (klass_of.get(target, "?"), label,
                          DELETED, "target deleted")
@@ -326,10 +327,10 @@ def _arrival_multisets(sim: Simulation):
                          state_of[target] or "", reason)
             drops[entry] += 1
             drop_first_step.setdefault(entry, dispatch_index)
-        elif kind is created:
-            handle, class_key, state = values
-            klass_of[handle] = class_key
-            state_of[handle] = state
+        elif kind == created:
+            handle = record[2]
+            klass_of[handle] = record[3]
+            state_of[handle] = record[4]
     return drops, consumed, drop_first_step
 
 

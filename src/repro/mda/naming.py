@@ -7,6 +7,7 @@ the VHDL half of an interface agree on every name by construction.
 
 from __future__ import annotations
 
+import functools
 import re
 
 _C_RESERVED = frozenset("""
@@ -31,8 +32,10 @@ _SNAKE_1 = re.compile(r"(.)([A-Z][a-z]+)")
 _SNAKE_2 = re.compile(r"([a-z0-9])([A-Z])")
 
 
+@functools.cache
 def snake_case(name: str) -> str:
-    """CamelCase / mixedCase -> snake_case."""
+    """CamelCase / mixedCase -> snake_case.  Memoised: a build mangles
+    each model name many times, and only model names are kept."""
     partial = _SNAKE_1.sub(r"\1_\2", name)
     return _SNAKE_2.sub(r"\1_\2", partial).lower()
 

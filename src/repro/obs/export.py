@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import json
 
-from repro.runtime.tracing import FIELDS, Trace, TraceKind, record_data
+from repro.runtime.tracing import FIELDS, KIND_OF, Trace, record_data
 
 #: Schema identifier carried by every trace stream's header line.
 SCHEMA = "repro.trace"
 
 #: Bump on any change to the line layout or event encoding.
 SCHEMA_VERSION = 1
-
-_KINDS = {kind.value: kind for kind in TraceKind}
 
 
 class TraceSchemaError(Exception):
@@ -46,12 +44,12 @@ def dump_jsonl(trace: Trace) -> str:
     lines = [_dumps({"schema": SCHEMA, "version": SCHEMA_VERSION})]
     lines.extend(
         _dumps({
-            "data": record_data(kind, values),
+            "data": record_data(record),
             "index": index,
-            "kind": kind.value,
-            "time": time,
+            "kind": record[1],
+            "time": record[0],
         })
-        for index, (time, kind, values) in enumerate(trace.records())
+        for index, record in enumerate(trace.records())
     )
     return "\n".join(lines) + "\n"
 
@@ -89,7 +87,7 @@ def load_jsonl(text: str) -> Trace:
         except KeyError as exc:
             raise TraceSchemaError(
                 f"line {lineno}: event record misses field {exc}") from None
-        kind = _KINDS.get(kind_name)
+        kind = KIND_OF.get(kind_name)
         if kind is None:
             raise TraceSchemaError(
                 f"line {lineno}: unknown event kind {kind_name!r}")

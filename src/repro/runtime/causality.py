@@ -52,24 +52,25 @@ class CausalIndex:
         self.ended: dict[int, tuple[int, int]] = {}
         self.consumptions: list[tuple] = []
         self.starts: list[tuple] = []
-        # members bound to locals once, not read per record
-        sent_kind = TraceKind.SIGNAL_SENT
-        consumed_kind = TraceKind.SIGNAL_CONSUMED
-        start_kind = TraceKind.ACTIVITY_START
-        end_kind = TraceKind.ACTIVITY_END
-        for index, (time, kind, values) in enumerate(trace.records()):
-            if kind is sent_kind:
-                self.sent[values[0]] = (
-                    index, time, values[1], values[4], values[5])
-            elif kind is consumed_kind:
-                self.consumptions.append((index, time, *values[:4]))
-            elif kind is start_kind:
-                activity, handle, _, _, consumed = values
-                self.starts.append((index, activity, handle, consumed))
+        # kind values bound to locals once, not read per record
+        sent_kind = TraceKind.SIGNAL_SENT.value
+        consumed_kind = TraceKind.SIGNAL_CONSUMED.value
+        start_kind = TraceKind.ACTIVITY_START.value
+        end_kind = TraceKind.ACTIVITY_END.value
+        for index, record in enumerate(trace.records()):
+            kind = record[1]
+            if kind == sent_kind:
+                self.sent[record[2]] = (
+                    index, record[0], record[3], record[6], record[7])
+            elif kind == consumed_kind:
+                self.consumptions.append((index, record[0]) + record[2:6])
+            elif kind == start_kind:
+                activity, consumed = record[2], record[6]
+                self.starts.append((index, activity, record[3], consumed))
                 if consumed is not None:
                     self.started_by[activity] = consumed
-            elif kind is end_kind:
-                self.ended[values[0]] = (index, time)
+            elif kind == end_kind:
+                self.ended[record[2]] = (index, record[0])
 
     def root_of(self, sequence: int) -> int | None:
         """The environment-sent signal *sequence* descends from: follow

@@ -52,18 +52,18 @@ from .instances import Instance
 from .links import LinkStore
 from .tracing import Trace, TraceKind
 
-# Enum members bound once: an ``Enum`` attribute read costs ~10x a module
-# global's, and a consumed signal needs seven of them.
+# Enum members and trace kind values bound once: an ``Enum`` attribute
+# read costs ~10x a module global's, and a consumed signal needs seven.
 _IGNORE = EventResponse.IGNORE
 _CANT_HAPPEN = EventResponse.CANT_HAPPEN
-_INSTANCE_CREATED = TraceKind.INSTANCE_CREATED
-_SIGNAL_SENT = TraceKind.SIGNAL_SENT
-_SIGNAL_CONSUMED = TraceKind.SIGNAL_CONSUMED
-_SIGNAL_IGNORED = TraceKind.SIGNAL_IGNORED
-_TRANSITION = TraceKind.TRANSITION
-_ACTIVITY_START = TraceKind.ACTIVITY_START
-_ACTIVITY_END = TraceKind.ACTIVITY_END
-_BRIDGE_CALL = TraceKind.BRIDGE_CALL
+_INSTANCE_CREATED = TraceKind.INSTANCE_CREATED.value
+_SIGNAL_SENT = TraceKind.SIGNAL_SENT.value
+_SIGNAL_CONSUMED = TraceKind.SIGNAL_CONSUMED.value
+_SIGNAL_IGNORED = TraceKind.SIGNAL_IGNORED.value
+_TRANSITION = TraceKind.TRANSITION.value
+_ACTIVITY_START = TraceKind.ACTIVITY_START.value
+_ACTIVITY_END = TraceKind.ACTIVITY_END.value
+_BRIDGE_CALL = TraceKind.BRIDGE_CALL.value
 
 
 # -- standard bridge services ------------------------------------------------
@@ -158,7 +158,8 @@ class Dispatcher:
     def __init__(self, self_priority: bool = True):
         self.trace = Trace()
         #: the trace's list append, bound once: the hot kinds append
-        #: their ``(time, kind, values)`` record with it, one call each
+        #: their flat ``(time, kind value, *values)`` record with it,
+        #: one call each
         self._append = self.trace.records().append
         self.pool = EventPool(self_priority)
         self.now = 0
@@ -228,7 +229,7 @@ class Dispatcher:
         instance = Instance(handle, class_key, attributes, state)
         self._instances[handle] = instance
         self._extents[class_key][handle] = instance
-        self._append((self.now, _INSTANCE_CREATED, (handle, class_key, state)))
+        self._append((self.now, _INSTANCE_CREATED, handle, class_key, state))
         return handle
 
     def delete_instance(self, handle: int) -> None:
@@ -345,7 +346,7 @@ class Dispatcher:
             sequence, label, class_key, params or {}, target, sender,
             activity_id, now, is_creation)
         self._append((now, _SIGNAL_SENT,
-                      (sequence, label, target, sender, activity_id, delay)))
+                      sequence, label, target, sender, activity_id, delay))
         self._enqueue(signal, delay)
         return signal
 
@@ -383,7 +384,7 @@ class Dispatcher:
 
     def call_bridge(self, self_handle, entity, operation, kwargs: dict):
         """Trace a bridge call and run its implementation from ``bridges``."""
-        self._append((self.now, _BRIDGE_CALL, (entity, operation, self_handle)))
+        self._append((self.now, _BRIDGE_CALL, entity, operation, self_handle))
         impl = self.bridges.get((entity, operation))
         if impl is None:
             raise self.bridge_error(
@@ -433,17 +434,17 @@ class Dispatcher:
         append = self._append
         now = self.now
         append((now, _SIGNAL_CONSUMED,
-                (signal.sequence, label, handle, signal.sender_handle,
-                 signal.activity_id)))
+                signal.sequence, label, handle, signal.sender_handle,
+                signal.activity_id))
         target.current_state = to_state
         append((now, _TRANSITION,
-                (handle, class_key, from_state, to_state, label)))
+                handle, class_key, from_state, to_state, label))
         self._run_state_activity(target, to_state, signal)
 
     def _drop(self, signal: SignalInstance, reason: str) -> None:
         self._append((self.now, _SIGNAL_IGNORED,
-                      (signal.sequence, signal.label, signal.target_handle,
-                       reason)))
+                      signal.sequence, signal.label, signal.target_handle,
+                      reason))
 
     def _run_state_activity(self, instance: Instance, state: str,
                             signal: SignalInstance) -> None:
@@ -460,10 +461,10 @@ class Dispatcher:
         block = self._activities[class_key, state]
         append = self._append
         append((self.now, _ACTIVITY_START,
-                (activity_id, handle, class_key, state, signal.sequence)))
+                activity_id, handle, class_key, state, signal.sequence))
         if not block:
             append((self.now, _ACTIVITY_END,
-                    (activity_id, handle, class_key, state)))
+                    activity_id, handle, class_key, state))
             return
         stack = self._activity_stack
         stack.append(activity_id)
@@ -472,7 +473,7 @@ class Dispatcher:
         finally:
             stack.pop()
             append((self.now, _ACTIVITY_END,
-                    (activity_id, handle, class_key, state)))
+                    activity_id, handle, class_key, state))
 
     # -- step-driven execution ------------------------------------------------------
 

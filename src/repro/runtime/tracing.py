@@ -7,13 +7,19 @@ toolchain — the causality checker (paper: "this captures desired cause
 and effect"), the verification harness, and the model-vs-generated-code
 conformance comparison all consume it.
 
-A trace record is the plain tuple ``(time, kind, values)``; its index is
-its position in the trace.  ``values`` holds the kind's fields in the
-order :data:`FIELDS` lists them, so recording costs one tuple and no
-dict.  ``LOG`` is the one free-form kind: its ``values`` is a single
-dict.  :class:`TraceEvent`, with its ``data`` dict, is built only when a
-reader asks for events (:attr:`Trace.events`, iteration,
-:meth:`Trace.of_kind`); hot readers walk :meth:`Trace.records` instead.
+A trace record is one flat tuple ``(time, kind, *values)``; its index
+is its position in the trace.  ``kind`` is the :class:`TraceKind`
+member's value string, and the values follow in the order
+:data:`FIELDS` lists the kind's fields, so recording costs one tuple
+and no dict.  ``LOG`` is the one free-form kind: its one value is a
+dict.  :class:`TraceEvent`, with its member ``kind`` and ``data`` dict,
+is built only when a reader asks for events (:attr:`Trace.events`,
+iteration, :meth:`Trace.of_kind`); hot readers walk
+:meth:`Trace.records` and read fields by index.
+
+A record holds atoms only (ints, strs, None; ``LOG`` adds its dict), not
+the member, which the collector tracks: the collector untracks an atom
+tuple the first time it sees it, so a kept trace adds no later work.
 
 Writers are hot too.  The dispatcher
 (:class:`repro.runtime.dispatcher.Dispatcher`) appends the records of
@@ -64,12 +70,19 @@ FIELDS: dict[TraceKind, tuple[str, ...] | None] = {
 }
 
 
-def record_data(kind: TraceKind, values: tuple) -> dict:
+#: Each kind's value string -> its member, for readers of records.
+KIND_OF: dict[str, TraceKind] = {kind.value: kind for kind in TraceKind}
+
+# FIELDS keyed by value string: an enum member hashes in Python code
+_FIELDS_OF = {kind.value: fields for kind, fields in FIELDS.items()}
+
+
+def record_data(record: tuple) -> dict:
     """The ``data`` dict of one record: its values keyed by field name."""
-    fields = FIELDS[kind]
+    fields = _FIELDS_OF[record[1]]
     if fields is None:
-        return dict(values[0])
-    return dict(zip(fields, values))
+        return dict(record[2])
+    return dict(zip(fields, record[2:]))
 
 
 @dataclass(frozen=True)
@@ -87,21 +100,21 @@ class TraceEvent:
 
 
 def _event(index: int, record: tuple) -> TraceEvent:
-    time, kind, values = record
-    return TraceEvent(index, time, kind, record_data(kind, values))
+    return TraceEvent(index, record[0], KIND_OF[record[1]],
+                      record_data(record))
 
 
 class Trace:
     """An append-only record of one execution."""
 
     def __init__(self):
-        self._records: list[tuple[int, TraceKind, tuple]] = []
+        self._records: list[tuple] = []
 
     def record(self, time: int, kind: TraceKind, *values) -> None:
-        self._records.append((time, kind, values))
+        self._records.append((time, kind.value) + values)
 
-    def records(self) -> list[tuple[int, TraceKind, tuple]]:
-        """The raw ``(time, kind, values)`` records; read, never mutate."""
+    def records(self) -> list[tuple]:
+        """The raw flat records; read, never mutate."""
         return self._records
 
     @property
@@ -116,9 +129,10 @@ class Trace:
                 for index, record in enumerate(self._records))
 
     def of_kind(self, kind: TraceKind) -> tuple[TraceEvent, ...]:
+        value = kind.value
         return tuple(_event(index, record)
                      for index, record in enumerate(self._records)
-                     if record[1] is kind)
+                     if record[1] == value)
 
     def behavioural_summary(self) -> tuple[tuple, ...]:
         """A scheduler-independent digest used for conformance comparison.
@@ -131,14 +145,16 @@ class Trace:
         """
         per_instance: dict[int, list[tuple[str, str]]] = {}
         pending_label: dict[int, str] = {}
-        consumed, transition = TraceKind.SIGNAL_CONSUMED, TraceKind.TRANSITION
-        for _, kind, values in self._records:
-            if kind is consumed:
-                pending_label[values[2]] = values[1]
-            elif kind is transition:
-                handle = values[0]
+        consumed = TraceKind.SIGNAL_CONSUMED.value
+        transition = TraceKind.TRANSITION.value
+        for record in self._records:
+            kind = record[1]
+            if kind == consumed:
+                pending_label[record[4]] = record[3]
+            elif kind == transition:
+                handle = record[2]
                 label = pending_label.pop(handle, "")
-                per_instance.setdefault(handle, []).append((label, values[3]))
+                per_instance.setdefault(handle, []).append((label, record[5]))
         return tuple(
             (handle, tuple(history))
             for handle, history in sorted(per_instance.items())

@@ -48,9 +48,9 @@ class WalkedSimulation(Simulation):
 def _empty_starts(sim):
     """(trace index, values) of each ``ACTIVITY_START``, and of those
     whose activity is empty."""
-    starts = [(index, values) for index, (_, kind, values)
+    starts = [(index, record[2:]) for index, record
               in enumerate(sim.trace.records())
-              if kind is TraceKind.ACTIVITY_START]
+              if record[1] == TraceKind.ACTIVITY_START.value]
     return starts, [(index, values) for index, values in starts
                     if not sim._activities[values[2], values[3]]]
 
@@ -73,9 +73,9 @@ def test_empty_activity_is_traced_with_a_fresh_id():
         range(1, len(starts) + 1))
     for index, values in empty:
         # START, then at once its END: nothing ran and nothing was sent
-        _, kind, end = records[index + 1]
-        assert kind is TraceKind.ACTIVITY_END
-        assert end == values[:4]
+        end = records[index + 1]
+        assert end[1] == TraceKind.ACTIVITY_END.value
+        assert end[2:] == values[:4]
 
 
 def test_empty_activity_skips_the_evaluator():

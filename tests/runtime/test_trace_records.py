@@ -1,6 +1,7 @@
-"""Trace records: every executor writes ``(time, kind, values)`` records
-whose values match the kind's ``FIELDS`` entry, and the events built from
-them read exactly as they did when each record carried its own dict."""
+"""Trace records: every executor writes flat ``(time, kind value,
+*values)`` records whose values match the kind's ``FIELDS`` entry, and
+the events built from them read exactly as they did when each record
+carried its own dict."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pytest
 from repro.cosim import CoSimMachine
 from repro.models.catalog import CATALOG, build_model
 from repro.runtime import Simulation
-from repro.runtime.tracing import FIELDS, Trace, TraceKind
+from repro.runtime.tracing import FIELDS, KIND_OF, Trace, TraceKind
 from repro.verify import chaos_build, run_case, standard_targets, suite_for
 
 
@@ -34,15 +35,18 @@ def test_fields_cover_every_kind():
 def test_every_record_matches_its_kind_arity(name):
     seen = set()
     for case_name, executor, trace in catalog_traces(name):
-        for index, (time, kind, values) in enumerate(trace.records()):
+        for index, record in enumerate(trace.records()):
             where = f"{case_name} on {executor}, record {index}"
-            assert isinstance(time, int), where
-            assert isinstance(values, tuple), where
+            assert isinstance(record, tuple), where
+            assert isinstance(record[0], int), where
+            # the kind is a member's value string, not the member
+            kind = KIND_OF[record[1]]
+            assert record[1] is kind.value, where
             fields = FIELDS[kind]
             if fields is None:
-                assert len(values) == 1 and isinstance(values[0], dict), where
+                assert len(record) == 3 and isinstance(record[2], dict), where
             else:
-                assert len(values) == len(fields), where
+                assert len(record) == 2 + len(fields), where
             seen.add(kind)
     # every model's run sends, consumes, transitions and runs activities
     assert {TraceKind.INSTANCE_CREATED, TraceKind.SIGNAL_SENT,
@@ -108,8 +112,8 @@ def test_events_are_built_from_records_on_read():
     trace.record(3, TraceKind.BRIDGE_CALL, "LOG", "info", 7)
     trace.record(4, TraceKind.LOG, {"message": "hi"})
     assert trace.records() == [
-        (3, TraceKind.BRIDGE_CALL, ("LOG", "info", 7)),
-        (4, TraceKind.LOG, ({"message": "hi"},)),
+        (3, "bridge_call", "LOG", "info", 7),
+        (4, "log", {"message": "hi"}),
     ]
     call, log = trace.events
     assert (call.index, call.time, call.kind) == (0, 3, TraceKind.BRIDGE_CALL)
