@@ -24,7 +24,7 @@ from .config import CoSimConfig
 from .faults import FaultDecision, FaultPlan, FaultStats
 
 
-@dataclass
+@dataclass(slots=True)
 class BusRequest:
     """One pending cross-partition message."""
 

@@ -38,11 +38,12 @@ resource's readiness lives in one place:
   request's ready time and at each moment the bus frees with work
   pending.
 
-The pass releases due signals and drains the heap only when something
-is due, starts every ready bank in handle order, gives a ready CPU its
-kernel-order source and routes what each service emitted at the
-service's end.  :meth:`CoSimMachine._next_time` takes the minimum over
-the same three places, as a DEVS coordinator takes the minimum of its
+A handle is hardware iff it has an entry in ``_hw_free_at``, so a pass
+scans the ready map once.  It releases due signals and drains the heap
+only when something is due, starts every ready bank in handle order,
+gives a ready CPU its kernel-order source and routes what each service
+emitted at the service's end.  Its next instant is the minimum over the
+same three places, as a DEVS coordinator takes the minimum of its
 models' time advances; :meth:`Dispatcher.advance` moves the clock.
 """
 
@@ -52,6 +53,7 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import filterfalse
 
 from repro.mda.archrt import ArchError, TargetMachine
 from repro.mda.compiler import Build
@@ -95,7 +97,7 @@ class ResourceStats:
         return min(1.0, self.busy_ns / horizon_ns)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Transfer:
     """Sender-side state of one cross-partition signal on the wire.
 
@@ -165,27 +167,33 @@ class CoSimMachine(TargetMachine):
         # bus and retry events; signals wait in self.pool
         self._heap: list[tuple[int, int, str, object]] = []
         self._heap_seq = 0
-        # each class's side ("sw" or "hw"), resolved once, and each
-        # handle's, recorded at its creation and kept after its deletion
+        # each class's side ("sw" or "hw"), resolved once
         self._side = {
             key: self.partition.side_of(key)
             for key in (*self.partition.hardware_classes,
                         *self.partition.software_classes)
         }
-        self._handle_side: dict[int, str] = {}
         self._ready, self._waiting_creations = self.pool.live_sources()
         self._cpu_scheduler = KernelScheduler()
         self._cpu_free_at = 0
+        # each hardware handle's bank, from its creation on (kept after
+        # its deletion): a handle is hardware iff it has an entry here
         self._hw_free_at: dict[int, int] = {}
-        config = self.config
-        self._sw_cost = (config.sw_dispatch_ns, config.sw_ns_per_op)
-        self._hw_cost = (config.hw_dispatch_ns, config.hw_ns_per_op)
         self._emit_buffer: list[tuple[SignalInstance, int, str | None]] | None = None
         self._operation_side: str | None = None   # of the running class op
         self.cpu_stats = ResourceStats("cpu")
         self.hw_stats: dict[str, ResourceStats] = {
             key: ResourceStats(f"hw:{key}")
             for key in self.partition.hardware_classes
+        }
+        # class -> (software?, dispatch ns, ns per op, its resource's stats)
+        config = self.config
+        self._cost = {
+            key: (True, config.sw_dispatch_ns, config.sw_ns_per_op,
+                  self.cpu_stats) if side == "sw" else
+                 (False, config.hw_dispatch_ns, config.hw_ns_per_op,
+                  self.hw_stats[key])
+            for key, side in self._side.items()
         }
         self.signals_routed = 0
         registry = active_registry()
@@ -194,20 +202,21 @@ class CoSimMachine(TargetMachine):
             self._m_service = None
             self._m_sent_ns: dict[int, int] | None = None
         else:
+            # keyed by software?, as the cost rows are
             self._m_latency = {
-                side: registry.histogram(f"cosim.signal_latency_ns.{side}")
+                side == "sw": registry.histogram(
+                    f"cosim.signal_latency_ns.{side}")
                 for side in ("sw", "hw")
             }
             self._m_service = {
-                side: registry.histogram(f"cosim.service_ns.{side}")
+                side == "sw": registry.histogram(f"cosim.service_ns.{side}")
                 for side in ("sw", "hw")
             }
             self._m_sent_ns = {}
 
     def create_instance(self, class_key: str, **attribute_values) -> int:
         handle = super().create_instance(class_key, **attribute_values)
-        side = self._handle_side[handle] = self._side[class_key]
-        if side == "hw":
+        if self._side[class_key] == "hw":
             self._hw_free_at[handle] = 0
         return handle
 
@@ -217,7 +226,7 @@ class CoSimMachine(TargetMachine):
         # the sender's side is read now: its activity may delete it
         sender = signal.sender_handle
         sender_side = self._operation_side if sender is None \
-            else self._handle_side[sender]
+            else "hw" if sender in self._hw_free_at else "sw"
         if self._emit_buffer is not None:
             self._emit_buffer.append((signal, delay, sender_side))
             return
@@ -254,8 +263,9 @@ class CoSimMachine(TargetMachine):
         side = self._side
         instances = self._instances
         push = self.pool.push_delayed
+        routed = 0
         for signal, delay, sender_side in sends:
-            self.signals_routed += 1
+            routed += 1
             ready_ns = base_ns + delay * US_TO_NS
             if sent_ns is not None:
                 sent_ns[signal.sequence] = ready_ns
@@ -265,6 +275,7 @@ class CoSimMachine(TargetMachine):
             elif signal.is_creation or signal.target_handle in instances:
                 push(signal, ready_ns)
             # else the receiver died: the signal is dropped
+        self.signals_routed += routed
 
     def _cross(self, signal: SignalInstance, ready_ns: int,
                sender_side: str) -> None:
@@ -465,6 +476,10 @@ class CoSimMachine(TargetMachine):
         source.  Returns how many services started and the next instant
         (None: nothing is left to happen).
 
+        One scan of the ready map: a handle in ``_hw_free_at`` is a bank,
+        any other a CPU source; a source list is built only when two
+        software handles, or a software creation, wait.
+
         The next instant is the earliest of the heap (bus polls and
         deliveries, retries), the next delayed signal and the free time
         of every resource with a signal waiting, as a DEVS coordinator
@@ -485,25 +500,24 @@ class CoSimMachine(TargetMachine):
         if heap and heap[0][0] <= now:
             self._drain_heap(now)
         ready = self._ready
-        handle_side = self._handle_side
         hw_free_at = self._hw_free_at
         bank = None                      # the first free bank
         banks: list[int] | None = None   # made for the second one
         software = None                  # the first waiting software handle
         more_software = False
-        for handle in ready:
-            if handle_side[handle] == "sw":
-                if software is None:
-                    software = handle
-                else:
-                    more_software = True
-            elif hw_free_at[handle] <= now:
-                if bank is None:
-                    bank = handle
-                elif banks is None:
-                    banks = [bank, handle]
-                else:
-                    banks.append(handle)
+        for handle in ready:   # the one scan: a bank's handle is hardware
+            if handle in hw_free_at:
+                if hw_free_at[handle] <= now:
+                    if bank is None:
+                        bank = handle
+                    elif banks is None:
+                        banks = [bank, handle]
+                    else:
+                        banks.append(handle)
+            elif software is None:
+                software = handle
+            else:
+                more_software = True
         started = 0
         if banks is not None:
             banks.sort()   # the bank that starts first traces first
@@ -523,9 +537,9 @@ class CoSimMachine(TargetMachine):
         if (software is not None or creations) and self._cpu_free_at <= now:
             source = None
             software_creation = (creations and
-                                 self._side[creations[0].class_key] == "sw")
+                                 self._cost[creations[0].class_key][0])
             if more_software or software_creation:
-                sources = [h for h in ready if handle_side[h] == "sw"]
+                sources = [*filterfalse(hw_free_at.__contains__, ready)]
                 if software_creation:
                     sources.append(CREATION)
                 if sources:
@@ -544,15 +558,15 @@ class CoSimMachine(TargetMachine):
         best = heap[0][0] if heap else math.inf
         if pool.due_at < best:
             best = pool.due_at
-        cpu_waits = bool(creations)
+        cpu_waits = False
         for handle in ready:
-            if handle_side[handle] == "hw":
+            if handle in hw_free_at:
                 free_at = hw_free_at[handle]
                 if free_at < best:
                     best = free_at
             else:
                 cpu_waits = True
-        if cpu_waits and self._cpu_free_at < best:
+        if (cpu_waits or creations) and self._cpu_free_at < best:
             best = self._cpu_free_at
         return started, None if best == math.inf else best
 
@@ -596,16 +610,15 @@ class CoSimMachine(TargetMachine):
     def _service(self, handle: int | None, signal: SignalInstance) -> None:
         """Dispatch *signal* on its class's resource, charge the resource
         for it and route what the dispatch emitted at the service's end."""
-        class_key = signal.class_key
-        side = self._side[class_key]
+        software, per_dispatch, per_op, stats = self._cost[signal.class_key]
         executor = self.executor
         ops_before = executor.ops_executed
-        self._emit_buffer = []
+        emitted = self._emit_buffer = []   # cancel_timer edits it in place
         start = self.now
         if self._m_latency is not None:
             sent_at = self._m_sent_ns.pop(signal.sequence, None)
             if sent_at is not None:
-                self._m_latency[side].observe(start - sent_at)
+                self._m_latency[software].observe(start - sent_at)
         try:
             self.dispatch(signal)
         except ArchError:
@@ -621,28 +634,20 @@ class CoSimMachine(TargetMachine):
                 raise
             self.fault_stats.lost += 1
         finally:
-            emitted = self._emit_buffer
             self._emit_buffer = None
-        ops = executor.ops_executed - ops_before
-        if side == "sw":
-            per_dispatch, per_op = self._sw_cost
-            duration = per_dispatch + ops * per_op
+        duration = per_dispatch + (executor.ops_executed - ops_before) * per_op
+        if software:
             self._cpu_free_at = start + duration
-            self.cpu_stats.busy_ns += duration
-            self.cpu_stats.dispatches += 1
         else:
-            per_dispatch, per_op = self._hw_cost
-            duration = per_dispatch + ops * per_op
             # creation events target a fresh handle; charge its bank
             owner = signal.target_handle if signal.target_handle is not None \
                 else handle
             if owner is not None:
                 self._hw_free_at[owner] = start + duration
-            stats = self.hw_stats[class_key]
-            stats.busy_ns += duration
-            stats.dispatches += 1
+        stats.busy_ns += duration
+        stats.dispatches += 1
         if self._m_service is not None:
-            self._m_service[side].observe(duration)
+            self._m_service[software].observe(duration)
         if emitted:
             self._route(emitted, start + duration)
 

@@ -3,7 +3,9 @@
 This is the only place that parses, analyzes and lowers OAL.
 :func:`oal_bodies` walks a component's bodies once per caller: the
 lowering raises the first body that fails, and
-:func:`repro.xuml.wellformed.check_model` reports every one.
+:func:`repro.xuml.wellformed.check_model` reports every one.  Each body
+text is parsed once (the AST is frozen; each analysis keeps its own
+side tables).
 Lowering is a pure function of the model's content, so the cache is
 content-addressed with the *build layer's* fingerprint
 (:func:`repro.build.fingerprint.model_fingerprint`): two structurally
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.oal.analyzer import analyze_activity
+from repro.oal.ast import Block
 from repro.oal.errors import AnalysisError, OALSyntaxError
 from repro.oal.parser import parse_activity
 from repro.xuml.component import Component
@@ -80,6 +83,9 @@ class LoweredComponent:
 _cache: dict[tuple[str, str], LoweredComponent] = {}
 _hits = 0
 _misses = 0
+#: OAL body text -> its parsed Block; dropped whole past _PARSED_LIMIT
+_parsed: dict[str, Block] = {}
+_PARSED_LIMIT = 4096
 
 
 def lowering_cache_stats() -> dict[str, int]:
@@ -88,9 +94,10 @@ def lowering_cache_stats() -> dict[str, int]:
 
 
 def clear_lowering_cache() -> None:
-    """Drop every cached lowering and compiled block; reset the counters."""
+    """Drop every cached lowering, parse and compiled block; reset counters."""
     global _hits, _misses
     _cache.clear()
+    _parsed.clear()
     clear_compiled_blocks()
     _hits = 0
     _misses = 0
@@ -122,13 +129,22 @@ def oal_bodies(model: Model, component: Component):
         ):
             body = operation.body if state is None else state.activity
             try:
-                block = parse_activity(body)
+                block = _parse(body)
                 outcome = block, analyze_activity(
                     block, model, component, klass, state,
                     operation=operation)
             except (OALSyntaxError, AnalysisError) as exc:
                 outcome = exc
             yield kind, (klass.key_letters, name), where, outcome
+
+
+def _parse(body: str) -> Block:
+    """*body* parsed once per process; a syntax error is never kept."""
+    if body not in _parsed:
+        if len(_parsed) >= _PARSED_LIMIT:
+            _parsed.clear()
+        _parsed[body] = parse_activity(body)
+    return _parsed[body]
 
 
 def _lower_component_uncached(

@@ -411,12 +411,23 @@ class InterfaceCodec:
     VHDL package): the codec then knows only what the artifact says, so
     two codecs agreeing on every byte is a genuine statement about the
     artifacts, not about the spec they came from.
+
+    A layout of byte-aligned 1, 2, 4 or 8-byte integers packs through one
+    compiled little-endian ``struct.Struct`` (gaps are pad bytes).  Other
+    layouts, and values the struct rejects (missing, out of range, not an
+    int), take the per-field path: the same bytes and the same errors.
     """
 
     #: message name -> (message_id, payload_bytes, [(field, tag, off, width)])
     layouts: dict[str, tuple[int, int, list[tuple[str, str, int, int]]]]
     #: message name -> FrameSpec, for messages carrying a CRC trailer
     frames: dict[str, "FrameSpec"] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # message name -> (its compiled struct, its field names in order)
+        compiled = ((name, _layout_struct(size, fields))
+                    for name, (_, size, fields) in self.layouts.items())
+        self._structs = {name: c for name, c in compiled if c is not None}
 
     @classmethod
     def from_artifact(cls, text: str) -> "InterfaceCodec":
@@ -466,6 +477,12 @@ class InterfaceCodec:
 
     def pack(self, name: str, values: dict) -> bytes:
         """Encode *values* into the message's byte layout."""
+        if name in self._structs:
+            layout, names = self._structs[name]
+            try:
+                return layout.pack(*map(values.__getitem__, names))
+            except (KeyError, struct.error):
+                pass   # the per-field path raises what it raises
         try:
             _, payload_bytes, fields = self.layouts[name]
         except KeyError:
@@ -496,14 +513,15 @@ class InterfaceCodec:
                 f"{name}: payload is {len(payload)} bytes, "
                 f"layout says {payload_bytes}"
             )
+        if name in self._structs:
+            layout, names = self._structs[name]
+            return dict(zip(names, layout.unpack(payload)))
         values: dict[str, object] = {}
         for fname, tag, offset_bits, width_bits in fields:
             start = offset_bits // 8
             chunk = payload[start:start + (width_bits + 7) // 8]
             try:
                 values[fname] = _decode_field(tag, width_bits, chunk)
-            except InterfaceError:
-                raise
             except (struct.error, UnicodeDecodeError, IndexError,
                     ValueError, OverflowError) as exc:
                 raise InterfaceError(
@@ -564,6 +582,27 @@ class InterfaceCodec:
 #: field tags :meth:`InterfaceCodec.pack` encodes with :func:`_encode_field`;
 #: every other tag is an integer of exactly the field's width
 _BYTE_TAGS = frozenset(("real", "string", "boolean"))
+
+#: width in bits -> struct format of a signed integer (upper case: unsigned)
+_INT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _layout_struct(payload_bytes: int, fields):
+    """``(struct, field names)`` for a layout of byte-aligned 1/2/4/8-byte
+    integer fields in offset order within *payload_bytes*, else None."""
+    formats, end = ["<"], 0
+    for _fname, tag, offset_bits, width_bits in fields:
+        start, misaligned = divmod(offset_bits, 8)
+        letter = _INT_FORMATS.get(width_bits)
+        if tag in _BYTE_TAGS or not letter or misaligned or start < end:
+            return None
+        formats.append("x" * (start - end)
+                       + (letter if tag == "integer" else letter.upper()))
+        end = start + width_bits // 8
+    if end > payload_bytes:
+        return None
+    formats.append("x" * (payload_bytes - end))
+    return struct.Struct("".join(formats)), tuple(f[0] for f in fields)
 
 
 def _encode_field(tag: str, width_bits: int, value) -> bytes:

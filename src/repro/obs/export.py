@@ -58,10 +58,11 @@ def load_jsonl(text: str) -> Trace:
     """Parse a trace stream back into a :class:`Trace`.
 
     Raises :class:`TraceSchemaError` for a missing/foreign header, an
-    unsupported version, malformed lines, unknown event kinds, event
-    data whose keys are not exactly the kind's :data:`FIELDS` (``LOG``
-    data is free-form), or event indices that do not form the gap-free
-    0..n-1 sequence an append-only trace guarantees.
+    unsupported version, malformed lines, unknown or non-string event
+    kinds, a time that is not an integer, event data whose keys are not
+    exactly the kind's :data:`FIELDS` or whose values are not atoms
+    (``LOG`` data is free-form), or event indices that do not form the
+    gap-free 0..n-1 sequence an append-only trace guarantees.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -87,10 +88,14 @@ def load_jsonl(text: str) -> Trace:
         except KeyError as exc:
             raise TraceSchemaError(
                 f"line {lineno}: event record misses field {exc}") from None
-        kind = KIND_OF.get(kind_name)
+        kind = KIND_OF.get(kind_name) if isinstance(kind_name, str) else None
         if kind is None:
             raise TraceSchemaError(
                 f"line {lineno}: unknown event kind {kind_name!r}")
+        if not isinstance(time, int) or isinstance(time, bool):
+            raise TraceSchemaError(
+                f"line {lineno}: event time must be an integer, "
+                f"got {time!r}")
         if not isinstance(data, dict):
             raise TraceSchemaError(
                 f"line {lineno}: event data must be an object, "
@@ -107,6 +112,11 @@ def load_jsonl(text: str) -> Trace:
             raise TraceSchemaError(
                 f"line {lineno}: {kind_name} data has keys "
                 f"{sorted(data)}, expected {sorted(fields)}")
+        for name in fields:
+            if isinstance(data[name], (list, dict)):
+                raise TraceSchemaError(
+                    f"line {lineno}: {kind_name} field {name!r} must be an "
+                    f"atom, got {type(data[name]).__name__}")
         trace.record(time, kind, *(data[name] for name in fields))
     return trace
 

@@ -147,20 +147,26 @@ class KernelScheduler(Scheduler):
     send order, then every other head (creations included) in send order.
 
     *sources* may also be a subset of the ready sources: the
-    co-simulation's CPU passes its software sources only.
+    co-simulation's CPU passes its software sources only.  Heads are
+    read in place, as :meth:`EventPool.peek` reads them, with no call per
+    candidate.
     """
 
     name = "kernel"
 
     def choose(self, pool: EventPool, sources=None) -> int | None:
-        best = None
-        peek = pool.peek
+        best = best_key = None
+        queues = pool._queues
         for source in self._sources(pool) if sources is None else sources:
-            head = peek(source)
+            if source == CREATION:
+                head = pool._creations[0]
+            else:
+                queue = queues[source]
+                head = (queue._self_events or queue._other_events)[0]
             # not head.is_self_directed, spelled out: this runs per source
             sender = head.sender_handle
             key = (sender is None or sender != head.target_handle,
                    head.sequence)
-            if best is None or key < best[0]:
-                best = (key, source)
-        return None if best is None else best[1]
+            if best_key is None or key < best_key:
+                best, best_key = source, key
+        return best

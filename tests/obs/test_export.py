@@ -109,6 +109,31 @@ class TestSchemaGuards:
         with pytest.raises(TraceSchemaError, match="object"):
             load_jsonl(text)
 
+    @pytest.mark.parametrize("kind", ['["log"]', '{"k":1}'])
+    def test_rejects_a_kind_that_is_not_a_string(self, kind):
+        text = (dump_jsonl(Trace())
+                + f'{{"data":{{}},"index":0,"kind":{kind},"time":0}}\n')
+        with pytest.raises(TraceSchemaError, match="line 2: unknown"):
+            load_jsonl(text)
+
+    @pytest.mark.parametrize("time", ['"noon"', '1.5', 'true', 'null', '[0]'])
+    def test_rejects_a_time_that_is_not_an_integer(self, time):
+        text = (dump_jsonl(Trace())
+                + f'{{"data":{{}},"index":0,"kind":"log","time":{time}}}\n')
+        with pytest.raises(TraceSchemaError, match="line 2: event time"):
+            load_jsonl(text)
+
+    @pytest.mark.parametrize("value", ['[1, 2]', '{"a":1}', '[]', '{}'])
+    def test_rejects_a_field_value_that_is_not_an_atom(self, value):
+        header = dump_jsonl(Trace())
+        call = ('{"data":{"entity":"LOG","handle":1,"operation":"info"},'
+                '"index":0,"kind":"bridge_call","time":0}\n')
+        bad = call.replace('"handle":1', f'"handle":{value}')
+        second = bad.replace('"index":0', '"index":1')
+        with pytest.raises(TraceSchemaError,
+                           match="line 3: bridge_call field 'handle'"):
+            load_jsonl(header + call + second)
+
 
 class TestDisabledOverhead:
     def test_disabled_hooks_add_no_events_and_no_metrics(self):
